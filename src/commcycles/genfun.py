@@ -328,13 +328,22 @@ def negative_real_roots(p: RationalPoly, expected: int) -> list[float]:
     (refining the grid until `expected` brackets appear), bisects each
     bracket with exact rational arithmetic, then polishes in floating point
     with Newton steps.  Residuals are checked against the monic rescaling
-    of p at 1e-12.
+    of p at 1e-12.  A coefficient too large for a float fails at once,
+    before any root is bracketed.
     """
     if expected == 0:
         return []
     if p.degree != expected:
         raise RootFindError(f"degree {p.degree} polynomial cannot have {expected} negative roots")
     coeffs = p.coeffs
+    try:
+        abs_coeffs = [abs(float(c)) for c in coeffs]
+    except OverflowError:
+        bits = math.ceil(max(map(abs, coeffs))).bit_length()
+        raise RootFindError(
+            f"degree {p.degree} polynomial: largest coefficient has {bits} bits, "
+            "beyond the float range of the Newton polish"
+        ) from None
     lead = abs(coeffs[-1])
     const = abs(coeffs[0])
     if const == 0:
@@ -343,17 +352,13 @@ def negative_real_roots(p: RationalPoly, expected: int) -> list[float]:
     lower = const / (const + max(abs(c) for c in coeffs[1:]))
     hi_mag, lo_mag = float(upper) * 1.001, float(lower) * 0.999
 
-    def sign_at(x: Fraction) -> int:
-        v = p(x)
-        return (v > 0) - (v < 0)
-
     grid_n = max(8 * expected, 32)
     brackets: list[tuple[Fraction, Fraction]] = []
     exact_roots: list[Fraction] = []
     for _ in range(14):
         ratio = (lo_mag / hi_mag) ** (1.0 / grid_n)
         pts = [Fraction(-hi_mag * ratio**j) for j in range(grid_n + 1)]
-        signs = [sign_at(x) for x in pts]
+        signs = [p.sign_at(x) for x in pts]
         brackets, exact_roots = [], []
         for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
             if sa == 0:
@@ -373,7 +378,6 @@ def negative_real_roots(p: RationalPoly, expected: int) -> list[float]:
         )
 
     deriv = p.derivative()
-    abs_coeffs = [abs(float(c)) for c in coeffs]
 
     def scaled_residual(x: float) -> float:
         # Residual relative to the evaluation magnitude: invariant under
@@ -386,10 +390,10 @@ def negative_real_roots(p: RationalPoly, expected: int) -> list[float]:
 
     roots = [float(r) for r in exact_roots]
     for lo, hi in brackets:
-        slo = sign_at(lo)
+        slo = p.sign_at(lo)
         for _ in range(80):
             mid = (lo + hi) / 2
-            sm = sign_at(mid)
+            sm = p.sign_at(mid)
             if sm == 0:
                 lo = hi = mid
                 break

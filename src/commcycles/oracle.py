@@ -201,6 +201,15 @@ def distribution_to_pgf(dist: CycleDistribution) -> CyclePGF:
     return CyclePGF(RationalPoly(coeffs), dist.M, "oracle")
 
 
+def _hultman_row(m: int) -> list[int]:
+    """m! times the one-cycle commutator PGF: index k -> count, k = 0..m."""
+    counts = (one_cycle_pgf(m).poly * math.factorial(m)).coeffs
+    for k, value in enumerate(counts):
+        if value.denominator != 1:
+            raise AssertionError(f"non-integer count {value} at m={m}, k={k}")
+    return [int(value) for value in counts]
+
+
 def hultman_count(m: int, k: int, method: str = "formula", cap: Optional[int] = None) -> int:
     """Number of permutations σ of m points whose commutator with the
     canonical m-cycle has exactly k cycles.
@@ -212,10 +221,7 @@ def hultman_count(m: int, k: int, method: str = "formula", cap: Optional[int] = 
     if k < 1 or k > m or (m - k) % 2:
         return 0
     if method == "formula":
-        value = math.factorial(m) * one_cycle_pgf(m).coefficient(k)
-        if value.denominator != 1:
-            raise AssertionError(f"non-integer count {value} at m={m}, k={k}")
-        return int(value)
+        return _hultman_row(m)[k]
     if method == "enumerate":
         dist = exact_commutator_distribution(one_cycle(m), cap=cap)
         return int(dist.probability(k) * math.factorial(m))
@@ -232,8 +238,7 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
         if m <= cap:
             dist = exact_commutator_distribution(one_cycle(m), cap=cap)
             enumerated = {k: int(p * math.factorial(m)) for k, p in dist.probs.items()}
-        for k in range(1, m + 1):
-            count = hultman_count(m, k)
+        for k, count in enumerate(_hultman_row(m)):
             if count:
                 rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
     return rows

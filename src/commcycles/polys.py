@@ -1,10 +1,15 @@
 """Dense polynomials with exact rational coefficients, and the factorial
 polynomial toolkit built on them.
 
-Coefficients are `fractions.Fraction` values indexed by degree; the
-highest-degree coefficient is nonzero (the zero polynomial is the empty
-tuple, degree -1).  Everything here is exact: floating point only enters
-when a polynomial is *evaluated* at a float or complex point.
+Coefficients are integers over one common denominator, still exact: a
+tuple of integer numerators indexed by degree and one positive denominator.
+The highest-degree numerator is nonzero (the zero polynomial has no
+numerators, degree -1, and denominator 1), and the denominator shares no
+factor with all the numerators, so equal polynomials have equal
+representations.  Ring operations and exact evaluation work on integers
+only and reduce once per result; `coeffs` hands the coefficients out as
+`fractions.Fraction` values.  Floating point only enters when a polynomial
+is *evaluated* at a float or complex point.
 """
 
 from __future__ import annotations
@@ -29,44 +34,71 @@ __all__ = [
 ]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> Rational:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Strip trailing zeros, make den positive and divide out gcd(den, *num)."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = math.gcd(den, *num)
+    if g > 1:
+        num, den = [c // g for c in num], den // g
+    return tuple(num), den
+
+
+def _poly(num: list[int], den: int) -> "RationalPoly":
+    """The polynomial sum_k num[k]/den * X^k."""
+    p = object.__new__(RationalPoly)
+    p._num, p._den = _canonical(num, den)
+    return p
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
 class RationalPoly:
     """Immutable dense polynomial over the rationals."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        values = [_exact(c) for c in coeffs]
+        den = math.lcm(*(v.denominator for v in values))
+        self._num, self._den = _canonical([v.numerator * (den // v.denominator) for v in values], den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of X^k (zero beyond the degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     # -- ring operations ----------------------------------------------------
@@ -76,44 +108,40 @@ class RationalPoly:
             other = RationalPoly([other])
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        den = math.lcm(self._den, other._den)
+        a = [c * (den // self._den) for c in self._num]
+        b = [c * (den // other._den) for c in other._num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
+            a[i] += c
+        return _poly(a, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly([-c for c in self._coeffs])
+        return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalPoly) else RationalPoly([-_as_fraction(other)]))
+        return self + (-other if isinstance(other, RationalPoly) else RationalPoly([-_exact(other)]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalPoly([c * other for c in self._coeffs])
+            return _poly([c * other.numerator for c in self._num], self._den * other.denominator)
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return RationalPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RationalPoly(out)
+        return _poly(_convolve(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (Fraction(1) / _as_fraction(scalar))
+        s = _exact(scalar)
+        if not s:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _poly([c * s.denominator for c in self._num], self._den * s.numerator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -129,46 +157,66 @@ class RationalPoly:
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- evaluation and transforms -------------------------------------------
 
+    def _horner(self, x: Rational) -> tuple[int, int]:
+        """The value at the exact rational x = a/b as an integer pair
+        (numerator, positive denominator), not reduced.
+
+        Homogeneous Horner: sum_k c_k a^k b^(n-k) over den * b^n, with c_k
+        the integer numerators and n the degree.
+        """
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._num):
+            acc = acc * a + c * scale
+            scale *= b
+        # scale ends at b^(n+1), one factor of b past the denominator's b^n.
+        return acc * b, self._den * scale
+
     def __call__(self, x):
         """Horner evaluation.  Exact for int/Fraction arguments; float or
-        complex arguments evaluate in floating point."""
+        complex arguments evaluate in floating point, from each
+        coefficient's correctly rounded float value."""
         if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return acc
+            return Fraction(*self._horner(x))
+        den = self._den
         acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(self._num):
+            acc = acc * x + c / den
         return acc
+
+    def sign_at(self, x: Rational) -> int:
+        """Sign (-1, 0 or 1) of the value at the exact rational x, read off
+        the integer Horner sum without forming the value."""
+        v = self._horner(x)[0]
+        return (v > 0) - (v < 0)
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
         """The polynomial self(inner(X))."""
         acc = RationalPoly()
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * inner + RationalPoly([c])
         return acc
 
     def reflect(self) -> "RationalPoly":
         """The polynomial P(-X)."""
-        return RationalPoly([-c if k & 1 else c for k, c in enumerate(self._coeffs)])
+        return _poly([-c if k & 1 else c for k, c in enumerate(self._num)], self._den)
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly([k * c for k, c in enumerate(self._coeffs)][1:])
+        return _poly([k * c for k, c in enumerate(self._num)][1:], self._den)
 
     # -- rendering ------------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
         """Coefficients as "num/den" strings, index = degree."""
-        return [f"{c.numerator}/{c.denominator}" for c in self._coeffs]
+        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
     @classmethod
     def from_coeff_strings(cls, strings: Sequence[str]) -> "RationalPoly":
@@ -178,9 +226,10 @@ class RationalPoly:
         """Human-readable rendering, highest degree first."""
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
+            c = coeffs[k]
             if not c:
                 continue
             mag = abs(c)
@@ -204,27 +253,36 @@ ONE = RationalPoly([1])
 X = RationalPoly([0, 1])
 
 
+def _times_x_plus(row: list[int], i: int) -> list[int]:
+    """Integer coefficients of P(X) * (X + i), from those of P."""
+    return [a + i * b for a, b in zip([0, *row], [*row, 0])]
+
+
+def _rising_row(n: int) -> list[int]:
+    """Coefficients of X(X+1)...(X+n-1): the unsigned Stirling numbers of
+    the first kind c(n, k), k = 0..n."""
+    row = [1]
+    for i in range(n):
+        row = _times_x_plus(row, i)
+    return row
+
+
 def rising_factorial(n: int) -> RationalPoly:
     """The degree-n polynomial X(X+1)...(X+n-1); 1 for n = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = ONE
-    for i in range(n):
-        p = p * RationalPoly([i, 1])
-    return p
+    return _poly(_rising_row(n), 1)
 
 
 def falling_factorial(n: int) -> RationalPoly:
     """The degree-n polynomial X(X-1)...(X-n+1); 1 for n = 0.
 
-    Equals (-1)^n * rising_factorial(n)(-X).
+    Equals (-1)^n * rising_factorial(n)(-X): the signed Stirling numbers
+    (-1)^(n-k) c(n, k).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = ONE
-    for i in range(n):
-        p = p * RationalPoly([-i, 1])
-    return p
+    return _poly([-c if (n - k) & 1 else c for k, c in enumerate(_rising_row(n))], 1)
 
 
 def rising_product(x: Rational, n: int) -> Rational:
@@ -259,15 +317,22 @@ def rising_square_sum(m: int) -> RationalPoly:
 
         S(X) = sum_{k=0..m} (-1)^k * k!/(2m-k+1) * C(m,k)^2 * R_{2m-k+1}(X)
 
-    with R_n the degree-n rising factorial.
+    with R_n the degree-n rising factorial.  The rows R_{m+1}..R_{2m+1} are
+    built in one sweep and summed over the denominator lcm(m+1..2m+1).
     """
     if m < 1:
         raise ValueError("m must be positive")
-    total = ZERO
-    for k in range(m + 1):
-        coeff = Fraction((-1) ** k * math.factorial(k) * math.comb(m, k) ** 2, 2 * m - k + 1)
-        total = total + coeff * rising_factorial(2 * m - k + 1)
-    return total
+    top = 2 * m + 1
+    den = math.lcm(*range(m + 1, top + 1))
+    total = [0] * (top + 1)
+    row = _rising_row(m)
+    for n in range(m + 1, top + 1):
+        row = _times_x_plus(row, n - 1)  # R_n
+        k = top - n
+        weight = (-1) ** k * math.factorial(k) * math.comb(m, k) ** 2 * (den // n)
+        for j, c in enumerate(row):
+            total[j] += weight * c
+    return _poly(total, den)
 
 
 def connection_expand(m: int, n: int) -> RationalPoly:

@@ -114,6 +114,12 @@ class TestBernoulliCommand:
         assert code == 2
         assert "Bernoulli" in err
 
+    def test_root_find_failure_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "bernoulli", "one-cycle:171")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: degree 85 polynomial") and err.count("\n") == 1
+
 
 class TestHultmanCommand:
     def test_csv_default(self, capsys):
@@ -128,8 +134,16 @@ class TestHultmanCommand:
         for m in range(1, 6):
             assert sum(r["count"] for r in rows if r["M"] == m) == math.factorial(m)
 
+    def test_max_m_at_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "hultman", "--max-m", str(cli.HULTMAN_MAX_M))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        top = [r for r in rows if int(r[0]) == cli.HULTMAN_MAX_M]
+        assert sum(int(r[2]) for r in top) == math.factorial(cli.HULTMAN_MAX_M)
+        assert all(r[3] == "" for r in top)  # above the oracle cap
+
     def test_max_m_capped(self, capsys):
-        code, _, err = run_cli(capsys, "hultman", "--max-m", "13")
+        code, _, err = run_cli(capsys, "hultman", "--max-m", str(cli.HULTMAN_MAX_M + 1))
         assert code == 2
 
 

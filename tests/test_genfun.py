@@ -6,6 +6,7 @@ test_oracle.py; here we pin the formulas themselves.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -260,3 +261,11 @@ class TestRootFinder:
     def test_rejects_zero_constant(self):
         with pytest.raises(RootFindError):
             negative_real_roots(poly(0, 1, 1), 2)
+
+    def test_float_overflow_fails_fast(self):
+        # at M = 171 the even part has the coefficient 2 * 171!, past the
+        # float range; the failure is typed and comes before any bracketing
+        start = time.perf_counter()
+        with pytest.raises(RootFindError, match="degree 85 .* 1033 bits"):
+            bernoulli_decomposition(one_cycle_pgf(171))
+        assert time.perf_counter() - start < 2.0

@@ -1,6 +1,7 @@
 """Exact checks of the polynomial toolkit: frozen hand-expanded values,
 the factorial-polynomial identities, and ring-structure properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,24 @@ class TestRingProperties:
     def test_reflect_involution(self, p):
         assert p.reflect().reflect() == p
 
+    @given(small_polys, st.integers(1, 60), st.integers(1, 60))
+    def test_equal_values_compare_and_hash_equal(self, p, k, j):
+        # the same coefficients reached over different denominators
+        scaled = (p * Fraction(k, j)) / Fraction(k, j)
+        split = p * Fraction(1, k + 1) + p * Fraction(k, k + 1)
+        unreduced = RationalPoly([f"{c.numerator * k}/{c.denominator * k}" for c in p.coeffs])
+        for q in (scaled, split, unreduced):
+            assert q == p
+            assert hash(q) == hash(p)
+
+    @given(small_polys, small_polys)
+    def test_coeffs_in_lowest_terms(self, p, q):
+        for r in (p * q, p + q, p - q, (p * q).derivative()):
+            assert r.coeffs == tuple(Fraction(c.numerator, c.denominator) for c in r.coeffs)
+            for s in r.coeff_strings():
+                num, den = map(int, s.split("/"))
+                assert den > 0 and math.gcd(num, den) == 1
+
 
 class TestFactorialPolynomials:
     def test_rising_frozen_values(self):
@@ -114,6 +133,18 @@ class TestFactorialPolynomials:
         assert falling_factorial(0) == ONE
         assert falling_factorial(2) == poly(0, -1, 1)
         assert falling_factorial(4) == poly(0, -6, 11, -6, 1)
+
+    def test_stirling_rows(self):
+        # c(n, k) = c(n-1, k-1) + (n-1) c(n-1, k): unsigned Stirling numbers
+        # of the first kind; the falling factorial carries the signs.
+        row = [1]
+        product = ONE
+        for n in range(41):
+            signed = [(-1) ** (n - k) * c for k, c in enumerate(row)]
+            assert rising_factorial(n) == RationalPoly(row) == product
+            assert falling_factorial(n) == RationalPoly(signed)
+            row = [(row[k - 1] if k else 0) + n * (row[k] if k < len(row) else 0) for k in range(n + 2)]
+            product = product * (X + n)
 
     @pytest.mark.parametrize("n", range(9))
     def test_reflection_relation(self, n):
@@ -162,7 +193,7 @@ class TestSquaredRisingSums:
         assert s(1) == 1
         assert s(2) == 5  # 1^2 + 2^2
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", [*range(1, 9), 20, 40, 60])
     def test_characterization(self, m):
         s = rising_square_sum(m)
         assert s.degree == 2 * m + 1
