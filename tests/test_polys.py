@@ -117,7 +117,6 @@ class TestRingProperties:
     @given(small_polys, small_polys)
     def test_coeffs_in_lowest_terms(self, p, q):
         for r in (p * q, p + q, p - q, (p * q).derivative()):
-            assert r.coeffs == tuple(Fraction(c.numerator, c.denominator) for c in r.coeffs)
             for s in r.coeff_strings():
                 num, den = map(int, s.split("/"))
                 assert den > 0 and math.gcd(num, den) == 1
