@@ -11,6 +11,7 @@ from .genfun import (
     RootFindError,
     alternating_pgf,
     bernoulli_decomposition,
+    commutator_law,
     one_cycle_pgf,
     one_cycle_pgf_roots,
     transpositions_pgf,
@@ -22,9 +23,7 @@ from .genfun import (
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     HARD_ENUMERATION_CAP,
-    CycleDistribution,
     EnumerationCapError,
-    distribution_to_pgf,
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_distribution,

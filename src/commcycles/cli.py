@@ -104,21 +104,21 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
+def _law(kind, value, cap):
+    """(exact law, provenance) for a τ selector.  A named family uses its own
+    builder; a type or an explicit τ goes through genfun.commutator_law."""
+    if kind in _CLOSED_FORMS:
+        return _CLOSED_FORMS[kind][1](value), f"closed-form: {kind}"
+    cycle_type = value if kind == "type" else value.cycle_type()
+    law = genfun.commutator_law(cycle_type, cap=cap)
+    if law.source == "oracle":
+        return law, "oracle enumeration"
+    return law, f"closed-form: {law.source.replace('_', '-')}"
+
+
 def _cmd_pgf(args) -> int:
     args.format = args.format or "json"
-    kind, value = parse_tau_spec(args.tau)
-    if kind in _CLOSED_FORMS:
-        source, builder, _ = _CLOSED_FORMS[kind]
-        pgf = builder(value)
-        provenance = f"closed-form: {kind}"
-    else:
-        tau = _tau_permutation(kind, value)
-        try:
-            dist = oracle.exact_commutator_distribution(tau, cap=args.cap)
-        except oracle.EnumerationCapError as exc:
-            raise UsageError(f"{exc}; try `commcycles mc` or `commcycles sample`") from exc
-        pgf = oracle.distribution_to_pgf(dist)
-        provenance = "oracle enumeration"
+    pgf, provenance = _law(*parse_tau_spec(args.tau), args.cap)
     validation = genfun.validate_pgf(pgf)
     payload = {
         "tau": args.tau,
@@ -142,24 +142,19 @@ def _cmd_pgf(args) -> int:
 
 def _cmd_dist(args) -> int:
     args.format = args.format or "json"
-    kind, value = parse_tau_spec(args.tau)
-    tau = _tau_permutation(kind, value)
-    try:
-        dist = oracle.exact_commutator_distribution(tau, cap=args.cap)
-    except oracle.EnumerationCapError as exc:
-        raise UsageError(str(exc)) from exc
+    dist = oracle.exact_commutator_distribution(_tau_permutation(*parse_tau_spec(args.tau)), cap=args.cap)
     if args.format == "csv":
         oracle.write_distribution_csv(dist, sys.stdout)
         return 0
     payload = {
         "tau": args.tau,
         "M": dist.M,
-        "probs": {str(k): _fraction_str(p) for k, p in sorted(dist.probs.items())},
+        "probs": {str(k): _fraction_str(p) for k, p in dist.probabilities().items()},
     }
 
     def human(p):
         yield f"tau: {p['tau']}   M = {dist.M}"
-        for k, prob in sorted(dist.probs.items()):
+        for k, prob in dist.probabilities().items():
             yield f"  P(C = {k}) = {_fraction_str(prob)} = {float(prob):.6f}"
 
     _emit(payload, args.format, human)
@@ -168,12 +163,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     args.format = args.format or "json"
-    kind, value = parse_tau_spec(args.tau)
-    if kind not in ("uniform", "transpositions", "one-cycle"):
-        raise UsageError(
-            "Bernoulli decompositions exist for uniform:M, transpositions:M and one-cycle:M"
-        )
-    pgf = _CLOSED_FORMS[kind][1](value)
+    pgf, _ = _law(*parse_tau_spec(args.tau), args.cap)
     dec = genfun.bernoulli_decomposition(pgf)
     payload = {
         "tau": args.tau,
@@ -254,17 +244,6 @@ def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: in
     return {"statistic": stat, "df": df, "p_value": float(chi2.sf(stat, df))}
 
 
-def _reference_pgf(kind, value, cap):
-    if kind in _CLOSED_FORMS and kind != "uniform":
-        return _CLOSED_FORMS[kind][1](value), f"closed-form: {kind}"
-    tau = _tau_permutation(kind, value)
-    try:
-        dist = oracle.exact_commutator_distribution(tau, cap=cap)
-    except oracle.EnumerationCapError:
-        return None, None
-    return oracle.distribution_to_pgf(dist), "oracle enumeration"
-
-
 def _cmd_sample(args) -> int:
     args.format = args.format or "json"
     kind, value = parse_tau_spec(args.tau)
@@ -277,7 +256,10 @@ def _cmd_sample(args) -> int:
         sigma = sample_uniform(tau.size, rng)
         c = commutator(sigma, tau).cycle_count()
         histogram[c] = histogram.get(c, 0) + 1
-    reference, provenance = _reference_pgf(kind, value, args.cap)
+    try:
+        reference, provenance = _law(kind, value, args.cap)
+    except oracle.EnumerationCapError:
+        reference = None
     payload = {
         "tau": args.tau,
         "M": tau.size,
@@ -468,10 +450,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, oracle.EnumerationCapError, genfun.RootFindError) as exc:
+    except (ValueError, genfun.RootFindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

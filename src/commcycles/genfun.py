@@ -1,7 +1,8 @@
 """Closed-form probability generating functions (PGFs) for cycle counts of
 commutators [σ,τ] with σ uniform, for the solved families of τ, plus the
 uniform/alternating-group baselines and decompositions of these laws into
-sums of independent Bernoulli variables.
+sums of independent Bernoulli variables.  `commutator_law` is the one place
+that picks, for a cycle type of τ, between a closed form and enumeration.
 
 All PGF coefficients are exact rationals.  Floating point appears only in
 the root-finder that extracts numeric Bernoulli parameters for the
@@ -13,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
+from .perm import CycleType, from_cycle_type
 from .polys import (
     ONE,
     RationalPoly,
@@ -35,6 +37,7 @@ __all__ = [
     "two_cycles_pgf",
     "transpositions_pgf",
     "transpositions_rising_form",
+    "commutator_law",
     "validate_pgf",
     "bernoulli_decomposition",
     "negative_real_roots",
@@ -43,14 +46,14 @@ __all__ = [
 
 # Source tags for PGFs produced in this package.  "oracle" marks PGFs built
 # from an enumerated distribution rather than a closed form.
-COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions")
+COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity")
 SOURCES = ("uniform", "alternating", "co_alternating", *COMMUTATOR_SOURCES, "oracle")
 
 
 @dataclass(frozen=True)
 class CyclePGF:
-    """A cycle-count PGF: E t^C = sum_k P(C = k) t^k, with exact rational
-    coefficients, on a ground set of size M."""
+    """The exact law of a cycle count C on a ground set of size M, as its PGF
+    E t^C = sum_k P(C = k) t^k with exact rational coefficients, from any route."""
 
     poly: RationalPoly
     M: int
@@ -170,6 +173,28 @@ def transpositions_rising_form(m: int, base: int = 4) -> RationalPoly:
     scale = Fraction(base**m * math.factorial(m), math.factorial(2 * m))
     half_square = RationalPoly([0, 0, Fraction(1, 2)])
     return scale * rising_factorial(m).compose(half_square)
+
+
+def commutator_law(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
+    """Exact law of the cycle count of [σ,τ], σ uniform, for τ of this type.
+
+    [σ,τ] = (στσ⁻¹)·τ⁻¹ with στσ⁻¹ uniform on the class of τ, so the law
+    depends on the cycle type alone.  The types [m], [m,m], [1]^M and [2]^k
+    (tested in that order) have closed forms at any size; every other type
+    is enumerated, which raises EnumerationCapError above the cap."""
+    parts = cycle_type.parts
+    if len(parts) == 1:
+        return one_cycle_pgf(parts[0])
+    if len(parts) == 2 and parts[0] == parts[1]:
+        return two_cycles_pgf(parts[0])
+    if parts[0] == 1:
+        return CyclePGF(RationalPoly([0] * len(parts) + [1]), len(parts), "identity")
+    if parts[0] == parts[-1] == 2:
+        return transpositions_pgf(len(parts))
+    # Imported here because oracle imports CyclePGF from this module.
+    from . import oracle
+
+    return oracle.exact_commutator_distribution(from_cycle_type(cycle_type), cap=cap)
 
 
 # -- validation ---------------------------------------------------------------
@@ -449,7 +474,7 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
         magnitudes = [-u for u in negative_real_roots(even, expected)]
         terms = tuple(BernoulliTerm(1.0 / (1.0 + r), 2) for r in sorted(magnitudes, reverse=True))
         return BernoulliDecomposition(terms, offset)
-    raise ValueError(f"no Bernoulli decomposition for source {pgf.source!r}")
+    raise ValueError(f"no Bernoulli decomposition for source {pgf.source!r} (only uniform, transpositions, one_cycle)")
 
 
 def one_cycle_pgf_roots(m: int) -> list[complex]:

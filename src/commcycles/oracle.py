@@ -1,11 +1,12 @@
-"""Ground-truth cycle-count distributions by exhaustive enumeration of the
-symmetric group, used as the independent verifier for every closed form.
+"""Ground-truth cycle-count laws by exhaustive enumeration of the symmetric
+group, used as the independent witness for every closed form.
 
 The sigma-space is enumerated in lexicographic order and processed in
 contiguous blocks as numpy integer arrays (composition by fancy indexing,
 cycle counting by vectorized orbit following); block histograms are merged
-by addition, so results are deterministic and arithmetic stays in integers
-until the final division by the total count.
+by addition, so results are deterministic and exact.  Every law is returned
+as a `CyclePGF` with source "oracle": the integer counts over the number of
+permutations enumerated.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
@@ -27,11 +26,9 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "HARD_ENUMERATION_CAP",
     "EnumerationCapError",
-    "CycleDistribution",
     "exact_commutator_distribution",
     "exact_class_product_distribution",
     "exact_uniform_cycle_distribution",
-    "distribution_to_pgf",
     "conjugacy_class",
     "hultman_count",
     "hultman_table_rows",
@@ -56,8 +53,9 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
     if m > effective:
         raise EnumerationCapError(
             f"ground set of size {m} exceeds the enumeration cap {effective}; "
-            "use the conjugacy-class route, raise the cap (hard cap "
-            f"{HARD_ENUMERATION_CAP}), or fall back to Monte-Carlo sampling"
+            "`commcycles pgf` solves one cycle, two equal cycles, the identity and "
+            f"transpositions at any size; otherwise raise the cap (hard cap {HARD_ENUMERATION_CAP}) "
+            "or use Monte-Carlo sampling (`commcycles mc`, `commcycles sample`)"
         )
 
 
@@ -91,38 +89,17 @@ def _cycle_counts_rows(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class CycleDistribution:
-    """Exact law of a cycle-count statistic: map cycle count -> probability."""
-
-    M: int
-    probs: dict[int, Fraction]
-
-    def __post_init__(self):
-        if sum(self.probs.values(), Fraction(0)) != 1:
-            raise ValueError("probabilities must sum to exactly 1")
-        if any(not 1 <= k <= self.M for k in self.probs):
-            raise ValueError("cycle counts must lie in 1..M")
-
-    @property
-    def support_parity(self) -> Optional[int]:
-        """0 or 1 if every supported cycle count has that parity, else None."""
-        parities = {k % 2 for k in self.probs}
-        return parities.pop() if len(parities) == 1 else None
-
-    def mean(self) -> Fraction:
-        return sum((k * p for k, p in self.probs.items()), Fraction(0))
-
-    def probability(self, k: int) -> Fraction:
-        return self.probs.get(k, Fraction(0))
+def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
+    """The enumerated law: cycle-count histogram over the number enumerated."""
+    counts = [int(c) for c in hist]
+    if sum(counts) != total:
+        raise AssertionError(f"enumerated counts sum to {sum(counts)}, not {total}")
+    if counts[0] or len(counts) > m + 1:
+        raise AssertionError(f"enumerated cycle counts fall outside 1..{m}")
+    return CyclePGF(RationalPoly(counts) / total, m, "oracle")
 
 
-def _distribution_from_hist(m: int, hist: np.ndarray, total: int) -> CycleDistribution:
-    probs = {k: Fraction(int(c), total) for k, c in enumerate(hist) if c}
-    return CycleDistribution(m, probs)
-
-
-def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -> CycleDistribution:
+def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -> CyclePGF:
     """Exact law of the cycle count of [σ,τ] with σ ranging over all M!
     permutations, each with weight 1/M!."""
     m = tau.size
@@ -135,7 +112,7 @@ def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -
         inner = tau_arr[sigma_inv[:, tau_inv]]  # τ[σ⁻¹[τ⁻¹[i]]]
         comm = np.take_along_axis(block, inner, axis=1)  # σ[...]
         hist += np.bincount(_cycle_counts_rows(comm), minlength=m + 1)
-    return _distribution_from_hist(m, hist, math.factorial(m))
+    return _law_from_hist(m, hist, math.factorial(m))
 
 
 def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permutation]:
@@ -156,7 +133,7 @@ def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permuta
     return [Permutation(t) for t in sorted(seen)]
 
 
-def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] = None) -> CycleDistribution:
+def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
     """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the
     conjugacy class of the given type and τ₂ the inverse of its canonical
     representative.  Agrees with exact_commutator_distribution of the
@@ -169,12 +146,12 @@ def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] =
     tau2 = np.array(tau.inverse().map, dtype=np.int64)
     products = class_arr[:, tau2]  # row r: τ₁[τ₂[i]]
     hist = np.bincount(_cycle_counts_rows(products), minlength=m + 1)
-    return _distribution_from_hist(m, hist, len(members))
+    return _law_from_hist(m, hist, len(members))
 
 
 def exact_uniform_cycle_distribution(
     m: int, subset: str = "all", cap: Optional[int] = None
-) -> CycleDistribution:
+) -> CyclePGF:
     """Exact cycle-count law of a uniform permutation of m points, or of a
     uniform even ("alternating") or odd ("co_alternating") permutation."""
     if subset not in ("all", "alternating", "co_alternating"):
@@ -190,15 +167,7 @@ def exact_uniform_cycle_distribution(
         elif subset == "co_alternating":
             counts = counts[(m - counts) % 2 == 1]
         hist += np.bincount(counts, minlength=m + 1)
-    return _distribution_from_hist(m, hist, int(hist.sum()))
-
-
-def distribution_to_pgf(dist: CycleDistribution) -> CyclePGF:
-    """Σ_k P(k)·t^k as an exact polynomial, tagged with source "oracle"."""
-    coeffs = [Fraction(0)] * (max(dist.probs) + 1)
-    for k, p in dist.probs.items():
-        coeffs[k] = p
-    return CyclePGF(RationalPoly(coeffs), dist.M, "oracle")
+    return _law_from_hist(m, hist, int(hist.sum()))
 
 
 def _hultman_row(m: int) -> list[int]:
@@ -224,7 +193,7 @@ def hultman_count(m: int, k: int, method: str = "formula", cap: Optional[int] = 
         return _hultman_row(m)[k]
     if method == "enumerate":
         dist = exact_commutator_distribution(one_cycle(m), cap=cap)
-        return int(dist.probability(k) * math.factorial(m))
+        return int(dist.coefficient(k) * math.factorial(m))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -237,7 +206,7 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
         enumerated: dict[int, int] = {}
         if m <= cap:
             dist = exact_commutator_distribution(one_cycle(m), cap=cap)
-            enumerated = {k: int(p * math.factorial(m)) for k, p in dist.probs.items()}
+            enumerated = {k: int(p * math.factorial(m)) for k, p in dist.probabilities().items()}
         for k, count in enumerate(_hultman_row(m)):
             if count:
                 rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
@@ -247,11 +216,11 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
 # -- CSV emitters ---------------------------------------------------------------
 
 
-def distribution_rows(dist: CycleDistribution) -> list[tuple[int, int, int, int]]:
-    return [(dist.M, k, p.numerator, p.denominator) for k, p in sorted(dist.probs.items())]
+def distribution_rows(dist: CyclePGF) -> list[tuple[int, int, int, int]]:
+    return [(dist.M, k, p.numerator, p.denominator) for k, p in dist.probabilities().items()]
 
 
-def write_distribution_csv(dist: CycleDistribution, fileobj) -> None:
+def write_distribution_csv(dist: CyclePGF, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["M", "cycle_count", "probability_num", "probability_den"])
     writer.writerows(distribution_rows(dist))

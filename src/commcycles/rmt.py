@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import oracle
-from .genfun import one_cycle_pgf, transpositions_pgf, two_cycles_pgf
-from .perm import CycleType, from_cycle_type
+from .genfun import commutator_law
+from .oracle import EnumerationCapError
+from .perm import CycleType
 from .polys import rising_product
 
 __all__ = [
@@ -160,25 +160,15 @@ def trace_power_target(n_dim: int, power: int, factors: int, cap: Optional[int] 
     complex Gaussian matrix: M! * E_sigma N^C([σ,τ]) with τ a product of
     `factors` disjoint `power`-cycles and M = power*factors.
 
-    Uses a closed form when τ is in a solved family, otherwise the
-    enumeration oracle; None when neither applies.
+    The law of C([σ,τ]) comes from genfun.commutator_law: a closed form
+    when τ is in a solved family, otherwise the enumeration oracle; None
+    when the oracle is over its cap.
     """
-    total = power * factors
-    if factors == 1:
-        poly = one_cycle_pgf(power).poly
-    elif factors == 2:
-        poly = two_cycles_pgf(power).poly
-    elif power == 1:
-        return Fraction(math.factorial(total) * n_dim**total)
-    elif power == 2:
-        poly = transpositions_pgf(factors).poly
-    else:
-        cap_value = oracle.DEFAULT_ENUMERATION_CAP if cap is None else cap
-        if total > cap_value:
-            return None
-        tau = from_cycle_type(CycleType([power] * factors))
-        poly = oracle.distribution_to_pgf(oracle.exact_commutator_distribution(tau, cap=cap)).poly
-    return math.factorial(total) * poly(n_dim)
+    try:
+        law = commutator_law(CycleType([power] * factors), cap=cap)
+    except EnumerationCapError:
+        return None
+    return math.factorial(power * factors) * law.poly(n_dim)
 
 
 def gamma_shortcut_target(n_dim: int, m: int, factors: int) -> Optional[Fraction]:

@@ -75,28 +75,28 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
 def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[CheckResult]:
     out = []
     ok = all(
-        oracle.distribution_to_pgf(oracle.exact_commutator_distribution(one_cycle(m), cap=cap)).poly
+        oracle.exact_commutator_distribution(one_cycle(m), cap=cap).poly
         == genfun.one_cycle_pgf(m).poly
         for m in range(1, max_m + 1)
     )
     out.append(_check("one_cycle_vs_oracle", ok, f"M <= {max_m}"))
 
     ok = all(
-        oracle.distribution_to_pgf(oracle.exact_commutator_distribution(two_disjoint_cycles(m), cap=cap)).poly
+        oracle.exact_commutator_distribution(two_disjoint_cycles(m), cap=cap).poly
         == genfun.two_cycles_pgf(m).poly
         for m in range(1, max_m // 2 + 1)
     )
     out.append(_check("two_cycles_vs_oracle", ok, f"ground sets <= {max_m}"))
 
     ok = all(
-        oracle.distribution_to_pgf(oracle.exact_commutator_distribution(disjoint_transpositions(m), cap=cap)).poly
+        oracle.exact_commutator_distribution(disjoint_transpositions(m), cap=cap).poly
         == genfun.transpositions_pgf(m).poly
         for m in range(1, max_m // 2 + 1)
     )
     out.append(_check("transpositions_vs_oracle", ok, f"ground sets <= {max_m}"))
 
     ok = all(
-        oracle.distribution_to_pgf(oracle.exact_uniform_cycle_distribution(m, subset, cap=cap)).poly
+        oracle.exact_uniform_cycle_distribution(m, subset, cap=cap).poly
         == {
             "all": genfun.uniform_cycles_pgf,
             "alternating": lambda mm: genfun.alternating_pgf(mm, complement=False),
@@ -115,8 +115,8 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
 
     types = [t for t in ([1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2]) if sum(t) <= max_m]
     ok = all(
-        oracle.exact_class_product_distribution(CycleType(t), cap=cap).probs
-        == oracle.exact_commutator_distribution(from_cycle_type(CycleType(t)), cap=cap).probs
+        oracle.exact_class_product_distribution(CycleType(t), cap=cap).poly
+        == oracle.exact_commutator_distribution(from_cycle_type(CycleType(t)), cap=cap).poly
         for t in types
     )
     out.append(_check("class_product_reformulation", ok, f"types with M <= {max_m}"))

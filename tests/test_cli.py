@@ -61,6 +61,22 @@ class TestPgfCommand:
         assert code == 2
         assert "mc" in err
 
+    def test_solved_type_uses_closed_form(self, capsys):
+        # M = 20 is far above the enumeration cap; the one-cycle law is closed
+        code, out, _ = run_cli(capsys, "pgf", "type:[20]")
+        assert code == 0
+        data = json.loads(out)
+        assert data["provenance"] == "closed-form: one-cycle"
+        assert data["pgf"] == genfun.one_cycle_pgf(20).to_json()
+
+    def test_explicit_tau_routed_by_cycle_type(self, capsys):
+        code, out, _ = run_cli(capsys, "pgf", "(1 2 3 4)(5 6 7 8)")
+        assert code == 0
+        data = json.loads(out)
+        assert data["provenance"] == "closed-form: two-cycles"
+        assert data["pgf"]["source"] == "two_cycles"
+        assert data["validation"]["parity_ok"] is True
+
     def test_transpositions_example(self, capsys):
         code, out, _ = run_cli(capsys, "pgf", "transpositions:2")
         data = json.loads(out)
@@ -114,6 +130,14 @@ class TestBernoulliCommand:
         assert code == 2
         assert "Bernoulli" in err
 
+    def test_type_matches_named_family(self, capsys):
+        _, by_type, _ = run_cli(capsys, "bernoulli", "type:[12]")
+        _, by_name, _ = run_cli(capsys, "bernoulli", "one-cycle:12")
+        assert json.loads(by_type)["decomposition"] == json.loads(by_name)["decomposition"]
+        code, _, err = run_cli(capsys, "bernoulli", "type:[3,2]")
+        assert code == 2
+        assert "Bernoulli" in err
+
     def test_root_find_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "bernoulli", "one-cycle:171")
         assert code == 2
@@ -160,6 +184,13 @@ class TestSampleCommand:
         code, out, _ = run_cli(capsys, "sample", "transpositions:1", "--draws", "50")
         data = json.loads(out)
         assert data["histogram"] == {"2": 50}
+
+    def test_solved_type_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "type:[3,3]", "--draws", "2000")
+        assert code == 0
+        data = json.loads(out)
+        assert data["reference"]["provenance"] == "closed-form: two-cycles"
+        assert data["chi_square"]["p_value"] > 1e-6
 
     def test_no_reference_above_cap(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "type:[5,3,2]", "--draws", "100")

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from commcycles import genfun
+import numpy as np
+
+from commcycles import genfun, oracle
 from commcycles.oracle import (
-    CycleDistribution,
     EnumerationCapError,
     conjugacy_class,
     distribution_rows,
-    distribution_to_pgf,
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_distribution,
@@ -41,35 +41,40 @@ F = Fraction
 class TestCommutatorDistribution:
     def test_identity_tau_point_mass(self):
         dist = exact_commutator_distribution(Permutation.identity(3))
-        assert dist.probs == {3: F(1)}
+        assert dist.probabilities() == {3: F(1)}
 
     def test_three_cycle(self):
         dist = exact_commutator_distribution(one_cycle(3))
-        assert dist.probs == {3: F(1, 2), 1: F(1, 2)}
+        assert dist.probabilities() == {3: F(1, 2), 1: F(1, 2)}
 
     def test_double_transposition(self):
         dist = exact_commutator_distribution(parse_cycles("(1 2)(3 4)"))
-        assert dist.probs == {4: F(1, 3), 2: F(2, 3)}
+        assert dist.probabilities() == {4: F(1, 3), 2: F(2, 3)}
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
             exact_commutator_distribution(Permutation.identity(9))
         # explicit cap raise works up to the hard cap
         dist = exact_commutator_distribution(Permutation.identity(9), cap=9)
-        assert dist.probs == {9: F(1)}
+        assert dist.probabilities() == {9: F(1)}
         with pytest.raises(ValueError):
             exact_commutator_distribution(Permutation.identity(11), cap=11)
 
     def test_parity_of_support(self):
         for tau in (one_cycle(4), one_cycle(5), parse_cycles("(1 2 3)(4 5)")):
             dist = exact_commutator_distribution(tau)
-            assert dist.support_parity == tau.size % 2
+            assert {k % 2 for k in dist.probabilities()} == {tau.size % 2}
 
     def test_distribution_validates(self):
-        with pytest.raises(ValueError):
-            CycleDistribution(3, {1: F(1, 2)})
-        with pytest.raises(ValueError):
-            CycleDistribution(2, {3: F(1)})
+        # the histogram must hold all of the enumerated total ...
+        with pytest.raises(AssertionError, match="sum to 1, not 2"):
+            oracle._law_from_hist(3, np.array([0, 1, 0, 0]), 2)
+        # ... and only cycle counts in 1..M
+        with pytest.raises(AssertionError, match="outside 1..2"):
+            oracle._law_from_hist(2, np.array([0, 0, 0, 1]), 1)
+        with pytest.raises(AssertionError, match="outside 1..2"):
+            oracle._law_from_hist(2, np.array([1, 0, 0]), 1)
+        assert oracle._law_from_hist(2, np.array([0, 1, 1]), 2).probabilities() == {1: F(1, 2), 2: F(1, 2)}
 
     def test_conjugation_invariance(self):
         rng = random.Random(7)
@@ -77,38 +82,82 @@ class TestCommutatorDistribution:
             reference = exact_commutator_distribution(tau)
             for _ in range(20):
                 s = sample_uniform(tau.size, rng)
-                assert exact_commutator_distribution(tau.conjugated_by(s)).probs == reference.probs
+                assert exact_commutator_distribution(tau.conjugated_by(s)).probabilities() == reference.probabilities()
 
 
 class TestClosedFormAgreement:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_cycle(self, m):
         dist = exact_commutator_distribution(one_cycle(m))
-        assert distribution_to_pgf(dist).poly == genfun.one_cycle_pgf(m).poly
+        assert dist.poly == genfun.one_cycle_pgf(m).poly
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_two_cycles(self, m):
         dist = exact_commutator_distribution(two_disjoint_cycles(m))
-        assert distribution_to_pgf(dist).poly == genfun.two_cycles_pgf(m).poly
+        assert dist.poly == genfun.two_cycles_pgf(m).poly
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_transpositions(self, m):
         dist = exact_commutator_distribution(disjoint_transpositions(m))
-        assert distribution_to_pgf(dist).poly == genfun.transpositions_pgf(m).poly
+        assert dist.poly == genfun.transpositions_pgf(m).poly
+
+
+def _partitions(n, largest=None):
+    """All partitions of n, parts in decreasing order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [[]]
+    return [[first, *rest] for first in range(min(n, largest), 0, -1) for rest in _partitions(n - first, first)]
+
+
+def _closed_form_source(parts):
+    """The closed form commutator_law should route a cycle type to, or None."""
+    if len(parts) == 1:
+        return "one_cycle"
+    if len(parts) == 2 and parts[0] == parts[1]:
+        return "two_cycles"
+    if set(parts) == {1}:
+        return "identity"
+    if set(parts) == {2}:
+        return "transpositions"
+    return None
+
+
+class TestCommutatorLaw:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_type_matches_oracle(self, m):
+        for parts in _partitions(m):
+            law = genfun.commutator_law(CycleType(parts))
+            assert law.source == (_closed_form_source(parts) or "oracle"), parts
+            assert law.M == m
+            assert law.poly == exact_commutator_distribution(from_cycle_type(CycleType(parts))).poly, parts
+            assert genfun.validate_pgf(law).ok
+
+    def test_above_cap_raises(self):
+        with pytest.raises(EnumerationCapError):
+            genfun.commutator_law(CycleType([5, 4]))
+        assert genfun.commutator_law(CycleType([3, 2, 2, 2]), cap=9).source == "oracle"
+
+    def test_closed_forms_above_cap(self):
+        assert genfun.commutator_law(CycleType([20])) == genfun.one_cycle_pgf(20)
+        assert genfun.commutator_law(CycleType([6, 6])) == genfun.two_cycles_pgf(6)
+        assert genfun.commutator_law(CycleType([2] * 7)) == genfun.transpositions_pgf(7)
+        identity = genfun.commutator_law(CycleType([1] * 12))
+        assert (identity.source, identity.M, identity.probabilities()) == ("identity", 12, {12: F(1)})
 
 
 class TestUniformSubsetLaws:
     def test_all_m3(self):
         dist = exact_uniform_cycle_distribution(3)
-        assert dist.probs == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
+        assert dist.probabilities() == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
 
     def test_alternating_m3(self):
         dist = exact_uniform_cycle_distribution(3, "alternating")
-        assert dist.probs == {3: F(1, 3), 1: F(2, 3)}
+        assert dist.probabilities() == {3: F(1, 3), 1: F(2, 3)}
 
     def test_co_alternating_m2(self):
         dist = exact_uniform_cycle_distribution(2, "co_alternating")
-        assert dist.probs == {1: F(1)}
+        assert dist.probabilities() == {1: F(1)}
 
     def test_co_alternating_m1_rejected(self):
         with pytest.raises(ValueError):
@@ -120,14 +169,14 @@ class TestUniformSubsetLaws:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_against_closed_forms(self, m):
-        assert distribution_to_pgf(exact_uniform_cycle_distribution(m)).poly == genfun.uniform_cycles_pgf(m).poly
+        assert exact_uniform_cycle_distribution(m).poly == genfun.uniform_cycles_pgf(m).poly
         assert (
-            distribution_to_pgf(exact_uniform_cycle_distribution(m, "alternating")).poly
+            exact_uniform_cycle_distribution(m, "alternating").poly
             == genfun.alternating_pgf(m).poly
         )
         if m >= 2:
             assert (
-                distribution_to_pgf(exact_uniform_cycle_distribution(m, "co_alternating")).poly
+                exact_uniform_cycle_distribution(m, "co_alternating").poly
                 == genfun.alternating_pgf(m, complement=True).poly
             )
 
@@ -140,15 +189,15 @@ class TestConjugacyClassRoute:
 
     def test_single_cycle_m3(self):
         dist = exact_class_product_distribution(CycleType([3]))
-        assert dist.probs == {3: F(1, 2), 1: F(1, 2)}
+        assert dist.probabilities() == {3: F(1, 2), 1: F(1, 2)}
 
     def test_identity_type(self):
         dist = exact_class_product_distribution(CycleType([1, 1, 1, 1]))
-        assert dist.probs == {4: F(1)}
+        assert dist.probabilities() == {4: F(1)}
 
     def test_two_two_type(self):
         dist = exact_class_product_distribution(CycleType([2, 2]))
-        assert dist.probs == {4: F(1, 3), 2: F(2, 3)}
+        assert dist.probabilities() == {4: F(1, 3), 2: F(2, 3)}
 
     @pytest.mark.parametrize(
         "parts", [[1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2], [3, 3]]
@@ -157,7 +206,7 @@ class TestConjugacyClassRoute:
         ct = CycleType(parts)
         via_class = exact_class_product_distribution(ct)
         via_commutator = exact_commutator_distribution(from_cycle_type(ct))
-        assert via_class.probs == via_commutator.probs
+        assert via_class.probabilities() == via_commutator.probabilities()
 
 
 class TestHultman:
@@ -192,13 +241,12 @@ class TestHultman:
 class TestEmitters:
     def test_distribution_round_trip_through_pgf(self):
         dist = exact_commutator_distribution(one_cycle(4))
-        pgf = distribution_to_pgf(dist)
-        assert pgf.source == "oracle"
-        assert pgf.poly(1) == 1
-        assert {k: c for k, c in enumerate(pgf.poly.coeffs) if c} == dist.probs
+        assert dist.source == "oracle"
+        assert dist.poly(1) == 1
+        assert genfun.CyclePGF.from_json(dist.to_json()) == dist
 
     def test_point_mass_pgf(self):
-        assert distribution_to_pgf(CycleDistribution(3, {3: F(1)})).poly == RationalPoly([0, 0, 0, 1])
+        assert exact_commutator_distribution(Permutation.identity(3)).poly == RationalPoly([0, 0, 0, 1])
 
     def test_distribution_csv(self):
         dist = exact_commutator_distribution(parse_cycles("(1 2)(3 4)"))

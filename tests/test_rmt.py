@@ -44,6 +44,10 @@ class TestExactTargets:
         # power 1: tau is the identity, commutator always trivial
         assert trace_power_target(3, 1, 4) == math.factorial(4) * 3**4
 
+    def test_trace_power_identity_above_cap(self):
+        # 9 fixed points: above the default enumeration cap, still a closed form
+        assert trace_power_target(2, 1, 9) == math.factorial(9) * 2**9
+
     def test_trace_power_transpositions(self):
         # power 2, many factors: tau is disjoint transpositions
         p = trace_power_target(2, 2, 3)
