@@ -104,16 +104,24 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def _law(kind, value, cap):
-    """(exact law, provenance) for a τ selector.  A named family uses its own
-    builder; a type or an explicit τ goes through genfun.commutator_law."""
+def _route(kind, value, cap):
+    """(source, build) of the exact law for a τ selector, without building
+    it.  A named family uses its own builder; a type or an explicit τ goes
+    through genfun.commutator_route."""
     if kind in _CLOSED_FORMS:
-        return _CLOSED_FORMS[kind][1](value), f"closed-form: {kind}"
+        source, builder, _ = _CLOSED_FORMS[kind]
+        return source, lambda: builder(value)
     cycle_type = value if kind == "type" else value.cycle_type()
-    law = genfun.commutator_law(cycle_type, cap=cap)
-    if law.source == "oracle":
+    return genfun.commutator_route(cycle_type, cap)
+
+
+def _law(kind, value, cap):
+    """(exact law, provenance) for a τ selector."""
+    source, build = _route(kind, value, cap)
+    law = build()
+    if source == "oracle":
         return law, "oracle enumeration"
-    return law, f"closed-form: {law.source.replace('_', '-')}"
+    return law, f"closed-form: {source.replace('_', '-')}"
 
 
 def _cmd_pgf(args) -> int:
@@ -163,7 +171,9 @@ def _cmd_dist(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     args.format = args.format or "json"
-    pgf, _ = _law(*parse_tau_spec(args.tau), args.cap)
+    source, build = _route(*parse_tau_spec(args.tau), args.cap)
+    genfun.require_bernoulli_source(source)  # refuse before building the law
+    pgf = build()
     dec = genfun.bernoulli_decomposition(pgf)
     payload = {
         "tau": args.tau,
@@ -227,9 +237,21 @@ def _pool_bins(probs: dict[int, Fraction], draws: int, min_expected: float = 5.0
     return pooled
 
 
-def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: int):
-    from scipy.stats import chi2
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with integer df >= 1.  With y = x/2 this is
+    e^-y * sum y^j / Γ(j+1) over j = 0, 1, ..., df/2 - 1 for even df, and
+    erfc(sqrt y) plus the same sum over j = 1/2, 3/2, ..., (df-2)/2 for odd df."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    head, first = (0.0, 0.0) if df % 2 == 0 else (math.erfc(math.sqrt(y)), 0.5)
+    log_y = math.log(y)
+    return head + math.fsum(
+        math.exp((first + i) * log_y - y - math.lgamma(first + i + 1)) for i in range(df // 2)
+    )
 
+
+def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: int):
     if any(k not in probs for k in histogram):
         return {"statistic": float("inf"), "df": 0, "p_value": 0.0}
     pooled = _pool_bins(probs, draws)
@@ -241,7 +263,7 @@ def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: in
         observed = sum(histogram.get(k, 0) for k in ks)
         stat += (observed - expected) ** 2 / expected
     df = len(pooled) - 1
-    return {"statistic": stat, "df": df, "p_value": float(chi2.sf(stat, df))}
+    return {"statistic": stat, "df": df, "p_value": _chi2_sf(stat, df)}
 
 
 def _cmd_sample(args) -> int:
@@ -449,10 +471,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (ValueError, genfun.RootFindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered to devnull so
+        # that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Closed-form probability generating functions (PGFs) for cycle counts of
 commutators [σ,τ] with σ uniform, for the solved families of τ, plus the
 uniform/alternating-group baselines and decompositions of these laws into
-sums of independent Bernoulli variables.  `commutator_law` is the one place
-that picks, for a cycle type of τ, between a closed form and enumeration.
+sums of independent Bernoulli variables.  `commutator_route` is the one
+place that picks, for a cycle type of τ, between a closed form and
+enumeration.
 
 All PGF coefficients are exact rationals.  Floating point appears only in
 the root-finder that extracts numeric Bernoulli parameters for the
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .perm import CycleType, from_cycle_type
 from .polys import (
@@ -37,8 +38,10 @@ __all__ = [
     "two_cycles_pgf",
     "transpositions_pgf",
     "transpositions_rising_form",
+    "commutator_route",
     "commutator_law",
     "validate_pgf",
+    "require_bernoulli_source",
     "bernoulli_decomposition",
     "negative_real_roots",
     "one_cycle_pgf_roots",
@@ -48,6 +51,8 @@ __all__ = [
 # from an enumerated distribution rather than a closed form.
 COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity")
 SOURCES = ("uniform", "alternating", "co_alternating", *COMMUTATOR_SOURCES, "oracle")
+# The sources whose laws `bernoulli_decomposition` decomposes.
+BERNOULLI_SOURCES = ("uniform", "transpositions", "one_cycle")
 
 
 @dataclass(frozen=True)
@@ -175,26 +180,34 @@ def transpositions_rising_form(m: int, base: int = 4) -> RationalPoly:
     return scale * rising_factorial(m).compose(half_square)
 
 
-def commutator_law(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
-    """Exact law of the cycle count of [σ,τ], σ uniform, for τ of this type.
+def commutator_route(cycle_type: CycleType, cap: Optional[int] = None) -> tuple[str, Callable[[], CyclePGF]]:
+    """(source, build) of the exact law of the cycle count of [σ,τ], σ
+    uniform, for τ of this type; build() returns the law.
 
     [σ,τ] = (στσ⁻¹)·τ⁻¹ with στσ⁻¹ uniform on the class of τ, so the law
     depends on the cycle type alone.  The types [m], [m,m], [1]^M and [2]^k
     (tested in that order) have closed forms at any size; every other type
-    is enumerated, which raises EnumerationCapError above the cap."""
+    is enumerated, which raises EnumerationCapError above the cap.  This is
+    the one place that picks a route for a cycle type."""
     parts = cycle_type.parts
     if len(parts) == 1:
-        return one_cycle_pgf(parts[0])
+        return "one_cycle", lambda: one_cycle_pgf(parts[0])
     if len(parts) == 2 and parts[0] == parts[1]:
-        return two_cycles_pgf(parts[0])
+        return "two_cycles", lambda: two_cycles_pgf(parts[0])
     if parts[0] == 1:
-        return CyclePGF(RationalPoly([0] * len(parts) + [1]), len(parts), "identity")
+        return "identity", lambda: CyclePGF(RationalPoly([0] * len(parts) + [1]), len(parts), "identity")
     if parts[0] == parts[-1] == 2:
-        return transpositions_pgf(len(parts))
+        return "transpositions", lambda: transpositions_pgf(len(parts))
     # Imported here because oracle imports CyclePGF from this module.
     from . import oracle
 
-    return oracle.exact_commutator_distribution(from_cycle_type(cycle_type), cap=cap)
+    return "oracle", lambda: oracle.exact_commutator_distribution(from_cycle_type(cycle_type), cap=cap)
+
+
+def commutator_law(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
+    """Exact law of the cycle count of [σ,τ], σ uniform, for τ of this type,
+    by the route `commutator_route` picks."""
+    return commutator_route(cycle_type, cap)[1]()
 
 
 # -- validation ---------------------------------------------------------------
@@ -451,6 +464,12 @@ def _one_cycle_even_part(pgf: CyclePGF) -> tuple[int, RationalPoly]:
     return offset, RationalPoly(even)
 
 
+def require_bernoulli_source(source: str) -> None:
+    """Raise ValueError unless laws of this source have a Bernoulli decomposition."""
+    if source not in BERNOULLI_SOURCES:
+        raise ValueError(f"no Bernoulli decomposition for source {source!r} (only {', '.join(BERNOULLI_SOURCES)})")
+
+
 def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
     """Decompose a cycle-count PGF into independent Bernoulli summands.
 
@@ -461,6 +480,7 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
                         (t^2 + r_j)/(1 + r_j); each gives a doubled
                         Bernoulli with numeric parameter p_j = 1/(1 + r_j).
     """
+    require_bernoulli_source(pgf.source)
     if pgf.source == "uniform":
         terms = tuple(BernoulliTerm(Fraction(1, k), 1) for k in range(1, pgf.M + 1))
         return BernoulliDecomposition(terms, 0)
@@ -468,13 +488,11 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
         pairs = pgf.M // 2
         terms = tuple(BernoulliTerm(Fraction(1, 2 * k - 1), 2) for k in range(1, pairs + 1))
         return BernoulliDecomposition(terms, 0)
-    if pgf.source == "one_cycle":
-        offset, even = _one_cycle_even_part(pgf)
-        expected = (pgf.M - offset) // 2
-        magnitudes = [-u for u in negative_real_roots(even, expected)]
-        terms = tuple(BernoulliTerm(1.0 / (1.0 + r), 2) for r in sorted(magnitudes, reverse=True))
-        return BernoulliDecomposition(terms, offset)
-    raise ValueError(f"no Bernoulli decomposition for source {pgf.source!r} (only uniform, transpositions, one_cycle)")
+    offset, even = _one_cycle_even_part(pgf)
+    expected = (pgf.M - offset) // 2
+    magnitudes = [-u for u in negative_real_roots(even, expected)]
+    terms = tuple(BernoulliTerm(1.0 / (1.0 + r), 2) for r in sorted(magnitudes, reverse=True))
+    return BernoulliDecomposition(terms, offset)
 
 
 def one_cycle_pgf_roots(m: int) -> list[complex]:

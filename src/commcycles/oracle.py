@@ -2,11 +2,15 @@
 group, used as the independent witness for every closed form.
 
 The sigma-space is enumerated in lexicographic order and processed in
-contiguous blocks as numpy integer arrays (composition by fancy indexing,
-cycle counting by vectorized orbit following); block histograms are merged
-by addition, so results are deterministic and exact.  Every law is returned
-as a `CyclePGF` with source "oracle": the integer counts over the number of
-permutations enumerated.
+contiguous blocks as numpy integer arrays.  A block is one prefix of the
+first M - t positions followed by all t! orderings of the remaining points,
+read from a lexicographic table of range(t) built once per enumeration, so
+no permutation passes through a Python tuple.  A commutator or conjugate
+is one scatter per row (no inverse is formed), and cycles are counted by
+following every row's orbits at once on a flat index.  Block histograms are
+merged by addition, so results are deterministic and exact.  Every law is
+returned as a `CyclePGF` with source "oracle": the integer counts over the
+number of permutations enumerated.
 """
 
 from __future__ import annotations
@@ -59,33 +63,45 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
         )
 
 
-def _permutation_blocks(m: int, block_size: int = _BLOCK_SIZE) -> Iterator[np.ndarray]:
-    """Lexicographic one-line permutations of range(m), in (block, m) arrays."""
-    it = itertools.permutations(range(m))
-    while True:
-        block = list(itertools.islice(it, block_size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
+    """Lexicographic one-line permutations of range(m), in (t!, m) blocks with
+    t the largest size such that t <= m and t! <= _BLOCK_SIZE."""
+    t = 0
+    while t < m and math.factorial(t + 1) <= _BLOCK_SIZE:
+        t += 1
+    # Lexicographic table of the permutations of range(k), k = 1..t: each
+    # first point followed by the table of k - 1 with the points above it
+    # shifted up by one.
+    tail = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, t + 1):
+        first = np.repeat(np.arange(k, dtype=np.int64), len(tail))
+        rest = np.tile(tail, (k, 1))
+        rest += rest >= first[:, None]
+        tail = np.column_stack([first, rest])
+    for prefix in itertools.permutations(range(m), m - t):
+        rest = np.array(sorted(set(range(m)).difference(prefix)), dtype=np.int64)
+        block = np.empty((len(tail), m), dtype=np.int64)
+        block[:, : m - t] = prefix
+        block[:, m - t :] = rest[tail]
+        yield block
 
 
 def _cycle_counts_rows(perms: np.ndarray) -> np.ndarray:
     """Cycle count of each row of a (rows, m) array of one-line permutations."""
     rows, m = perms.shape
-    visited = np.zeros((rows, m), dtype=bool)
+    # Point i of row r sits at r*m + i, so every row's orbits are followed
+    # at once on one flat array.
+    flat = (perms + np.arange(0, rows * m, m)[:, None]).ravel()
+    visited = np.zeros(rows * m, dtype=bool)
     counts = np.zeros(rows, dtype=np.int64)
-    all_rows = np.arange(rows)
     for start in range(m):
-        fresh = ~visited[:, start]
+        fresh = ~visited[start::m]
         counts += fresh
-        active = all_rows[fresh]
-        cur = np.full(active.size, start, dtype=np.int64)
-        while active.size:
-            visited[active, cur] = True
-            cur = perms[active, cur]
-            keep = cur != start
-            active = active[keep]
-            cur = cur[keep]
+        cur = np.flatnonzero(fresh) * m + start
+        while cur.size:
+            visited[cur] = True
+            cur = flat[cur]
+            cur = cur[~visited[cur]]  # an orbit closes on its start, the one visited point
     return counts
 
 
@@ -105,12 +121,12 @@ def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -
     m = tau.size
     _check_cap(m, cap)
     tau_arr = np.array(tau.map, dtype=np.int64)
-    tau_inv = np.argsort(tau_arr)
     hist = np.zeros(m + 1, dtype=np.int64)
     for block in _permutation_blocks(m):
-        sigma_inv = np.argsort(block, axis=1)
-        inner = tau_arr[sigma_inv[:, tau_inv]]  # τ[σ⁻¹[τ⁻¹[i]]]
-        comm = np.take_along_axis(block, inner, axis=1)  # σ[...]
+        # [σ,τ] = (στ)(τσ)⁻¹ sends τ[σ[i]] to σ[τ[i]]: one scatter per row,
+        # with no inverse of σ formed.
+        comm = np.empty_like(block)
+        np.put_along_axis(comm, tau_arr[block], block[:, tau_arr], axis=1)
         hist += np.bincount(_cycle_counts_rows(comm), minlength=m + 1)
     return _law_from_hist(m, hist, math.factorial(m))
 
@@ -124,8 +140,8 @@ def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permuta
     tau_arr = np.array(tau.map, dtype=np.int64)
     seen: set[tuple[int, ...]] = set()
     for block in _permutation_blocks(m):
-        sigma_inv = np.argsort(block, axis=1)
-        conj = np.take_along_axis(block, tau_arr[sigma_inv], axis=1)  # σ∘τ∘σ⁻¹
+        conj = np.empty_like(block)
+        np.put_along_axis(conj, block, block[:, tau_arr], axis=1)  # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]
         seen.update(map(tuple, conj.tolist()))
     expected = tau.cycle_type().class_size()
     if len(seen) != expected:

@@ -3,12 +3,23 @@ codes, and the verify suite's sensitivity to injected coefficient errors."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from commcycles import cli, genfun
+import commcycles
+from commcycles import cli, genfun, oracle, verify
+from commcycles.perm import one_cycle
 from commcycles.polys import RationalPoly
+
+
+def python_env() -> dict:
+    """Environment for a fresh interpreter that imports the package under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(commcycles.__file__).resolve().parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +149,19 @@ class TestBernoulliCommand:
         assert code == 2
         assert "Bernoulli" in err
 
+    def test_refused_before_the_law_is_built(self, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the law was built")
+
+        monkeypatch.setitem(cli._CLOSED_FORMS, "two-cycles", ("two_cycles", built, None))
+        monkeypatch.setattr(oracle, "exact_commutator_distribution", built)
+        for tau in ("two-cycles:200", "type:[3,3,2]"):
+            code, _, err = run_cli(capsys, "bernoulli", tau)
+            assert code == 2
+            assert err == "error: no Bernoulli decomposition for source " + (
+                "'two_cycles'" if tau.startswith("two") else "'oracle'"
+            ) + " (only uniform, transpositions, one_cycle)\n"
+
     def test_root_find_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "bernoulli", "one-cycle:171")
         assert code == 2
@@ -170,6 +194,22 @@ class TestHultmanCommand:
         code, _, err = run_cli(capsys, "hultman", "--max-m", str(cli.HULTMAN_MAX_M + 1))
         assert code == 2
 
+    def test_closed_pipe_exits_quietly(self):
+        # The full table is about 180 kB, more than a pipe buffers, so the
+        # writer meets the closed pipe while it is still printing.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from commcycles import cli; sys.exit(cli.main(sys.argv[1:]))",
+             "hultman", "--max-m", str(cli.HULTMAN_MAX_M)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=python_env(),
+        )
+        assert proc.stdout.read(300).startswith(b"M,k,count,oracle_count")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
 
 class TestSampleCommand:
     def test_reference_and_chi_square(self, capsys):
@@ -191,6 +231,25 @@ class TestSampleCommand:
         data = json.loads(out)
         assert data["reference"]["provenance"] == "closed-form: two-cycles"
         assert data["chi_square"]["p_value"] > 1e-6
+
+    def test_chi2_sf_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        xs = [0.001 * 1.5**i for i in range(31)] + [0.5 * i for i in range(1, 400)]
+        for df in range(1, 41):
+            for x in xs:
+                expected = float(chi2.sf(x, df))
+                assert cli._chi2_sf(x, df) == pytest.approx(expected, rel=1e-12, abs=0), (x, df)
+        assert cli._chi2_sf(0.0, 3) == 1.0
+
+    def test_sample_does_not_import_scipy(self):
+        code = (
+            "import sys; from commcycles import cli; "
+            "code = cli.main(['sample', 'one-cycle:5', '--draws', '500']); "
+            "sys.exit(code or 'scipy' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "chi_square" in json.loads(proc.stdout)
 
     def test_no_reference_above_cap(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "type:[5,3,2]", "--draws", "100")
@@ -214,6 +273,27 @@ class TestVerifyCommand:
     def test_genfun_scope_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scope", "genfun_vs_oracle", "--max-m", "5")
         assert code == 0
+
+    def test_hultman_check_enumerates_once_per_m(self, monkeypatch):
+        real = oracle.exact_commutator_distribution
+        calls = []
+
+        def counted(tau, cap=None):
+            calls.append(tau)
+            return real(tau, cap=cap)
+
+        monkeypatch.setattr(oracle, "exact_commutator_distribution", counted)
+        checks = verify.run_genfun_oracle_checks(max_m=7)
+        assert all(c.ok for c in checks)
+        # one_cycle_vs_oracle and the Hultman check enumerate each one-cycle
+        # once; for M <= 3 the class-product check enumerates it too.
+        assert [calls.count(one_cycle(m)) for m in range(4, 8)] == [2, 2, 2, 2]
+
+    def test_genfun_scope_enforces_cap(self, capsys):
+        with pytest.raises(oracle.EnumerationCapError):
+            verify.run_genfun_oracle_checks(max_m=5, cap=4)
+        code, _, err = run_cli(capsys, "verify", "--scope", "genfun_vs_oracle", "--max-m", "9")
+        assert code == 2 and "enumeration cap 8" in err
 
     def test_mutated_closed_form_detected(self, capsys, monkeypatch):
         # seeded mutation of a single closed-form coefficient must flip the

@@ -2,6 +2,7 @@
 closed form, the conjugacy-class reformulation, and the emitters."""
 
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -85,6 +86,27 @@ class TestCommutatorDistribution:
                 assert exact_commutator_distribution(tau.conjugated_by(s)).probabilities() == reference.probabilities()
 
 
+class TestKernel:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_blocks_are_lexicographic(self, m):
+        blocks = list(oracle._permutation_blocks(m))
+        assert all(len(block) <= oracle._BLOCK_SIZE for block in blocks)
+        expected = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+    def test_blocks_above_block_size(self):
+        # 8! = _BLOCK_SIZE, so M = 9 and 10 come in full blocks, one per prefix.
+        assert [len(block) for block in oracle._permutation_blocks(9)] == [oracle._BLOCK_SIZE] * 9
+        assert sum(1 for _ in oracle._permutation_blocks(10)) == 90
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_cycle_counts(self, m):
+        rng = random.Random(m)
+        perms = [sample_uniform(m, rng) for _ in range(200)]
+        rows = np.array([p.map for p in perms], dtype=np.int64)
+        assert oracle._cycle_counts_rows(rows).tolist() == [p.cycle_count() for p in perms]
+
+
 class TestClosedFormAgreement:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_cycle(self, m):
@@ -129,6 +151,7 @@ class TestCommutatorLaw:
         for parts in _partitions(m):
             law = genfun.commutator_law(CycleType(parts))
             assert law.source == (_closed_form_source(parts) or "oracle"), parts
+            assert genfun.commutator_route(CycleType(parts))[0] == law.source, parts
             assert law.M == m
             assert law.poly == exact_commutator_distribution(from_cycle_type(CycleType(parts))).poly, parts
             assert genfun.validate_pgf(law).ok
