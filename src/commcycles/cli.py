@@ -22,7 +22,7 @@ from . import genfun, oracle, rmt, verify
 from .perm import (
     CycleType,
     Permutation,
-    commutator,
+    commutator_cycle_count,
     disjoint_transpositions,
     from_cycle_type,
     one_cycle,
@@ -276,7 +276,7 @@ def _cmd_sample(args) -> int:
     histogram: dict[int, int] = {}
     for _ in range(args.draws):
         sigma = sample_uniform(tau.size, rng)
-        c = commutator(sigma, tau).cycle_count()
+        c = commutator_cycle_count(sigma, tau)
         histogram[c] = histogram.get(c, 0) + 1
     try:
         reference, provenance = _law(kind, value, args.cap)

@@ -20,6 +20,7 @@ __all__ = [
     "compose",
     "inverse",
     "commutator",
+    "commutator_cycle_count",
     "cycle_count",
     "sign_parity",
     "one_cycle",
@@ -102,17 +103,7 @@ class Permutation:
         return out
 
     def cycle_count(self) -> int:
-        seen = [False] * self.size
-        count = 0
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self._map[j]
-        return count
+        return _orbit_count(self._map)
 
     def cycle_type(self) -> "CycleType":
         return CycleType(len(c) for c in self.cycles())
@@ -153,6 +144,33 @@ def commutator(s: Permutation, t: Permutation) -> Permutation:
     if s.size != t.size:
         raise ValueError(f"size mismatch: {s.size} vs {t.size}")
     return s * t * s.inverse() * t.inverse()
+
+
+def commutator_cycle_count(s: Permutation, t: Permutation) -> int:
+    """C([s,t]), the cycle count of the commutator, from one list: [s,t]
+    sends t[s[i]] to s[t[i]].  No intermediate Permutation is built."""
+    if s.size != t.size:
+        raise ValueError(f"size mismatch: {s.size} vs {t.size}")
+    sm, tm = s._map, t._map
+    comm = [0] * len(sm)
+    for si, ti in zip(sm, tm):
+        comm[tm[si]] = sm[ti]
+    return _orbit_count(comm)
+
+
+def _orbit_count(mapping: Sequence[int]) -> int:
+    """Number of orbits of a bijection given in one-line notation."""
+    seen = [False] * len(mapping)
+    count = 0
+    for start in range(len(mapping)):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = mapping[j]
+    return count
 
 
 def cycle_count(p: Permutation) -> int:

@@ -9,7 +9,12 @@ Estimates carry a standard error and a z-score.
 Draws are split across `partitions` independent substreams spawned from
 numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
 bit for bit, and each identity derives its own substream from its name so
-that different identities do not share variates.
+that different identities do not share variates.  Partitions run one after
+another: each holds a batch of up to `_BATCH` matrices while it runs, so
+running them side by side would multiply peak memory by their number.
+
+Traces of matrix powers are contracted, never formed: tr G^p is one einsum
+over G^ceil(p/2) and G^floor(p/2) (a single three-operand einsum for p = 3).
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ class MatrixSampleConfig:
     partitions: int = 1
 
     def __post_init__(self):
-        if self.N < 1 or self.samples < 1 or self.partitions < 1:
-            raise ValueError("N, samples and partitions must be positive")
+        _check_positive(N=self.N)
+        _check_plan(self.samples, self.partitions)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
 
@@ -108,6 +113,20 @@ class MomentReport:
         return out
 
 
+def _check_positive(**values: int) -> None:
+    """Reject a dimension, power or moment order below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_plan(samples: int, partitions: int) -> None:
+    """Reject a sampling plan that cannot give a standard error."""
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+    _check_positive(partitions=partitions)
+
+
 def _streams(seed: int, partitions: int, identity: str) -> list[np.random.Generator]:
     root = np.random.SeedSequence(entropy=(seed % 2**63, zlib.crc32(identity.encode())))
     return [np.random.default_rng(child) for child in root.spawn(partitions)]
@@ -123,13 +142,34 @@ def _batches(total: int) -> list[int]:
 
 
 def _complex_gaussian(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    block = rng.standard_normal((2, count, n, n))
-    return (block[0] + 1j * block[1]) * np.sqrt(0.5)
+    """`count` complex n×n matrices with entries (x+iy)/sqrt(2).  The real
+    parts are drawn before the imaginary parts, the same normals in the same
+    order as one (2, count, n, n) draw, and scaled straight into place."""
+    out = np.empty((count, n, n), dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal((count, n, n)), np.sqrt(0.5), out=part)
+    return out
+
+
+def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
+    """tr G^p for each matrix of the stack g, without forming G^p."""
+    if p == 1:
+        return np.einsum("kii->k", g)
+    if p == 2:
+        return np.einsum("kij,kji->k", g, g)
+    if p == 3:
+        return np.einsum("kij,kjl,kli->k", g, g, g)
+    low = g
+    for _ in range(p // 2 - 1):
+        low = np.einsum("kij,kjl->kil", low, g)
+    high = low if p % 2 == 0 else np.einsum("kij,kjl->kil", low, g)
+    return np.einsum("kij,kji->k", high, low)
 
 
 def _collect(identity, seed, partitions, total, produce) -> np.ndarray:
-    """Run `produce(rng, count)` over each partition substream and
+    """Run `produce(rng, count)` over each partition substream in turn and
     concatenate (deterministic for fixed seed/partitions)."""
+    _check_plan(total, partitions)
     chunks = []
     for rng, size in zip(_streams(seed, partitions, identity), _partition_sizes(total, partitions)):
         if size:
@@ -212,16 +252,13 @@ def mc_trace_power_moment(cfg: MatrixSampleConfig, power: int, factors: int = 1)
     target (flagged if none is available)."""
     if cfg.ensemble != "complex_gaussian":
         raise ValueError("trace-power moments are defined for the complex Gaussian ensemble")
-    if power < 1 or factors < 1:
-        raise ValueError("power and factors must be positive")
+    _check_positive(M=power, K=factors)
 
     def produce(rng, count):
         out = np.empty(count)
         pos = 0
         for b in _batches(count):
-            g = _complex_gaussian(rng, b, cfg.N)
-            a = g if power == 1 else np.linalg.matrix_power(g, power)
-            tr = np.einsum("kii->k", a)
+            tr = _power_trace(_complex_gaussian(rng, b, cfg.N), power)
             out[pos : pos + b] = np.abs(tr) ** (2 * factors)
             pos += b
         return out
@@ -239,6 +276,7 @@ def mc_gamma_shortcut_moment(
     for m >= N the eigenvalue powers decorrelate, |λ_i|^(2m) =d γ_i^m with
     independent Gamma(i) variables and independent uniform phases, so we
     sample λ_i^m = γ_i^(m/2) e^{iθ_i} directly."""
+    _check_positive(N=n_dim, M=m, K=factors)
     if m < n_dim:
         raise ValueError(f"decorrelation requires m >= N (got m={m}, N={n_dim})")
     shapes = np.arange(1, n_dim + 1, dtype=float)
@@ -265,13 +303,14 @@ def mc_real_trace_law(
 ) -> MomentReport:
     """Estimate E (tr R Rᵀ)^M for the real Gaussian ensemble; tr R Rᵀ is the
     sum of the N² squared entries, distributed as 2·Gamma(N²/2)."""
+    _check_positive(N=n_dim, M=m)
 
     def produce(rng, count):
         out = np.empty(count)
         pos = 0
         for b in _batches(count):
             entries = rng.standard_normal((b, n_dim * n_dim))
-            out[pos : pos + b] = (entries**2).sum(axis=1) ** m
+            out[pos : pos + b] = np.einsum("ki,ki->k", entries, entries) ** m
             pos += b
         return out
 
@@ -285,6 +324,7 @@ def tr_g_squared_samples(
 ) -> np.ndarray:
     """Raw complex samples of tr(G²), for distribution-level checks such as
     the rotational symmetry of its phase."""
+    _check_positive(N=n_dim)
 
     def produce(rng, count):
         out = np.empty(count, dtype=complex)
@@ -303,6 +343,7 @@ def mc_tr_g_squared_law(
 ) -> MomentReport:
     """Estimate E |tr G²|^(2M) and compare with the exact moments of
     4·γ₁·γ_{N²/2}, i.e. 4^M M! (N²/2)...(N²/2+M-1)."""
+    _check_positive(M=m)
     values = np.abs(tr_g_squared_samples(n_dim, samples, seed, partitions)) ** (2 * m)
     params = {"N": n_dim, "M": m, "K": 1}
     return _report("tr_g_squared", params, values, tr_g_squared_target(n_dim, m), seed, partitions)
@@ -313,6 +354,7 @@ def mc_tr_g1g2_law(
 ) -> MomentReport:
     """Estimate E |tr G₁G₂|^(2M) for independent complex Gaussian matrices
     and compare with the exact moments of γ₁·γ_{N²}, i.e. M! N²...(N²+M-1)."""
+    _check_positive(N=n_dim, M=m)
 
     def produce(rng, count):
         out = np.empty(count)
@@ -336,6 +378,7 @@ def mixed_trace_vanishing(
     """Estimate the mixed moment E tr(G^{M1}) conj(tr(G^{M2})), which is
     exactly 0 for M1 != M2.  The report's estimate is the modulus of the
     complex sample mean, with the combined real+imaginary standard error."""
+    _check_positive(N=n_dim, M=m1, M2=m2)
     if m1 == m2:
         raise ValueError("mixed moment vanishes only for M1 != M2")
 
@@ -344,9 +387,7 @@ def mixed_trace_vanishing(
         pos = 0
         for b in _batches(count):
             g = _complex_gaussian(rng, b, n_dim)
-            t1 = np.einsum("kii->k", g if m1 == 1 else np.linalg.matrix_power(g, m1))
-            t2 = np.einsum("kii->k", g if m2 == 1 else np.linalg.matrix_power(g, m2))
-            out[pos : pos + b] = t1 * np.conj(t2)
+            out[pos : pos + b] = _power_trace(g, m1) * np.conj(_power_trace(g, m2))
             pos += b
         return out
 

@@ -220,6 +220,13 @@ class TestSampleCommand:
         assert data["chi_square"]["p_value"] > 1e-6
         assert sum(data["histogram"].values()) == 4000
 
+    def test_histograms_are_pinned(self, capsys):
+        # histograms of the validated perm.commutator route, draw for draw
+        _, out, _ = run_cli(capsys, "sample", "one-cycle:7", "--draws", "2000", "--seed", "3")
+        assert json.loads(out)["histogram"] == {"1": 480, "3": 1337, "5": 181, "7": 2}
+        _, out, _ = run_cli(capsys, "sample", "type:[3,2,2]", "--draws", "2000", "--seed", "5")
+        assert json.loads(out)["histogram"] == {"1": 399, "3": 1342, "5": 250, "7": 9}
+
     def test_point_mass_tau(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "transpositions:1", "--draws", "50")
         data = json.loads(out)
@@ -336,6 +343,23 @@ class TestMcCommand:
             capsys, "mc", "mixed", "--n", "2", "--m1", "1", "--m2", "2", "--samples", "20000"
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma", "--n", "2", "--m", "3", "--threads", "0"], "partitions must be at least 1"),
+            (["real-trace", "--n", "2", "--m", "1", "--samples", "1"], "samples must be at least 2"),
+            (["trace-power", "--n", "2", "--m", "2", "--samples", "0"], "samples must be at least 2"),
+            (["tr-g2", "--n", "0", "--m", "1"], "N must be at least 1"),
+            (["tr-g2", "--n", "2", "--m", "0"], "M must be at least 1"),
+            (["mixed", "--n", "2", "--m1", "0", "--m2", "2"], "M must be at least 1"),
+        ],
+    )
+    def test_bad_inputs_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "mc", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestGlobalBehavior:

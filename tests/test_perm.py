@@ -13,6 +13,7 @@ from commcycles.perm import (
     CycleType,
     Permutation,
     commutator,
+    commutator_cycle_count,
     compose,
     cycle_count,
     disjoint_transpositions,
@@ -110,6 +111,16 @@ class TestCommutator:
         c = commutator(s, t)
         assert c.is_even()
         assert c.cycle_count() % 2 == s.size % 2
+
+    @settings(max_examples=100)
+    @given(equal_size_perm_pairs())
+    def test_cycle_count_without_products(self, pair):
+        s, t = pair
+        assert commutator_cycle_count(s, t) == commutator(s, t).cycle_count()
+
+    def test_cycle_count_size_mismatch(self):
+        with pytest.raises(ValueError):
+            commutator_cycle_count(Permutation.identity(2), Permutation.identity(3))
 
 
 class TestAlgebraProperties:

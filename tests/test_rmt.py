@@ -5,10 +5,13 @@ grid runs in test_acceptance.py)."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commcycles.rmt import (
     MatrixSampleConfig,
+    _complex_gaussian,
+    _power_trace,
     gamma_shortcut_target,
     mc_gamma_shortcut_moment,
     mc_real_trace_law,
@@ -187,6 +190,86 @@ class TestEstimates:
             MatrixSampleConfig(N=0, samples=10, seed=1)
         with pytest.raises(ValueError):
             MatrixSampleConfig(N=1, samples=10, seed=1, ensemble="quaternion")
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            MatrixSampleConfig(N=1, samples=1, seed=1)
+        with pytest.raises(ValueError, match="partitions must be at least 1"):
+            MatrixSampleConfig(N=1, samples=10, seed=1, partitions=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mc_gamma_shortcut_moment(2, 3, samples=100, partitions=0),
+            lambda: mc_gamma_shortcut_moment(0, 3, samples=100),
+            lambda: mc_real_trace_law(2, 1, samples=1),
+            lambda: mc_real_trace_law(2, 0, samples=100),
+            lambda: mc_tr_g_squared_law(0, 1, samples=100),
+            lambda: mc_tr_g_squared_law(2, 0, samples=100),
+            lambda: tr_g_squared_samples(2, samples=0),
+            lambda: mc_tr_g1g2_law(2, 1, samples=100, partitions=0),
+            lambda: mixed_trace_vanishing(2, 0, 2, samples=100),
+            lambda: mc_trace_power_moment(cfg(2, samples=100), 0, 1),
+        ],
+    )
+    def test_bad_plans_rejected(self, call):
+        with pytest.raises(ValueError, match="must be at least"):
+            call()
+
+
+class TestKernels:
+    """The sampling kernels against the direct numpy formulas they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_trace_matches_matrix_power(self, n):
+        g = _complex_gaussian(np.random.default_rng(n), 200, n)
+        for p in range(1, 7):
+            direct = np.trace(np.linalg.matrix_power(g, p), axis1=1, axis2=2)
+            np.testing.assert_allclose(_power_trace(g, p), direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_complex_gaussian_layout(self, n):
+        block = np.random.default_rng(7).standard_normal((2, 1000, n, n))
+        expected = (block[0] + 1j * block[1]) * np.sqrt(0.5)
+        got = _complex_gaussian(np.random.default_rng(7), 1000, n)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    # (estimate, std_error) at samples=5000, seed=0, partitions=2 from the
+    # direct kernels: np.linalg.matrix_power on one (2, count, n, n) draw.
+    PINNED = [
+        pytest.param(
+            lambda: mc_trace_power_moment(cfg(3, 5000, 0, 2), 5, 1),
+            3514.0839132076258, 302.5358738753634, id="trace_power_5",
+        ),
+        pytest.param(
+            lambda: mc_trace_power_moment(cfg(2, 5000, 0, 2), 4, 2),
+            351927.70122829353, 52211.1691297838, id="trace_power_4_k2",
+        ),
+        pytest.param(
+            lambda: mc_gamma_shortcut_moment(2, 3, 1, 5000, 0, 2),
+            32.02062824086091, 1.2160871162628035, id="gamma",
+        ),
+        pytest.param(
+            lambda: mc_real_trace_law(2, 3, 5000, 0, 2),
+            193.63693606420804, 8.74688976309504, id="real_trace",
+        ),
+        pytest.param(
+            lambda: mc_tr_g_squared_law(3, 2, 5000, 0, 2),
+            780.1987049442037, 32.04302932010629, id="tr_g2",
+        ),
+        pytest.param(
+            lambda: mc_tr_g1g2_law(3, 2, 5000, 0, 2),
+            185.92452181671382, 7.162893552215124, id="tr_g1g2",
+        ),
+        pytest.param(
+            lambda: mixed_trace_vanishing(3, 3, 4, 5000, 0, 2),
+            6.99396309381095, 6.673003880130127, id="mixed_3_4",
+        ),
+    ]
+
+    @pytest.mark.parametrize("run, estimate, std_error", PINNED)
+    def test_estimates_are_pinned(self, run, estimate, std_error):
+        rep = run()
+        assert rep.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+        assert rep.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
 class TestGaussianConvention:
