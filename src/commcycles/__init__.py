@@ -56,7 +56,6 @@ from .polys import (
     rising_square_sum,
 )
 from .rmt import (
-    MatrixSampleConfig,
     MomentReport,
     mc_gamma_shortcut_moment,
     mc_real_trace_law,

@@ -346,24 +346,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     args.format = args.format or "json"
+    plan = {"samples": args.samples, "seed": args.seed, "partitions": args.threads}
     n, m, k = args.n, args.m, args.k
-    if args.identity == "trace-power":
-        cfg = rmt.MatrixSampleConfig(N=n, samples=args.samples, seed=args.seed, partitions=args.threads)
-        report = rmt.mc_trace_power_moment(cfg, m, k)
-    elif args.identity == "gamma":
-        report = rmt.mc_gamma_shortcut_moment(n, m, k, samples=args.samples, seed=args.seed, partitions=args.threads)
-    elif args.identity == "real-trace":
-        report = rmt.mc_real_trace_law(n, m, samples=args.samples, seed=args.seed, partitions=args.threads)
-    elif args.identity == "tr-g2":
-        report = rmt.mc_tr_g_squared_law(n, m, samples=args.samples, seed=args.seed, partitions=args.threads)
-    elif args.identity == "tr-g1g2":
-        report = rmt.mc_tr_g1g2_law(n, m, samples=args.samples, seed=args.seed, partitions=args.threads)
-    elif args.identity == "mixed":
+    if args.identity == "mixed":
         if args.m1 is None or args.m2 is None:
             raise UsageError("mixed requires --m1 and --m2")
-        report = rmt.mixed_trace_vanishing(n, args.m1, args.m2, samples=args.samples, seed=args.seed, partitions=args.threads)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown identity {args.identity!r}")
+        report = rmt.mixed_trace_vanishing(n, args.m1, args.m2, **plan)
+    elif args.identity == "trace-power":
+        report = rmt.mc_trace_power_moment(n, m, k, **plan)
+    elif args.identity == "gamma":
+        report = rmt.mc_gamma_shortcut_moment(n, m, k, **plan)
+    elif args.identity == "real-trace":
+        report = rmt.mc_real_trace_law(n, m, **plan)
+    elif args.identity == "tr-g2":
+        report = rmt.mc_tr_g_squared_law(n, m, **plan)
+    else:  # "tr-g1g2"; argparse restricts the choices
+        report = rmt.mc_tr_g1g2_law(n, m, **plan)
     payload = report.to_json()
 
     def human(p):

@@ -6,12 +6,14 @@ against an exact rational target (computed from the closed forms, the
 enumeration oracle, or gamma-moment formulas — never floating-point gamma).
 Estimates carry a standard error and a z-score.
 
+Every estimator takes its dimension and orders, then one sampling plan
+(samples, seed, partitions), and draws through one batch driver, `_collect`.
 Draws are split across `partitions` independent substreams spawned from
 numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
 bit for bit, and each identity derives its own substream from its name so
 that different identities do not share variates.  Partitions run one after
-another: each holds a batch of up to `_BATCH` matrices while it runs, so
-running them side by side would multiply peak memory by their number.
+another in batches of up to `_BATCH` draws, written into one array: side by
+side they would multiply peak memory by their number.
 
 Traces of matrix powers are contracted, never formed: tr G^p is one einsum
 over G^ceil(p/2) and G^floor(p/2) (a single three-operand einsum for p = 3).
@@ -33,7 +35,6 @@ from .perm import CycleType
 from .polys import rising_product
 
 __all__ = [
-    "MatrixSampleConfig",
     "MomentReport",
     "mc_trace_power_moment",
     "mc_gamma_shortcut_moment",
@@ -50,30 +51,6 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
-
-ENSEMBLES = ("complex_gaussian", "real_gaussian", "pair_complex_gaussian")
-
-
-@dataclass(frozen=True)
-class MatrixSampleConfig:
-    """Sampling plan for one matrix ensemble.
-
-    Entries are unscaled: complex entries are (x+iy)/sqrt(2) with x, y
-    standard real normals, so every entry has total variance 1.
-    """
-
-    N: int
-    samples: int
-    seed: int
-    ensemble: str = "complex_gaussian"
-    partitions: int = 1
-
-    def __post_init__(self):
-        _check_positive(N=self.N)
-        _check_plan(self.samples, self.partitions)
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -166,30 +143,31 @@ def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("kij,kji->k", high, low)
 
 
-def _collect(identity, seed, partitions, total, produce) -> np.ndarray:
-    """Run `produce(rng, count)` over each partition substream in turn and
-    concatenate (deterministic for fixed seed/partitions)."""
+def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray:
+    """The `total` values of `draw(rng, b)`, which returns b values, written
+    into one array: each partition substream in turn, in batches of at most
+    `_BATCH` (deterministic for fixed seed/partitions)."""
     _check_plan(total, partitions)
-    chunks = []
+    out = np.empty(total, dtype=dtype)
+    pos = 0
     for rng, size in zip(_streams(seed, partitions, identity), _partition_sizes(total, partitions)):
-        if size:
-            chunks.append(produce(rng, size))
-    return np.concatenate(chunks)
+        for b in _batches(size):
+            out[pos : pos + b] = draw(rng, b)
+            pos += b
+    return out
 
 
 def _report(identity, params, values, target, seed, partitions, extra=None) -> MomentReport:
     n = values.size
     estimate = float(values.mean())
-    std_error = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else float("nan")
+    std_error = float(values.std(ddof=1)) / math.sqrt(n)
     if target is None:
         z = None
     elif std_error > 0:
         z = (estimate - float(target)) / std_error
     else:
         z = 0.0 if estimate == float(target) else float("inf")
-    return MomentReport(
-        identity, params, estimate, std_error, target, z, n, seed, partitions, extra or {}
-    )
+    return MomentReport(identity, params, estimate, std_error, target, z, n, seed, partitions, extra or {})
 
 
 # -- exact targets ---------------------------------------------------------------
@@ -246,27 +224,22 @@ def tr_g1g2_target(n_dim: int, m: int) -> Fraction:
 # -- Monte-Carlo estimators --------------------------------------------------------
 
 
-def mc_trace_power_moment(cfg: MatrixSampleConfig, power: int, factors: int = 1) -> MomentReport:
-    """Estimate E |tr G^power|^(2*factors) by direct simulation of the
-    complex Gaussian ensemble and compare with the exact permutation-side
-    target (flagged if none is available)."""
-    if cfg.ensemble != "complex_gaussian":
-        raise ValueError("trace-power moments are defined for the complex Gaussian ensemble")
-    _check_positive(M=power, K=factors)
+def mc_trace_power_moment(
+    n_dim: int, power: int, factors: int = 1, samples: int = 100_000, seed: int = 42, partitions: int = 1
+) -> MomentReport:
+    """Estimate E |tr G^power|^(2*factors) for an n_dim×n_dim complex
+    Gaussian matrix G by direct simulation, from `samples` draws split over
+    `partitions` substreams of `seed`, and compare with the exact
+    permutation-side target (flagged if none is available)."""
+    _check_positive(N=n_dim, M=power, K=factors)
 
-    def produce(rng, count):
-        out = np.empty(count)
-        pos = 0
-        for b in _batches(count):
-            tr = _power_trace(_complex_gaussian(rng, b, cfg.N), power)
-            out[pos : pos + b] = np.abs(tr) ** (2 * factors)
-            pos += b
-        return out
+    def draw(rng, b):
+        return np.abs(_power_trace(_complex_gaussian(rng, b, n_dim), power)) ** (2 * factors)
 
-    values = _collect("trace_power", cfg.seed, cfg.partitions, cfg.samples, produce)
-    target = trace_power_target(cfg.N, power, factors)
-    params = {"N": cfg.N, "M": power, "K": factors}
-    return _report("trace_power", params, values, target, cfg.seed, cfg.partitions)
+    values = _collect("trace_power", seed, partitions, samples, draw)
+    target = trace_power_target(n_dim, power, factors)
+    params = {"N": n_dim, "M": power, "K": factors}
+    return _report("trace_power", params, values, target, seed, partitions)
 
 
 def mc_gamma_shortcut_moment(
@@ -281,18 +254,12 @@ def mc_gamma_shortcut_moment(
         raise ValueError(f"decorrelation requires m >= N (got m={m}, N={n_dim})")
     shapes = np.arange(1, n_dim + 1, dtype=float)
 
-    def produce(rng, count):
-        out = np.empty(count)
-        pos = 0
-        for b in _batches(count):
-            radii = rng.gamma(shape=shapes, size=(b, n_dim)) ** (m / 2.0)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=(b, n_dim))
-            total = (radii * np.exp(1j * phases)).sum(axis=1)
-            out[pos : pos + b] = np.abs(total) ** (2 * factors)
-            pos += b
-        return out
+    def draw(rng, b):
+        radii = rng.gamma(shape=shapes, size=(b, n_dim)) ** (m / 2.0)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(b, n_dim))
+        return np.abs((radii * np.exp(1j * phases)).sum(axis=1)) ** (2 * factors)
 
-    values = _collect("gamma_shortcut", seed, partitions, samples, produce)
+    values = _collect("gamma_shortcut", seed, partitions, samples, draw)
     target = gamma_shortcut_target(n_dim, m, factors)
     params = {"N": n_dim, "M": m, "K": factors}
     return _report("gamma_shortcut", params, values, target, seed, partitions)
@@ -301,20 +268,15 @@ def mc_gamma_shortcut_moment(
 def mc_real_trace_law(
     n_dim: int, m: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
 ) -> MomentReport:
-    """Estimate E (tr R Rᵀ)^M for the real Gaussian ensemble; tr R Rᵀ is the
+    """Estimate E (tr R Rᵀ)^M for a real Gaussian matrix R; tr R Rᵀ is the
     sum of the N² squared entries, distributed as 2·Gamma(N²/2)."""
     _check_positive(N=n_dim, M=m)
 
-    def produce(rng, count):
-        out = np.empty(count)
-        pos = 0
-        for b in _batches(count):
-            entries = rng.standard_normal((b, n_dim * n_dim))
-            out[pos : pos + b] = np.einsum("ki,ki->k", entries, entries) ** m
-            pos += b
-        return out
+    def draw(rng, b):
+        entries = rng.standard_normal((b, n_dim * n_dim))
+        return np.einsum("ki,ki->k", entries, entries) ** m
 
-    values = _collect("real_trace", seed, partitions, samples, produce)
+    values = _collect("real_trace", seed, partitions, samples, draw)
     params = {"N": n_dim, "M": m, "K": 1}
     return _report("real_trace", params, values, real_trace_target(n_dim, m), seed, partitions)
 
@@ -326,16 +288,11 @@ def tr_g_squared_samples(
     the rotational symmetry of its phase."""
     _check_positive(N=n_dim)
 
-    def produce(rng, count):
-        out = np.empty(count, dtype=complex)
-        pos = 0
-        for b in _batches(count):
-            g = _complex_gaussian(rng, b, n_dim)
-            out[pos : pos + b] = np.einsum("kij,kji->k", g, g)
-            pos += b
-        return out
+    def draw(rng, b):
+        g = _complex_gaussian(rng, b, n_dim)
+        return np.einsum("kij,kji->k", g, g)
 
-    return _collect("tr_g_squared", seed, partitions, samples, produce)
+    return _collect("tr_g_squared", seed, partitions, samples, draw, dtype=complex)
 
 
 def mc_tr_g_squared_law(
@@ -356,18 +313,12 @@ def mc_tr_g1g2_law(
     and compare with the exact moments of γ₁·γ_{N²}, i.e. M! N²...(N²+M-1)."""
     _check_positive(N=n_dim, M=m)
 
-    def produce(rng, count):
-        out = np.empty(count)
-        pos = 0
-        for b in _batches(count):
-            g1 = _complex_gaussian(rng, b, n_dim)
-            g2 = _complex_gaussian(rng, b, n_dim)
-            tr = np.einsum("kij,kji->k", g1, g2)
-            out[pos : pos + b] = np.abs(tr) ** (2 * m)
-            pos += b
-        return out
+    def draw(rng, b):
+        g1 = _complex_gaussian(rng, b, n_dim)
+        g2 = _complex_gaussian(rng, b, n_dim)
+        return np.abs(np.einsum("kij,kji->k", g1, g2)) ** (2 * m)
 
-    values = _collect("tr_g1_g2", seed, partitions, samples, produce)
+    values = _collect("tr_g1_g2", seed, partitions, samples, draw)
     params = {"N": n_dim, "M": m, "K": 1}
     return _report("tr_g1_g2", params, values, tr_g1g2_target(n_dim, m), seed, partitions)
 
@@ -382,22 +333,15 @@ def mixed_trace_vanishing(
     if m1 == m2:
         raise ValueError("mixed moment vanishes only for M1 != M2")
 
-    def produce(rng, count):
-        out = np.empty(count, dtype=complex)
-        pos = 0
-        for b in _batches(count):
-            g = _complex_gaussian(rng, b, n_dim)
-            out[pos : pos + b] = _power_trace(g, m1) * np.conj(_power_trace(g, m2))
-            pos += b
-        return out
+    def draw(rng, b):
+        g = _complex_gaussian(rng, b, n_dim)
+        return _power_trace(g, m1) * np.conj(_power_trace(g, m2))
 
-    values = _collect("mixed_trace", seed, partitions, samples, produce)
+    values = _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex)
     n = values.size
     mean = complex(values.mean())
     se = math.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / n)
     z = abs(mean) / se if se > 0 else float("inf")
     params = {"N": n_dim, "M": m1, "M2": m2, "K": 1}
     extra = {"estimate_re": mean.real, "estimate_im": mean.imag}
-    return MomentReport(
-        "mixed_trace", params, abs(mean), se, Fraction(0), z, n, seed, partitions, extra
-    )
+    return MomentReport("mixed_trace", params, abs(mean), se, Fraction(0), z, n, seed, partitions, extra)

@@ -196,18 +196,19 @@ def _z_check(name: str, report: rmt.MomentReport, z_max: float) -> CheckResult:
 
 
 def run_rmt_checks(samples: int = 100_000, seed: int = 42, z_max: float = 5.0, partitions: int = 1) -> list[CheckResult]:
+    plan = {"samples": samples, "seed": seed, "partitions": partitions}
     out = []
+    trace_power = {}  # (N, m, K) -> report; the shortcut checks reuse the K=1 runs
     for n_dim, power, factors in [(1, 1, 1), (2, 2, 1), (3, 2, 1), (2, 4, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3)]:
-        cfg = rmt.MatrixSampleConfig(N=n_dim, samples=samples, seed=seed, partitions=partitions)
-        rep = rmt.mc_trace_power_moment(cfg, power, factors)
+        rep = trace_power[n_dim, power, factors] = rmt.mc_trace_power_moment(n_dim, power, factors, **plan)
         out.append(_z_check(f"trace_power[N={n_dim},m={power},K={factors}]", rep, z_max))
 
     for n_dim, m in [(1, 1), (2, 2), (2, 3), (3, 4), (2, 5)]:
-        rep = rmt.mc_gamma_shortcut_moment(n_dim, m, 1, samples=samples, seed=seed, partitions=partitions)
+        rep = rmt.mc_gamma_shortcut_moment(n_dim, m, 1, **plan)
         out.append(_z_check(f"gamma_shortcut[N={n_dim},M={m},K=1]", rep, z_max))
-        direct = rmt.mc_trace_power_moment(
-            rmt.MatrixSampleConfig(N=n_dim, samples=samples, seed=seed, partitions=partitions), m, 1
-        )
+        if (n_dim, m, 1) not in trace_power:
+            trace_power[n_dim, m, 1] = rmt.mc_trace_power_moment(n_dim, m, 1, **plan)
+        direct = trace_power[n_dim, m, 1]
         combined = abs(rep.estimate - direct.estimate) / math.hypot(rep.std_error, direct.std_error)
         out.append(
             _check(
@@ -218,15 +219,15 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, z_max: float = 5.0, p
         )
 
     for n_dim, m in [(1, 1), (2, 1), (2, 3), (3, 2), (4, 3)]:
-        rep = rmt.mc_real_trace_law(n_dim, m, samples=samples, seed=seed, partitions=partitions)
+        rep = rmt.mc_real_trace_law(n_dim, m, **plan)
         out.append(_z_check(f"real_trace[N={n_dim},M={m}]", rep, z_max))
 
     for n_dim, m in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        rep = rmt.mc_tr_g_squared_law(n_dim, m, samples=samples, seed=seed, partitions=partitions)
+        rep = rmt.mc_tr_g_squared_law(n_dim, m, **plan)
         out.append(_z_check(f"tr_g_squared[N={n_dim},M={m}]", rep, z_max))
 
     for n_dim, m1, m2 in [(2, 1, 2), (1, 1, 3), (3, 2, 4)]:
-        rep = rmt.mixed_trace_vanishing(n_dim, m1, m2, samples=samples, seed=seed, partitions=partitions)
+        rep = rmt.mixed_trace_vanishing(n_dim, m1, m2, **plan)
         out.append(
             _check(
                 f"mixed_trace_zero[N={n_dim},M1={m1},M2={m2}]",
@@ -236,7 +237,7 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, z_max: float = 5.0, p
         )
 
     for n_dim, m in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        rep = rmt.mc_tr_g1g2_law(n_dim, m, samples=samples, seed=seed, partitions=partitions)
+        rep = rmt.mc_tr_g1g2_law(n_dim, m, **plan)
         out.append(_z_check(f"tr_g1_g2[N={n_dim},M={m}]", rep, z_max))
     return out
 

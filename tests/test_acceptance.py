@@ -165,8 +165,7 @@ def test_criterion_7_rmt_statistical():
     # --- trace-power bridge at N <= 3, m*K <= 8, oracle-backed targets ----
     for n, m, k in _bridge_cases():
         samples = 400_000 if m * k >= 6 else 150_000
-        cfg = rmt.MatrixSampleConfig(N=n, samples=samples, seed=SEED)
-        report = rmt.mc_trace_power_moment(cfg, m, k)
+        report = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
         tau = from_cycle_type(CycleType([m] * k))
         dist = oracle.exact_commutator_distribution(tau)
         oracle_target = math.factorial(m * k) * sum(p * n**c for c, p in dist.probabilities().items())
@@ -184,9 +183,7 @@ def test_criterion_7_rmt_statistical():
     for n, m, k in shortcut_cases:
         samples = 400_000 if m * k >= 6 else 150_000
         short = rmt.mc_gamma_shortcut_moment(n, m, k, samples=samples, seed=SEED)
-        direct = rmt.mc_trace_power_moment(
-            rmt.MatrixSampleConfig(N=n, samples=samples, seed=SEED), m, k
-        )
+        direct = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
         gate(f"shortcut[N={n},M={m},K={k}]", short)
         combined = abs(short.estimate - direct.estimate) / math.hypot(
             short.std_error, direct.std_error

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import commcycles
-from commcycles import cli, genfun, oracle, verify
+from commcycles import cli, genfun, oracle, rmt, verify
 from commcycles.perm import one_cycle
 from commcycles.polys import RationalPoly
 
@@ -295,6 +295,37 @@ class TestVerifyCommand:
         # one_cycle_vs_oracle and the Hultman check enumerate each one-cycle
         # once; for M <= 3 the class-product check enumerates it too.
         assert [calls.count(one_cycle(m)) for m in range(4, 8)] == [2, 2, 2, 2]
+
+    def test_rmt_checks_draw_each_trace_power_once(self, monkeypatch):
+        real = rmt.mc_trace_power_moment
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rmt, "mc_trace_power_moment", counted)
+        checks = verify.run_rmt_checks(samples=2000)
+        # 7 trace-power checks; the shortcut-vs-direct checks reuse the
+        # (N=1, m=1) and (N=2, m=2) runs and draw the other three
+        assert len(calls) == 10 and len(set(calls)) == 10
+        assert [c.name for c in checks] == [
+            "trace_power[N=1,m=1,K=1]", "trace_power[N=2,m=2,K=1]", "trace_power[N=3,m=2,K=1]",
+            "trace_power[N=2,m=4,K=1]", "trace_power[N=2,m=2,K=2]", "trace_power[N=3,m=2,K=2]",
+            "trace_power[N=2,m=2,K=3]",
+            "gamma_shortcut[N=1,M=1,K=1]", "shortcut_vs_direct[N=1,M=1]",
+            "gamma_shortcut[N=2,M=2,K=1]", "shortcut_vs_direct[N=2,M=2]",
+            "gamma_shortcut[N=2,M=3,K=1]", "shortcut_vs_direct[N=2,M=3]",
+            "gamma_shortcut[N=3,M=4,K=1]", "shortcut_vs_direct[N=3,M=4]",
+            "gamma_shortcut[N=2,M=5,K=1]", "shortcut_vs_direct[N=2,M=5]",
+            "real_trace[N=1,M=1]", "real_trace[N=2,M=1]", "real_trace[N=2,M=3]",
+            "real_trace[N=3,M=2]", "real_trace[N=4,M=3]",
+            "tr_g_squared[N=1,M=1]", "tr_g_squared[N=2,M=1]", "tr_g_squared[N=2,M=2]",
+            "tr_g_squared[N=3,M=2]",
+            "mixed_trace_zero[N=2,M1=1,M2=2]", "mixed_trace_zero[N=1,M1=1,M2=3]",
+            "mixed_trace_zero[N=3,M1=2,M2=4]",
+            "tr_g1_g2[N=1,M=1]", "tr_g1_g2[N=2,M=1]", "tr_g1_g2[N=2,M=2]", "tr_g1_g2[N=3,M=2]",
+        ]
 
     def test_genfun_scope_enforces_cap(self, capsys):
         with pytest.raises(oracle.EnumerationCapError):

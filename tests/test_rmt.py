@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from commcycles.rmt import (
-    MatrixSampleConfig,
     _complex_gaussian,
     _power_trace,
     gamma_shortcut_target,
@@ -28,10 +27,6 @@ from commcycles.rmt import (
 
 F = Fraction
 SAMPLES = 40_000
-
-
-def cfg(n, samples=SAMPLES, seed=42, partitions=1):
-    return MatrixSampleConfig(N=n, samples=samples, seed=seed, partitions=partitions)
 
 
 class TestExactTargets:
@@ -107,7 +102,7 @@ class TestDeterminism:
         assert a.estimate == b.estimate
 
     def test_report_json_schema(self):
-        rep = mc_trace_power_moment(cfg(2, samples=2_000), 2, 1)
+        rep = mc_trace_power_moment(2, 2, 1, samples=2_000)
         data = rep.to_json()
         for key in ("identity", "N", "M", "K", "estimate", "std_error", "target", "z", "samples", "seed", "partitions"):
             assert key in data
@@ -117,17 +112,17 @@ class TestDeterminism:
 
 class TestEstimates:
     def test_single_entry_second_moment(self):
-        rep = mc_trace_power_moment(cfg(1), 1, 1)
+        rep = mc_trace_power_moment(1, 1, 1, samples=SAMPLES, seed=42)
         assert rep.target == 1
         assert abs(rep.z) <= 5
 
     def test_trace_power_matches_bridge(self):
-        rep = mc_trace_power_moment(cfg(2), 2, 1)
+        rep = mc_trace_power_moment(2, 2, 1, samples=SAMPLES, seed=42)
         assert rep.target == 8
         assert abs(rep.z) <= 5
 
     def test_flagged_when_no_target(self):
-        rep = mc_trace_power_moment(cfg(2, samples=2_000), 3, 3)
+        rep = mc_trace_power_moment(2, 3, 3, samples=2_000)
         assert rep.flagged and rep.z is None
 
     def test_gamma_shortcut_requires_high_power(self):
@@ -140,7 +135,7 @@ class TestEstimates:
         assert abs(rep.z) <= 5
 
     def test_shortcut_vs_direct(self):
-        direct = mc_trace_power_moment(cfg(2), 4, 1)
+        direct = mc_trace_power_moment(2, 4, 1, samples=SAMPLES, seed=42)
         shortcut = mc_gamma_shortcut_moment(2, 4, 1, samples=SAMPLES, seed=42)
         assert direct.target == shortcut.target == 144
         combined = abs(direct.estimate - shortcut.estimate) / math.hypot(
@@ -180,21 +175,6 @@ class TestEstimates:
         with pytest.raises(ValueError):
             mixed_trace_vanishing(2, 2, 2, samples=100)
 
-    def test_trace_power_needs_complex_ensemble(self):
-        bad = MatrixSampleConfig(N=2, samples=100, seed=1, ensemble="real_gaussian")
-        with pytest.raises(ValueError):
-            mc_trace_power_moment(bad, 2, 1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MatrixSampleConfig(N=0, samples=10, seed=1)
-        with pytest.raises(ValueError):
-            MatrixSampleConfig(N=1, samples=10, seed=1, ensemble="quaternion")
-        with pytest.raises(ValueError, match="samples must be at least 2"):
-            MatrixSampleConfig(N=1, samples=1, seed=1)
-        with pytest.raises(ValueError, match="partitions must be at least 1"):
-            MatrixSampleConfig(N=1, samples=10, seed=1, partitions=0)
-
     @pytest.mark.parametrize(
         "call",
         [
@@ -207,7 +187,22 @@ class TestEstimates:
             lambda: tr_g_squared_samples(2, samples=0),
             lambda: mc_tr_g1g2_law(2, 1, samples=100, partitions=0),
             lambda: mixed_trace_vanishing(2, 0, 2, samples=100),
-            lambda: mc_trace_power_moment(cfg(2, samples=100), 0, 1),
+            lambda: mc_trace_power_moment(2, 0, 1, samples=100),
+            # with the cases above, every estimator meets each bad plan:
+            # N = 0, samples = 1 and partitions = 0
+            lambda: mc_gamma_shortcut_moment(2, 3, samples=1),
+            lambda: mc_real_trace_law(0, 1, samples=100),
+            lambda: mc_real_trace_law(2, 1, samples=100, partitions=0),
+            lambda: mc_tr_g_squared_law(2, 1, samples=1),
+            lambda: mc_tr_g_squared_law(2, 1, samples=100, partitions=0),
+            lambda: mc_tr_g1g2_law(0, 1, samples=100),
+            lambda: mc_tr_g1g2_law(2, 1, samples=1),
+            lambda: mixed_trace_vanishing(0, 1, 2, samples=100),
+            lambda: mixed_trace_vanishing(2, 1, 2, samples=1),
+            lambda: mixed_trace_vanishing(2, 1, 2, samples=100, partitions=0),
+            lambda: mc_trace_power_moment(0, 2, 1, samples=100),
+            lambda: mc_trace_power_moment(2, 2, 1, samples=1),
+            lambda: mc_trace_power_moment(2, 2, 1, samples=100, partitions=0),
         ],
     )
     def test_bad_plans_rejected(self, call):
@@ -236,11 +231,11 @@ class TestKernels:
     # direct kernels: np.linalg.matrix_power on one (2, count, n, n) draw.
     PINNED = [
         pytest.param(
-            lambda: mc_trace_power_moment(cfg(3, 5000, 0, 2), 5, 1),
+            lambda: mc_trace_power_moment(3, 5, 1, 5000, 0, 2),
             3514.0839132076258, 302.5358738753634, id="trace_power_5",
         ),
         pytest.param(
-            lambda: mc_trace_power_moment(cfg(2, 5000, 0, 2), 4, 2),
+            lambda: mc_trace_power_moment(2, 4, 2, 5000, 0, 2),
             351927.70122829353, 52211.1691297838, id="trace_power_4_k2",
         ),
         pytest.param(
@@ -275,13 +270,13 @@ class TestKernels:
 class TestGaussianConvention:
     def test_entry_variance_is_one(self):
         # complex entries are (x+iy)/sqrt(2): E|G_ij|^2 = 1, E|G_ij|^4 = 2
-        rep = mc_trace_power_moment(cfg(1, samples=60_000), 1, 1)
+        rep = mc_trace_power_moment(1, 1, 1, samples=60_000)
         assert rep.target == 1 and abs(rep.z) <= 5
-        rep4 = mc_trace_power_moment(cfg(1, samples=60_000), 1, 2)
+        rep4 = mc_trace_power_moment(1, 1, 2, samples=60_000)
         assert rep4.target == 2 and abs(rep4.z) <= 5
 
     def test_wrong_convention_rejected(self):
         # unscaled entries (variance 2) would give E|G_11|^4 = 8, far away
-        rep4 = mc_trace_power_moment(cfg(1, samples=60_000), 1, 2)
+        rep4 = mc_trace_power_moment(1, 1, 2, samples=60_000)
         se = rep4.std_error
         assert abs(rep4.estimate - 8.0) / se > 10
