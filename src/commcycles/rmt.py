@@ -11,9 +11,13 @@ Every estimator takes its dimension and orders, then one sampling plan
 Draws are split across `partitions` independent substreams spawned from
 numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
 bit for bit, and each identity derives its own substream from its name so
-that different identities do not share variates.  Partitions run one after
-another in batches of up to `_BATCH` draws, written into one array: side by
-side they would multiply peak memory by their number.
+that different identities do not share variates.  Partitions run side by
+side on min(partitions, cpu count) threads, each writing its own slice of
+one array in batches of up to `_BATCH` draws.  Side by side, every
+partition's working set counts, so each stays bounded: a complex batch
+holds its real parts (drawn first, as one (2, b, n, n) draw would) and
+streams the rest through `_normal_chunks` in chunks of `_CHUNK` entries,
+reducing each complex chunk at once; no whole complex batch is formed.
 
 Traces of matrix powers are contracted, never formed: tr G^p is one einsum
 over G^ceil(p/2) and G^floor(p/2) (a single three-operand einsum for p = 3).
@@ -21,7 +25,9 @@ over G^ceil(p/2) and G^floor(p/2) (a single three-operand einsum for p = 3).
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +57,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
+_CHUNK = 1 << 15  # matrix entries per streamed chunk (0.5 MB as complex)
+_SCALE = np.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -114,18 +123,30 @@ def _partition_sizes(total: int, partitions: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(partitions)]
 
 
-def _batches(total: int) -> list[int]:
-    return [_BATCH] * (total // _BATCH) + ([total % _BATCH] if total % _BATCH else [])
+def _normal_chunks(rng: np.random.Generator, count: int, n: int):
+    """Yield (rows, x) over `count` n×n blocks of standard normals, drawn into
+    one reused buffer of at most `_CHUNK` entries: the same normals in the
+    same order as one standard_normal((count, n, n)) draw."""
+    step = max(1, _CHUNK // (n * n))
+    buf = np.empty((min(count, step), n, n))
+    for lo in range(0, count, step):
+        x = buf[: min(step, count - lo)]
+        rng.standard_normal(out=x)
+        yield slice(lo, lo + len(x)), x
 
 
-def _complex_gaussian(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """`count` complex n×n matrices with entries (x+iy)/sqrt(2).  The real
-    parts are drawn before the imaginary parts, the same normals in the same
-    order as one (2, count, n, n) draw, and scaled straight into place."""
-    out = np.empty((count, n, n), dtype=complex)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal((count, n, n)), np.sqrt(0.5), out=part)
-    return out
+def _ginibre(rng: np.random.Generator, n: int, out: np.ndarray, reduce) -> None:
+    """Fill `out` with reduce(g) over len(out) complex n×n matrices with
+    entries (x+iy)/sqrt(2), one value per matrix.  All real parts are drawn
+    before any imaginary part, as in one (2, len(out), n, n) draw; only the
+    real block and one complex chunk are held, and `reduce` gets each chunk
+    as it is built."""
+    real = rng.standard_normal((len(out), n, n))
+    for rows, imag in _normal_chunks(rng, len(out), n):
+        chunk = np.empty(imag.shape, dtype=complex)
+        np.multiply(real[rows], _SCALE, out=chunk.real)
+        np.multiply(imag, _SCALE, out=chunk.imag)
+        out[rows] = reduce(chunk)
 
 
 def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
@@ -144,16 +165,32 @@ def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
 
 
 def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray:
-    """The `total` values of `draw(rng, b)`, which returns b values, written
-    into one array: each partition substream in turn, in batches of at most
-    `_BATCH` (deterministic for fixed seed/partitions)."""
+    """One array of `total` values, each slice filled by `draw(rng, values)`.
+    Each partition substream fills its own slice in batches of at most
+    `_BATCH`, so the array depends on (seed, partitions) only.  Partitions
+    run on min(partitions, cpu count) threads, the caller's included; a
+    thread takes every workers-th partition in turn."""
     _check_plan(total, partitions)
     out = np.empty(total, dtype=dtype)
-    pos = 0
-    for rng, size in zip(_streams(seed, partitions, identity), _partition_sizes(total, partitions)):
-        for b in _batches(size):
-            out[pos : pos + b] = draw(rng, b)
-            pos += b
+    streams = _streams(seed, partitions, identity)
+    bounds = list(itertools.accumulate(_partition_sizes(total, partitions), initial=0))
+    workers = min(partitions, os.cpu_count() or 1)
+
+    def fill(first):
+        for i in range(first, partitions, workers):
+            for lo in range(bounds[i], bounds[i + 1], _BATCH):
+                draw(streams[i], out[lo : min(lo + _BATCH, bounds[i + 1])])
+
+    if workers == 1:
+        fill(0)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:  # leaving waits for every helper
+        helpers = [pool.submit(fill, w) for w in range(1, workers)]
+        fill(0)
+        for helper in helpers:
+            helper.result()
     return out
 
 
@@ -233,8 +270,8 @@ def mc_trace_power_moment(
     permutation-side target (flagged if none is available)."""
     _check_positive(N=n_dim, M=power, K=factors)
 
-    def draw(rng, b):
-        return np.abs(_power_trace(_complex_gaussian(rng, b, n_dim), power)) ** (2 * factors)
+    def draw(rng, values):
+        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_trace(g, power)) ** (2 * factors))
 
     values = _collect("trace_power", seed, partitions, samples, draw)
     target = trace_power_target(n_dim, power, factors)
@@ -254,10 +291,10 @@ def mc_gamma_shortcut_moment(
         raise ValueError(f"decorrelation requires m >= N (got m={m}, N={n_dim})")
     shapes = np.arange(1, n_dim + 1, dtype=float)
 
-    def draw(rng, b):
-        radii = rng.gamma(shape=shapes, size=(b, n_dim)) ** (m / 2.0)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(b, n_dim))
-        return np.abs((radii * np.exp(1j * phases)).sum(axis=1)) ** (2 * factors)
+    def draw(rng, values):
+        radii = rng.gamma(shape=shapes, size=(len(values), n_dim)) ** (m / 2.0)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(values), n_dim))
+        values[:] = np.abs((radii * np.exp(1j * phases)).sum(axis=1)) ** (2 * factors)
 
     values = _collect("gamma_shortcut", seed, partitions, samples, draw)
     target = gamma_shortcut_target(n_dim, m, factors)
@@ -272,9 +309,9 @@ def mc_real_trace_law(
     sum of the N² squared entries, distributed as 2·Gamma(N²/2)."""
     _check_positive(N=n_dim, M=m)
 
-    def draw(rng, b):
-        entries = rng.standard_normal((b, n_dim * n_dim))
-        return np.einsum("ki,ki->k", entries, entries) ** m
+    def draw(rng, values):
+        entries = rng.standard_normal((len(values), n_dim * n_dim))
+        values[:] = np.einsum("ki,ki->k", entries, entries) ** m
 
     values = _collect("real_trace", seed, partitions, samples, draw)
     params = {"N": n_dim, "M": m, "K": 1}
@@ -288,9 +325,8 @@ def tr_g_squared_samples(
     the rotational symmetry of its phase."""
     _check_positive(N=n_dim)
 
-    def draw(rng, b):
-        g = _complex_gaussian(rng, b, n_dim)
-        return np.einsum("kij,kji->k", g, g)
+    def draw(rng, values):
+        _ginibre(rng, n_dim, values, lambda g: np.einsum("kij,kji->k", g, g))
 
     return _collect("tr_g_squared", seed, partitions, samples, draw, dtype=complex)
 
@@ -310,13 +346,27 @@ def mc_tr_g1g2_law(
     n_dim: int, m: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
 ) -> MomentReport:
     """Estimate E |tr G₁G₂|^(2M) for independent complex Gaussian matrices
-    and compare with the exact moments of γ₁·γ_{N²}, i.e. M! N²...(N²+M-1)."""
+    and compare with the exact moments of γ₁·γ_{N²}, i.e. M! N²...(N²+M-1).
+
+    G₂ is never formed: with G = (X+iY)/sqrt(2), tr G₁G₂ is
+    ((tr X₁X₂ - tr Y₁Y₂) + i(tr Y₁X₂ + tr X₁Y₂))/2, accumulated while X₂
+    and then Y₂ stream past the held X₁ and Y₁."""
     _check_positive(N=n_dim, M=m)
 
-    def draw(rng, b):
-        g1 = _complex_gaussian(rng, b, n_dim)
-        g2 = _complex_gaussian(rng, b, n_dim)
-        return np.abs(np.einsum("kij,kji->k", g1, g2)) ** (2 * m)
+    def draw(rng, values):
+        b = len(values)
+        # the normals of one (2, b, n, n) draw, held as two blocks the size
+        # of every other held block, so freed memory fits them
+        x1 = rng.standard_normal((b, n_dim, n_dim))
+        y1 = rng.standard_normal((b, n_dim, n_dim))
+        t = np.empty(b, dtype=complex)
+        for rows, x2 in _normal_chunks(rng, b, n_dim):
+            t.real[rows] = np.einsum("kij,kji->k", x1[rows], x2)
+            t.imag[rows] = np.einsum("kij,kji->k", y1[rows], x2)
+        for rows, y2 in _normal_chunks(rng, b, n_dim):
+            t.real[rows] -= np.einsum("kij,kji->k", y1[rows], y2)
+            t.imag[rows] += np.einsum("kij,kji->k", x1[rows], y2)
+        values[:] = np.abs(t / 2) ** (2 * m)
 
     values = _collect("tr_g1_g2", seed, partitions, samples, draw)
     params = {"N": n_dim, "M": m, "K": 1}
@@ -333,9 +383,8 @@ def mixed_trace_vanishing(
     if m1 == m2:
         raise ValueError("mixed moment vanishes only for M1 != M2")
 
-    def draw(rng, b):
-        g = _complex_gaussian(rng, b, n_dim)
-        return _power_trace(g, m1) * np.conj(_power_trace(g, m2))
+    def draw(rng, values):
+        _ginibre(rng, n_dim, values, lambda g: _power_trace(g, m1) * np.conj(_power_trace(g, m2)))
 
     values = _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex)
     n = values.size

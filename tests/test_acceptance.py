@@ -162,10 +162,14 @@ def test_criterion_7_rmt_statistical():
         if report.z is None or not abs(report.z) <= z_cap:
             failures.append(f"{name}: z={report.z}")
 
+    def trace_power_samples(m, k):
+        return 400_000 if m * k >= 6 else 150_000
+
     # --- trace-power bridge at N <= 3, m*K <= 8, oracle-backed targets ----
+    bridge = {}  # (N, m, K) -> report; the shortcut checks reuse these runs
     for n, m, k in _bridge_cases():
-        samples = 400_000 if m * k >= 6 else 150_000
-        report = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
+        samples = trace_power_samples(m, k)
+        report = bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
         tau = from_cycle_type(CycleType([m] * k))
         dist = oracle.exact_commutator_distribution(tau)
         oracle_target = math.factorial(m * k) * sum(p * n**c for c, p in dist.probabilities().items())
@@ -181,9 +185,11 @@ def test_criterion_7_rmt_statistical():
         (1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 4, 2),
     ]
     for n, m, k in shortcut_cases:
-        samples = 400_000 if m * k >= 6 else 150_000
+        samples = trace_power_samples(m, k)
         short = rmt.mc_gamma_shortcut_moment(n, m, k, samples=samples, seed=SEED)
-        direct = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
+        if (n, m, k) not in bridge:
+            bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
+        direct = bridge[n, m, k]
         gate(f"shortcut[N={n},M={m},K={k}]", short)
         combined = abs(short.estimate - direct.estimate) / math.hypot(
             short.std_error, direct.std_error

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,6 +392,22 @@ class TestMcCommand:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_draw_error_off_the_calling_thread_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        caller, ginibre = threading.get_ident(), rmt._ginibre
+
+        def failing(rng, n, out, reduce):
+            if threading.get_ident() != caller:
+                raise ValueError("draw failed in partition 1")
+            ginibre(rng, n, out, reduce)
+
+        monkeypatch.setattr(rmt, "_ginibre", failing)
+        argv = ["trace-power", "--n", "2", "--m", "2", "--samples", "2000", "--threads", "2"]
+        code, out, err = run_cli(capsys, "mc", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: draw failed in partition 1\n"
 
 
 class TestGlobalBehavior:

@@ -3,14 +3,24 @@ seeded determinism, and quick z-score sanity runs (the full statistical
 grid runs in test_acceptance.py)."""
 
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from commcycles.rmt import (
-    _complex_gaussian,
+    _BATCH,
+    _CHUNK,
+    _collect,
+    _ginibre,
+    _normal_chunks,
+    _partition_sizes,
     _power_trace,
+    _streams,
     gamma_shortcut_target,
     mc_gamma_shortcut_moment,
     mc_real_trace_law,
@@ -215,17 +225,32 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_trace_matches_matrix_power(self, n):
-        g = _complex_gaussian(np.random.default_rng(n), 200, n)
+        x, y = np.random.default_rng(n).standard_normal((2, 200, n, n))
+        g = (x + 1j * y) * np.sqrt(0.5)
         for p in range(1, 7):
             direct = np.trace(np.linalg.matrix_power(g, p), axis1=1, axis2=2)
             np.testing.assert_allclose(_power_trace(g, p), direct, rtol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_complex_gaussian_layout(self, n):
-        block = np.random.default_rng(7).standard_normal((2, 1000, n, n))
-        expected = (block[0] + 1j * block[1]) * np.sqrt(0.5)
-        got = _complex_gaussian(np.random.default_rng(7), 1000, n)
+    @pytest.mark.parametrize("n, count", [(1, 70_001), (3, 5001), (2, _CHUNK // 2), (4, _CHUNK // 8 + 1)])
+    def test_streamed_draw_layout(self, n, count):
+        rng = np.random.default_rng(7)
+        real = rng.standard_normal((count, n, n))
+        imag = rng.standard_normal((count, n, n))
+        expected = (real + 1j * imag) * np.sqrt(0.5)
+        chunks = []
+
+        def keep(g):
+            chunks.append(g.copy())
+            return np.einsum("kii->k", g)
+
+        traces = np.empty(count, dtype=complex)
+        _ginibre(np.random.default_rng(7), n, traces, keep)
+        got = np.concatenate(chunks)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert len(chunks) > 1 and max(c.size for c in chunks) <= _CHUNK
+        assert np.array_equal(traces, np.einsum("kii->k", expected))
+        streamed = np.concatenate([x.copy() for _, x in _normal_chunks(np.random.default_rng(7), count, n)])
+        assert np.array_equal(streamed, real)
 
     # (estimate, std_error) at samples=5000, seed=0, partitions=2 from the
     # direct kernels: np.linalg.matrix_power on one (2, count, n, n) draw.
@@ -265,6 +290,87 @@ class TestKernels:
         rep = run()
         assert rep.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
         assert rep.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+
+def _serial(identity, seed, partitions, total):
+    """What _collect must return for _batch_draw: one partition after another,
+    in batches of at most _BATCH, all on this thread."""
+    values = []
+    for rng, size in zip(_streams(seed, partitions, identity), _partition_sizes(total, partitions)):
+        for lo in range(0, size, _BATCH):
+            b = min(_BATCH, size - lo)
+            values.append(rng.standard_normal(b) + b)
+    return np.concatenate(values)
+
+
+def _batch_draw(rng, values):
+    # the batch size shows in the values, so a changed split would too
+    values[:] = rng.standard_normal(len(values)) + len(values)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 µs, so interleavings a slice bug needs occur."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestPartitions:
+    """Partitions run side by side without changing a single value."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("total", [200_000, 5_001])
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4, 5])
+    def test_collect_equals_serial_loop(self, monkeypatch, cpus, total, partitions):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = _collect("probe", 11, partitions, total, _batch_draw)
+        assert np.array_equal(got, _serial("probe", 11, partitions, total))
+
+    # at most one thread per CPU, the caller's included; one partition, or
+    # an unknown CPU count, stays on the caller
+    @pytest.mark.parametrize("cpus, partitions, threads", [(2, 8, 2), (4, 1, 1), (None, 3, 1)])
+    def test_threads_capped(self, monkeypatch, cpus, partitions, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        idents = set()
+
+        def draw(rng, values):
+            idents.add(threading.get_ident())
+            _batch_draw(rng, values)
+
+        got = _collect("probe", 11, partitions, 5_001, draw)
+        assert threading.get_ident() in idents and len(idents) <= threads
+        assert np.array_equal(got, _serial("probe", 11, partitions, 5_001))
+
+    def test_error_in_other_partition_reraises(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        caller = []
+
+        def draw(rng, values):
+            if threading.get_ident() != caller[0]:
+                raise ValueError("draw failed off the calling thread")
+            _batch_draw(rng, values)
+
+        def run():
+            caller.append(threading.get_ident())
+            return _collect("probe", 11, 4, 5_001, draw)
+
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(ValueError, match="off the calling thread"):
+                pool.submit(run).result(timeout=60)
+        assert threading.active_count() == before
+
+    def test_estimates_equal_serial_partitions(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = mc_tr_g_squared_law(2, 2, samples=5_001, seed=3, partitions=8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threaded = mc_tr_g_squared_law(2, 2, samples=5_001, seed=3, partitions=8)
+        assert (threaded.estimate, threaded.std_error) == (serial.estimate, serial.std_error)
 
 
 class TestGaussianConvention:
