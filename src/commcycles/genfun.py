@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .perm import CycleType, from_cycle_type
 from .polys import (
     ONE,
@@ -355,113 +357,68 @@ class BernoulliDecomposition:
 
 
 class RootFindError(RuntimeError):
-    """Raised when the real-root locator cannot isolate the expected roots."""
+    """Raised when a one-cycle root fails its exact certificate."""
 
 
-def negative_real_roots(p: RationalPoly, expected: int) -> list[float]:
-    """Locate all roots of p on the negative real axis, for a polynomial
-    whose roots are known to all be real and negative.
+# Half-width of each certifying bracket, relative to the root.  The float
+# phase solve is accurate to about 1e-14; 2^-40 is about 9e-13.
+_BRACKET = Fraction(1, 2**40)
 
-    Brackets sign changes of the exact polynomial on a geometric grid
-    (refining the grid until `expected` brackets appear), bisects each
-    bracket with exact rational arithmetic, then polishes in floating point
-    with Newton steps.  Residuals are checked against the monic rescaling
-    of p at 1e-12.  A coefficient too large for a float fails at once,
-    before any root is bracketed.
+
+def _phase_roots(m: int) -> np.ndarray:
+    """y_1 > y_2 > ... > y_n > 0 (n = ceil(m/2) - 1) solving the phase
+    equation sum_{k=1..m} atan(y/k) = pi*(m/2 - j), all j at once by float
+    bisection on [0, m(m+1)/2].  At the upper end the left side is
+    m*pi/2 - sum_k atan(k/y) > m*pi/2 - sum_k k/y = m*pi/2 - 1, above every
+    target, so every root lies inside; each step halves all n brackets
+    until no midpoint falls strictly between its endpoints."""
+    k = np.arange(1, m + 1, dtype=float)
+    target = np.pi * (m / 2 - np.arange(1, (m + 1) // 2))
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, m * (m + 1) / 2)
+    while True:
+        mid = (lo + hi) / 2
+        if not ((lo < mid) & (mid < hi)).any():
+            return mid
+        below = np.arctan(mid[:, None] / k).sum(axis=1) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+
+
+def negative_real_roots(m: int) -> list[float]:
+    """The roots u_1 < ... < u_n < 0 of the even part E of the one-cycle
+    PGF of order m, (R_{m+1}(t) - F_{m+1}(t))/(m+1)! = t^offset * E(t^2),
+    where offset = 2 - m % 2 and n = deg E = (m - offset)/2.
+
+    At t = iy every factor (iy + k)/(iy - k) of R_{m+1}/F_{m+1} has modulus
+    1 and argument 2*atan(y/k) - pi, so the nonzero roots are exactly
+    t = ±i*y_j with
+
+        sum_{k=1..m} atan(y_j/k) = pi*(m/2 - j),   j = 1..n,
+
+    whose left side rises strictly from 0 to m*pi/2: one root per j, and
+    u_j = -y_j^2.  The y_j come from a float solve of this equation
+    (`_phase_roots`); each u_j is then certified by an exact integer sign
+    change of E at the dyadic endpoints u_j*(1 ± 2^-40), with the n
+    brackets disjoint, so every root of E is isolated.  A failed check
+    raises RootFindError naming j, the bracket and the two signs.
     """
-    if expected == 0:
-        return []
-    if p.degree != expected:
-        raise RootFindError(f"degree {p.degree} polynomial cannot have {expected} negative roots")
-    coeffs = p.coeffs
-    try:
-        abs_coeffs = [abs(float(c)) for c in coeffs]
-    except OverflowError:
-        bits = math.ceil(max(map(abs, coeffs))).bit_length()
-        raise RootFindError(
-            f"degree {p.degree} polynomial: largest coefficient has {bits} bits, "
-            "beyond the float range of the Newton polish"
-        ) from None
-    lead = abs(coeffs[-1])
-    const = abs(coeffs[0])
-    if const == 0:
-        raise RootFindError("zero constant term: divide out the root at 0 first")
-    upper = 1 + max(abs(c) for c in coeffs[:-1]) / lead  # Cauchy bound on |root|
-    lower = const / (const + max(abs(c) for c in coeffs[1:]))
-    hi_mag, lo_mag = float(upper) * 1.001, float(lower) * 0.999
-
-    grid_n = max(8 * expected, 32)
-    brackets: list[tuple[Fraction, Fraction]] = []
-    exact_roots: list[Fraction] = []
-    for _ in range(14):
-        ratio = (lo_mag / hi_mag) ** (1.0 / grid_n)
-        pts = [Fraction(-hi_mag * ratio**j) for j in range(grid_n + 1)]
-        signs = [p.sign_at(x) for x in pts]
-        brackets, exact_roots = [], []
-        for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
-            if sa == 0:
-                exact_roots.append(a)
-            elif sa * sb < 0:
-                brackets.append((a, b))
-        if signs[-1] == 0:
-            exact_roots.append(pts[-1])
-        if len(brackets) + len(exact_roots) >= expected:
-            break
-        grid_n *= 2
-    if len(brackets) + len(exact_roots) != expected:
-        raise RootFindError(
-            f"isolated {len(brackets) + len(exact_roots)} of {expected} negative roots "
-            f"on [{-hi_mag:.6g}, {-lo_mag:.6g}] at grid size {grid_n}; "
-            f"coefficients span {float(min(map(abs, coeffs))):.3g}..{float(max(map(abs, coeffs))):.3g}"
-        )
-
-    deriv = p.derivative()
-
-    def scaled_residual(x: float) -> float:
-        # Residual relative to the evaluation magnitude: invariant under
-        # rescaling to the monic polynomial, and bounded below only by the
-        # float roundoff of the evaluation itself.
-        scale = 0.0
-        for c in reversed(abs_coeffs):
-            scale = scale * abs(x) + c
-        return abs(p(x)) / scale if scale else abs(p(x))
-
-    roots = [float(r) for r in exact_roots]
-    for lo, hi in brackets:
-        slo = p.sign_at(lo)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            sm = p.sign_at(mid)
-            if sm == 0:
-                lo = hi = mid
-                break
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        best = float((lo + hi) / 2)
-        x = best
-        for _ in range(6):
-            dfx = deriv(x)
-            if dfx == 0:
-                break
-            x = x - p(x) / dfx
-            if scaled_residual(x) < scaled_residual(best):
-                best = x
-        if scaled_residual(best) > 1e-12:
-            raise RootFindError(f"Newton polish stalled at x={best!r}, scaled residual {scaled_residual(best):.3g}")
-        roots.append(best)
-    return sorted(roots)
-
-
-def _one_cycle_even_part(pgf: CyclePGF) -> tuple[int, RationalPoly]:
-    """Split the one-cycle PGF as t^offset * E(t^2); returns (offset, E)
-    with E having integer coefficients after clearing denominators."""
-    m = pgf.M
-    offset = 1 if m % 2 else 2
-    scaled = pgf.poly * math.factorial(m + 1)
-    even = [scaled.coefficient(offset + 2 * j) for j in range((m - offset) // 2 + 1)]
-    return offset, RationalPoly(even)
+    offset = 2 - m % 2
+    even = RationalPoly(one_cycle_pgf(m).poly.coeffs[offset::2])
+    roots = [-y * y for y in _phase_roots(m).tolist()]
+    prev_hi = None
+    for j, u in enumerate(roots, 1):
+        lo, hi = Fraction(u) * (1 + _BRACKET), Fraction(u) * (1 - _BRACKET)
+        sa, sb = even.sign_at(lo), even.sign_at(hi)
+        overlap = prev_hi is not None and lo <= prev_hi
+        if sa * sb >= 0 or overlap:
+            raise RootFindError(
+                f"one-cycle root j={j} at m={m} not certified: bracket [{float(lo)!r}, {float(hi)!r}] "
+                f"of u = -y_j^2 has signs ({sa:+d}, {sb:+d}) of the even part"
+                + (f" and overlaps the bracket of root j={j - 1}" if overlap else "")
+            )
+        prev_hi = hi
+    return roots
 
 
 def require_bernoulli_source(source: str) -> None:
@@ -475,10 +432,12 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
 
     uniform          -> parameters 1/k (k = 1..M), multiplier 1.
     transpositions   -> parameters 1/(2k-1) (k = 1..M/2), multiplier 2.
-    one_cycle        -> all zeros of the PGF are purely imaginary, so
-                        t^-offset * PGF factors into quadratics
-                        (t^2 + r_j)/(1 + r_j); each gives a doubled
-                        Bernoulli with numeric parameter p_j = 1/(1 + r_j).
+    one_cycle        -> the zeros of the PGF are 0 (offset times) and
+                        ±i*y_j, with sum_{k=1..M} atan(y_j/k) = pi*(M/2 - j)
+                        (see `negative_real_roots`), so the PGF is
+                        t^offset * prod_j (t^2 + y_j^2)/(1 + y_j^2): a
+                        doubled Bernoulli with numeric p_j = 1/(1 + y_j^2)
+                        per root, smallest p_j first.
     """
     require_bernoulli_source(pgf.source)
     if pgf.source == "uniform":
@@ -488,37 +447,18 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
         pairs = pgf.M // 2
         terms = tuple(BernoulliTerm(Fraction(1, 2 * k - 1), 2) for k in range(1, pairs + 1))
         return BernoulliDecomposition(terms, 0)
-    offset, even = _one_cycle_even_part(pgf)
-    expected = (pgf.M - offset) // 2
-    magnitudes = [-u for u in negative_real_roots(even, expected)]
-    terms = tuple(BernoulliTerm(1.0 / (1.0 + r), 2) for r in sorted(magnitudes, reverse=True))
-    return BernoulliDecomposition(terms, offset)
+    terms = tuple(BernoulliTerm(1.0 / (1.0 - u), 2) for u in negative_real_roots(pgf.M))
+    return BernoulliDecomposition(terms, 2 - pgf.M % 2)
 
 
 def one_cycle_pgf_roots(m: int) -> list[complex]:
-    """All nonzero complex roots of the one-cycle commutator PGF of order m,
-    found via the negative-real-root locator in u = t^2 and polished with
-    complex Newton iterations on the exact polynomial.
-
-    The polished roots sit on the imaginary axis (the PGF has the Lee-Yang
-    property); callers can measure |Re z| to confirm.
+    """All nonzero roots of the one-cycle commutator PGF of order m: the
+    pairs ±i*y_j with sum_{k=1..m} atan(y_j/k) = pi*(m/2 - j), from the
+    certified roots u_j = -y_j^2 of `negative_real_roots`, largest first.
+    They lie on the imaginary axis (the Lee-Yang property) by construction.
     """
-    pgf = one_cycle_pgf(m)
-    offset, even = _one_cycle_even_part(pgf)
-    expected = (m - offset) // 2
-    magnitudes = [-u for u in negative_real_roots(even, expected)]
-    scaled = pgf.poly * math.factorial(m + 1)
-    deriv = scaled.derivative()
     roots = []
-    for r in magnitudes:
-        for z0 in (complex(0.0, math.sqrt(r)), complex(0.0, -math.sqrt(r))):
-            z = best = z0
-            for _ in range(8):
-                dfz = deriv(z)
-                if dfz == 0:
-                    break
-                z = z - scaled(z) / dfz
-                if abs(scaled(z)) < abs(scaled(best)):
-                    best = z
-            roots.append(best)
+    for u in negative_real_roots(m):
+        y = math.sqrt(-u)
+        roots += [complex(0.0, y), complex(0.0, -y)]
     return roots

@@ -170,10 +170,17 @@ class RationalPoly:
         (numerator, positive denominator), not reduced.
 
         Homogeneous Horner: sum_k c_k a^k b^(n-k) over den * b^n, with c_k
-        the integer numerators and n the degree.
+        the integer numerators and n the degree.  For a dyadic x (b = 2^e,
+        integers included) the powers of b are shifts.
         """
         a, b = x.numerator, x.denominator
-        acc, scale = 0, 1
+        e = b.bit_length() - 1
+        acc = 0
+        if b == 1 << e:
+            for k, c in enumerate(reversed(self._num)):
+                acc = acc * a + (c << e * k)
+            return acc * b, self._den << e * len(self._num)
+        scale = 1
         for c in reversed(self._num):
             acc = acc * a + c * scale
             scale *= b

@@ -163,11 +163,20 @@ class TestBernoulliCommand:
                 "'two_cycles'" if tau.startswith("two") else "'oracle'"
             ) + " (only uniform, transpositions, one_cycle)\n"
 
-    def test_root_find_failure_exit_code(self, capsys):
-        code, out, err = run_cli(capsys, "bernoulli", "one-cycle:171")
+    def test_root_find_failure_exit_code(self, capsys, monkeypatch):
+        # a float root moved off its certificate exits 2 with one line
+        solve = genfun._phase_roots
+
+        def shifted(m):
+            y = solve(m)
+            y[4] *= 1 + 1e-6
+            return y
+
+        monkeypatch.setattr(genfun, "_phase_roots", shifted)
+        code, out, err = run_cli(capsys, "bernoulli", "one-cycle:30")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: degree 85 polynomial") and err.count("\n") == 1
+        assert err.startswith("error: one-cycle root j=5 at m=30 not certified") and err.count("\n") == 1
 
 
 class TestHultmanCommand:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from commcycles import genfun
 from commcycles.genfun import (
     BernoulliDecomposition,
     CyclePGF,
@@ -248,24 +249,101 @@ class TestRootFinder:
         assert len(ours) == len(theirs)
         assert max(abs(a - b) for a, b in zip(ours, theirs)) < 1e-6
 
-    def test_known_quadratic(self):
-        # (u+1)(u+4) has roots -4, -1
-        p = poly(4, 5, 1)
-        roots = negative_real_roots(p, 2)
-        assert roots == pytest.approx([-4.0, -1.0], abs=1e-12)
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_every_root_isolated(self, m):
+        # an independent witness of the certificate: E changes sign across
+        # each returned root and the brackets are disjoint
+        offset = 1 if m % 2 else 2
+        coeffs = one_cycle_pgf(m).poly.coeffs[offset::2]
 
-    def test_rejects_wrong_expectation(self):
-        with pytest.raises(RootFindError):
-            negative_real_roots(poly(4, 5, 1), 3)
+        def e_at(u):
+            return sum(c * u**k for k, c in enumerate(coeffs))
 
-    def test_rejects_zero_constant(self):
-        with pytest.raises(RootFindError):
-            negative_real_roots(poly(0, 1, 1), 2)
+        roots = negative_real_roots(m)
+        assert len(roots) == len(coeffs) - 1 == (m - offset) // 2
+        assert roots == sorted(roots) and all(u < 0 for u in roots)
+        for u in roots:
+            lo, hi = F(u) * (1 + F(1, 2**36)), F(u) * (1 - F(1, 2**36))
+            assert e_at(lo) * e_at(hi) < 0
+        assert all(a * (1 - 2**-36) < b * (1 + 2**-36) for a, b in zip(roots, roots[1:]))
 
-    def test_float_overflow_fails_fast(self):
-        # at M = 171 the even part has the coefficient 2 * 171!, past the
-        # float range; the failure is typed and comes before any bracketing
+    @pytest.mark.parametrize("m", [60, 120, 171, 300])
+    def test_certified_range(self, m):
+        # M = 120 has a root that a grid search once placed 5e-4 off
+        # (residual 6.8e-9); at M = 171 and 300 the even part has
+        # coefficients beyond the float range
         start = time.perf_counter()
-        with pytest.raises(RootFindError, match="degree 85 .* 1033 bits"):
-            bernoulli_decomposition(one_cycle_pgf(171))
+        pgf = one_cycle_pgf(m)
+        dec = bernoulli_decomposition(pgf)
         assert time.perf_counter() - start < 2.0
+        assert len(dec.terms) == (m - dec.offset) // 2
+        assert dec.residual_against(pgf) < 1e-10
+
+    def test_uncertified_root_raises(self, monkeypatch):
+        # the float phase solve is the one substitution point; a root moved
+        # by 1e-6 relative has no sign change of E in its bracket
+        solve = genfun._phase_roots
+
+        def shifted(m):
+            y = solve(m)
+            y[4] *= 1 + 1e-6
+            return y
+
+        monkeypatch.setattr(genfun, "_phase_roots", shifted)
+        with pytest.raises(RootFindError, match=r"root j=5 at m=30 .* signs \((\+1, \+1|-1, -1)\)"):
+            bernoulli_decomposition(one_cycle_pgf(30))
+
+
+def _sturm_real_roots(coeffs):
+    """Number of distinct real roots of the polynomial with these Fraction
+    coefficients (index = degree), by a Sturm sequence."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] -= q * c
+            a = trim(a[:-1])
+        return a
+
+    seq = [trim(list(coeffs))]
+    seq.append(trim([k * c for k, c in enumerate(seq[0])][1:]))
+    while seq[-1]:
+        seq.append([-c for c in rem(seq[-2], seq[-1])])
+    seq.pop()
+
+    def variations(signs):
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_minus_inf = [(-1) ** (len(p) - 1) * (1 if p[-1] > 0 else -1) for p in seq]
+    at_plus_inf = [1 if p[-1] > 0 else -1 for p in seq]
+    return variations(at_minus_inf) - variations(at_plus_inf)
+
+
+class TestTwoCyclesNotRealRooted:
+    # Why the phase-equation root routine is one-cycle only and two-cycles
+    # stays out of BERNOULLI_SOURCES: its even part in u = t^2 has complex
+    # roots from m = 4 on.
+    @staticmethod
+    def reduced_even_part(m):
+        coeffs = [F(c) for c in two_cycles_pgf(m).poly.coeffs[::2]]
+        assert coeffs[0] == 0 and coeffs[1] != 0  # one factor of u exactly
+        return coeffs[1:]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_m_real_rooted(self, m):
+        coeffs = self.reduced_even_part(m)
+        assert _sturm_real_roots(coeffs) == len(coeffs) - 1
+
+    def test_m4_has_complex_roots(self):
+        coeffs = self.reduced_even_part(4)
+        assert len(coeffs) - 1 == 3
+        assert _sturm_real_roots(coeffs) == 1
