@@ -369,16 +369,11 @@ def _cmd_mc(args) -> int:
             f"{key}={p[key]}" for key in ("N", "M", "M2", "K") if key in p
         )
         yield f"estimate: {report.estimate:.8g}  std error: {report.std_error:.4g}"
-        if report.target is not None:
-            yield f"target: {_fraction_str(report.target)} = {float(report.target):.8g}  z: {report.z:+.3f}"
-        else:
-            yield "target: none available (estimate only)"
+        yield f"target: {_fraction_str(report.target)} = {float(report.target):.8g}  z: {report.z:+.3f}"
         yield f"samples: {report.samples}  seed: {report.seed}  partitions: {report.partitions}"
 
     _emit(payload, args.format, human)
-    if report.z is not None and math.isfinite(report.z) and abs(report.z) > 5.0:
-        return 1
-    return 0
+    return 0 if abs(report.z) <= 5.0 else 1  # an infinite or NaN z fails too
 
 
 # -- wiring -------------------------------------------------------------------
@@ -469,6 +464,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.command not in ("dist", "hultman"):
+            raise UsageError(f"--format csv is for dist and hultman; {args.command} speaks json or human")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

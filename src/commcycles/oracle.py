@@ -59,7 +59,7 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
             f"ground set of size {m} exceeds the enumeration cap {effective}; "
             "`commcycles pgf` solves one cycle, two equal cycles, the identity and "
             f"transpositions at any size; otherwise raise the cap (hard cap {HARD_ENUMERATION_CAP}) "
-            "or use Monte-Carlo sampling (`commcycles mc`, `commcycles sample`)"
+            "or draw a Monte-Carlo histogram with `commcycles sample`"
         )
 
 

@@ -4,7 +4,9 @@ matrices to cycle counts of permutation commutators.
 Every identity is checked by simulating the matrix side and comparing
 against an exact rational target (computed from the closed forms, the
 enumeration oracle, or gamma-moment formulas — never floating-point gamma).
-Estimates carry a standard error and a z-score.
+Every estimate carries its target, a standard error and a z-score.  The
+target is computed before any draw, so a trace-power moment with no exact
+law raises EnumerationCapError without sampling.
 
 Every estimator takes its dimension and orders, then one sampling plan
 (samples, seed, partitions), and draws through one batch driver, `_collect`.
@@ -31,12 +33,11 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .genfun import commutator_law
-from .oracle import EnumerationCapError
+from .oracle import HARD_ENUMERATION_CAP
 from .perm import CycleType
 from .polys import rising_product
 
@@ -69,28 +70,20 @@ class MomentReport:
     params: dict
     estimate: float
     std_error: float
-    target: Optional[Fraction]
-    z: Optional[float]
+    target: Fraction
+    z: float
     samples: int
     seed: int
     partitions: int
     extra: dict = field(default_factory=dict)
-
-    @property
-    def flagged(self) -> bool:
-        """True when no exact target was available (estimate only)."""
-        return self.target is None
 
     def to_json(self) -> dict:
         out = {"identity": self.identity}
         out.update(self.params)
         out["estimate"] = self.estimate
         out["std_error"] = self.std_error
-        if self.target is None:
-            out["target"] = None
-        else:
-            out["target"] = f"{self.target.numerator}/{self.target.denominator}"
-            out["target_float"] = float(self.target)
+        out["target"] = f"{self.target.numerator}/{self.target.denominator}"
+        out["target_float"] = float(self.target)
         out["z"] = self.z
         out["samples"] = self.samples
         out["seed"] = self.seed
@@ -198,9 +191,7 @@ def _report(identity, params, values, target, seed, partitions, extra=None) -> M
     n = values.size
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(n)
-    if target is None:
-        z = None
-    elif std_error > 0:
+    if std_error > 0:
         z = (estimate - float(target)) / std_error
     else:
         z = 0.0 if estimate == float(target) else float("inf")
@@ -210,37 +201,39 @@ def _report(identity, params, values, target, seed, partitions, extra=None) -> M
 # -- exact targets ---------------------------------------------------------------
 
 
-def trace_power_target(n_dim: int, power: int, factors: int, cap: Optional[int] = None) -> Optional[Fraction]:
+def trace_power_target(n_dim: int, power: int, factors: int) -> Fraction:
     """Exact value of E prod_{k<=factors} |tr G^power|^2 for an N=n_dim
     complex Gaussian matrix: M! * E_sigma N^C([σ,τ]) with τ a product of
     `factors` disjoint `power`-cycles and M = power*factors.
 
     The law of C([σ,τ]) comes from genfun.commutator_law: a closed form
-    when τ is in a solved family, otherwise the enumeration oracle; None
-    when the oracle is over its cap.
+    when τ is in a solved family, otherwise the enumeration oracle up to
+    its hard cap, above which EnumerationCapError is raised.
     """
-    try:
-        law = commutator_law(CycleType([power] * factors), cap=cap)
-    except EnumerationCapError:
-        return None
+    law = commutator_law(CycleType([power] * factors), cap=HARD_ENUMERATION_CAP)
     return math.factorial(power * factors) * law.poly(n_dim)
 
 
-def gamma_shortcut_target(n_dim: int, m: int, factors: int) -> Optional[Fraction]:
-    """Exact moments of |sum_i λ_i^m|^(2*factors) under the decorrelated
-    eigenvalue-power representation (valid for m >= n_dim):
+def gamma_shortcut_target(n_dim: int, m: int, factors: int) -> Fraction:
+    """Exact E|Σ_{i<=N} z_i|^(2K), K = factors, for independent z_i =
+    γ_i^(m/2) e^{iθ_i} with γ_i ~ Gamma(i) and uniform phases: the moments
+    of |Σ_i λ_i^m|^2 under the decorrelated eigenvalue-power representation
+    (Kostlan; valid for m >= n_dim).
 
-    factors=1: Σ_i Γ(m+i)/Γ(i); factors=2: the four-term expansion
-    Σ_i Γ(2m+i)/Γ(i) + 2(Σ_i Γ(m+i)/Γ(i))^2 - 2 Σ_i (Γ(m+i)/Γ(i))^2.
-    Gamma ratios are exact integer rising products.
+    Only terms with as many z_i as conj(z_i) survive, and E γ_i^(mk) is the
+    rising product (i)_(mk) = (i+mk-1)!/(i-1)!, so the moment is
+    (K!)² Σ_{k_1+...+k_N=K} Π_i (i)_(m·k_i)/(k_i!)²: (K!)² times the x^K
+    coefficient of Π_i Σ_{j<=K} (i)_(m·j) x^j/(j!)².  Carrying d!² times
+    the x^d coefficient keeps every term an integer: each factor is then a
+    convolution weighted by C(d, j)².  O(N·K²) exact terms.
     """
-    singles = [rising_product(i, m) for i in range(1, n_dim + 1)]
-    if factors == 1:
-        return Fraction(sum(singles))
-    if factors == 2:
-        doubles = sum(rising_product(i, 2 * m) for i in range(1, n_dim + 1))
-        return Fraction(doubles + 2 * sum(singles) ** 2 - 2 * sum(s**2 for s in singles))
-    return None
+    coeffs = [1] + [0] * factors
+    for i in range(1, n_dim + 1):
+        moments = [math.factorial(i - 1 + m * j) // math.factorial(i - 1) for j in range(factors + 1)]
+        coeffs = [
+            sum(math.comb(d, j) ** 2 * moments[j] * coeffs[d - j] for j in range(d + 1)) for d in range(factors + 1)
+        ]
+    return Fraction(coeffs[factors])
 
 
 def real_trace_target(n_dim: int, m: int) -> Fraction:
@@ -267,14 +260,15 @@ def mc_trace_power_moment(
     """Estimate E |tr G^power|^(2*factors) for an n_dim×n_dim complex
     Gaussian matrix G by direct simulation, from `samples` draws split over
     `partitions` substreams of `seed`, and compare with the exact
-    permutation-side target (flagged if none is available)."""
+    permutation-side target.  The target comes first: a type with no exact
+    law raises EnumerationCapError before any draw."""
     _check_positive(N=n_dim, M=power, K=factors)
+    target = trace_power_target(n_dim, power, factors)
 
     def draw(rng, values):
         _ginibre(rng, n_dim, values, lambda g: np.abs(_power_trace(g, power)) ** (2 * factors))
 
     values = _collect("trace_power", seed, partitions, samples, draw)
-    target = trace_power_target(n_dim, power, factors)
     params = {"N": n_dim, "M": power, "K": factors}
     return _report("trace_power", params, values, target, seed, partitions)
 

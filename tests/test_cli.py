@@ -68,10 +68,11 @@ class TestPgfCommand:
         assert data["provenance"] == "oracle enumeration"
         assert data["pgf"]["M"] == 5
 
-    def test_above_cap_suggests_mc(self, capsys):
+    def test_above_cap_suggests_sample(self, capsys):
+        # `mc` refuses the same τ, so the advice names `sample` only
         code, _, err = run_cli(capsys, "pgf", "type:[5,4]")
         assert code == 2
-        assert "mc" in err
+        assert "`commcycles sample`" in err and "commcycles mc" not in err
 
     def test_solved_type_uses_closed_form(self, capsys):
         # M = 20 is far above the enumeration cap; the one-cycle law is closed
@@ -375,6 +376,39 @@ class TestMcCommand:
         assert data["target"] == "30/1"
         assert abs(data["z"]) <= 5
 
+    @pytest.mark.parametrize("identity", ["gamma", "trace-power"])
+    def test_three_factor_target(self, capsys, identity):
+        # the gamma sum at K = 3, and the enumerated law of type [3,3,3]
+        argv = ["mc", identity, "--n", "2", "--m", "3", "--k", "3", "--samples", "20000"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["target"] == "4419360/1"
+        assert abs(data["z"]) <= 5
+        code, out, _ = run_cli(capsys, *argv, "--format", "human")
+        assert code == 0 and "target: 4419360/1 = " in out
+
+    def test_no_exact_law_exits_2_before_drawing(self, capsys, monkeypatch):
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a moment with no exact target")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        code, out, err = run_cli(capsys, "mc", "trace-power", "--n", "2", "--m", "3", "--k", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ground set of size 12 exceeds the enumeration cap 10") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 5.01])
+    def test_z_outside_the_gate_exits_1(self, capsys, monkeypatch, z):
+        def estimate(n_dim, m, factors=1, samples=2, seed=42, partitions=1):
+            params = {"N": n_dim, "M": m, "K": factors}
+            return rmt.MomentReport("gamma_shortcut", params, 31.0, 0.0, Fraction(30), z, samples, seed, partitions)
+
+        monkeypatch.setattr(rmt, "mc_gamma_shortcut_moment", estimate)
+        for fmt in ("json", "human"):
+            code, _, _ = run_cli(capsys, "mc", "gamma", "--n", "2", "--m", "3", "--format", fmt)
+            assert code == 1
+
     def test_mixed_requires_orders(self, capsys):
         code, _, err = run_cli(capsys, "mc", "mixed", "--n", "2")
         assert code == 2
@@ -447,6 +481,27 @@ class TestGlobalBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main(["pgf"])  # missing tau argument
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pgf", "one-cycle:3"],
+            ["bernoulli", "one-cycle:3"],
+            ["sample", "one-cycle:3"],
+            ["verify", "--scope", "factorials"],
+            ["mc", "gamma", "--n", "2", "--m", "3"],
+        ],
+    )
+    def test_csv_only_for_tables(self, capsys, monkeypatch, argv):
+        command = argv[0]
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: pytest.fail(f"{command} ran"))
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --format csv is for dist and hultman; {command} speaks json or human\n"
+        monkeypatch.setenv("COMMCYCLES_FORMAT", "csv")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
 
     def test_global_flags_before_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "human", "pgf", "one-cycle:3")

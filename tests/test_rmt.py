@@ -12,6 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from commcycles import rmt
+from commcycles.oracle import EnumerationCapError
+from commcycles.polys import rising_product
 from commcycles.rmt import (
     _BATCH,
     _CHUNK,
@@ -62,17 +65,43 @@ class TestExactTargets:
         assert p == math.factorial(6) * (F(8, 15) * 4 + F(2, 5) * 16 + F(1, 15) * 64)
 
     def test_trace_power_oracle_fallback(self):
-        # 2 disjoint 3-cycles handled by two_cycles; 8 = 4*2 within cap via oracle
-        assert trace_power_target(2, 4, 2) is not None
-        # above cap and outside closed forms: flagged
-        assert trace_power_target(2, 3, 3) is None
+        # [3,3,3] is the one type [m]^K with M <= 10 outside the closed
+        # forms: it is enumerated above the default cap, up to the hard cap
+        assert trace_power_target(2, 3, 3) == 4419360
+        # no closed form and above the hard cap: no exact law
+        with pytest.raises(EnumerationCapError):
+            trace_power_target(2, 3, 4)
 
     def test_gamma_shortcut_targets(self):
         assert gamma_shortcut_target(1, 1, 1) == 1  # Γ(2)/Γ(1)
         assert gamma_shortcut_target(2, 2, 1) == 8
         assert gamma_shortcut_target(2, 3, 1) == 30  # Γ(4)/Γ(1) + Γ(5)/Γ(2) = 6+24
         assert gamma_shortcut_target(2, 2, 2) == trace_power_target(2, 2, 2) == 192
-        assert gamma_shortcut_target(2, 2, 3) is None
+        # N = 1: E γ_1^(m·K) = (m·K)!
+        assert gamma_shortcut_target(1, 2, 3) == math.factorial(6)
+        for k in range(1, 7):
+            assert isinstance(gamma_shortcut_target(3, 4, k), Fraction)
+
+    @pytest.mark.parametrize(
+        "n_dim, m, factors",
+        [
+            (1, 1, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 4),
+            (2, 2, 5), (3, 3, 2), (3, 4, 2), (4, 4, 2), (4, 5, 2), (2, 5, 2),
+        ],
+    )
+    def test_gamma_shortcut_equals_bridge(self, n_dim, m, factors):
+        assert gamma_shortcut_target(n_dim, m, factors) == trace_power_target(n_dim, m, factors)
+
+    def test_gamma_shortcut_matches_two_factor_expansion(self):
+        # the K = 1 and K = 2 closed forms it replaces:
+        # Σ_i (i)_m and Σ_i (i)_2m + 2(Σ_i (i)_m)² - 2 Σ_i ((i)_m)²
+        for n_dim in range(1, 5):
+            for m in range(n_dim, 7):
+                singles = [rising_product(i, m) for i in range(1, n_dim + 1)]
+                doubles = sum(rising_product(i, 2 * m) for i in range(1, n_dim + 1))
+                assert gamma_shortcut_target(n_dim, m, 1) == sum(singles)
+                two = doubles + 2 * sum(singles) ** 2 - 2 * sum(s * s for s in singles)
+                assert gamma_shortcut_target(n_dim, m, 2) == two
 
     def test_real_trace_targets(self):
         assert real_trace_target(1, 1) == 1  # 2 * (1/2)
@@ -117,7 +146,7 @@ class TestDeterminism:
         for key in ("identity", "N", "M", "K", "estimate", "std_error", "target", "z", "samples", "seed", "partitions"):
             assert key in data
         assert data["target"] == "8/1"
-        assert not rep.flagged
+        assert data["target_float"] == 8.0 and isinstance(data["z"], float)
 
 
 class TestEstimates:
@@ -131,9 +160,13 @@ class TestEstimates:
         assert rep.target == 8
         assert abs(rep.z) <= 5
 
-    def test_flagged_when_no_target(self):
-        rep = mc_trace_power_moment(2, 3, 3, samples=2_000)
-        assert rep.flagged and rep.z is None
+    def test_no_exact_law_raises_before_drawing(self, monkeypatch):
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a moment with no exact target")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        with pytest.raises(EnumerationCapError):
+            mc_trace_power_moment(2, 3, 4, samples=2_000)
 
     def test_gamma_shortcut_requires_high_power(self):
         with pytest.raises(ValueError):
