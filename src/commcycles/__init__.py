@@ -4,6 +4,7 @@ enumeration oracle, and a Monte-Carlo random-matrix cross-check harness.
 """
 
 from .genfun import (
+    CHARACTER_MAX_M,
     BernoulliDecomposition,
     BernoulliTerm,
     CyclePGF,
@@ -11,6 +12,7 @@ from .genfun import (
     RootFindError,
     alternating_pgf,
     bernoulli_decomposition,
+    character_law,
     commutator_law,
     one_cycle_pgf,
     one_cycle_pgf_roots,

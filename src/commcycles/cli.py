@@ -4,8 +4,8 @@ Subcommands: pgf, dist, bernoulli, hultman, sample, verify, mc.  Output is
 JSON by default (`--format human` for aligned text; dist and hultman also
 speak CSV).  Global flags are mirrored by COMMCYCLES_* environment
 variables; flags win.  Exit codes: 0 pass, 1 check failure, 2 usage error
-or a typed failure (enumeration cap, root finding), each with a one-line
-message.
+or a typed failure (enumeration cap or character-sum limit, root finding),
+each with a one-line message.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ ENV_PREFIX = "COMMCYCLES_"
 # whole table up to M = 100 (2550 rows, 180 kB of CSV) takes about 0.15 s on
 # a 2-vCPU machine, half of it the oracle column up to the default cap.
 HULTMAN_MAX_M = 100
+
+# What `sample` reports for a type with no exact law to test against.
+NO_REFERENCE = f"no exact reference above the character-sum limit M = {genfun.CHARACTER_MAX_M}"
 
 _CLOSED_FORMS = {
     "one-cycle": ("one_cycle", genfun.one_cycle_pgf, one_cycle),
@@ -104,7 +107,7 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def _route(kind, value, cap):
+def _route(kind, value):
     """(source, build) of the exact law for a τ selector, without building
     it.  A named family uses its own builder; a type or an explicit τ goes
     through genfun.commutator_route."""
@@ -112,21 +115,21 @@ def _route(kind, value, cap):
         source, builder, _ = _CLOSED_FORMS[kind]
         return source, lambda: builder(value)
     cycle_type = value if kind == "type" else value.cycle_type()
-    return genfun.commutator_route(cycle_type, cap)
+    return genfun.commutator_route(cycle_type)
 
 
-def _law(kind, value, cap):
+def _law(kind, value):
     """(exact law, provenance) for a τ selector."""
-    source, build = _route(kind, value, cap)
+    source, build = _route(kind, value)
     law = build()
-    if source == "oracle":
-        return law, "oracle enumeration"
+    if source == "characters":
+        return law, "character sum"
     return law, f"closed-form: {source.replace('_', '-')}"
 
 
 def _cmd_pgf(args) -> int:
     args.format = args.format or "json"
-    pgf, provenance = _law(*parse_tau_spec(args.tau), args.cap)
+    pgf, provenance = _law(*parse_tau_spec(args.tau))
     validation = genfun.validate_pgf(pgf)
     payload = {
         "tau": args.tau,
@@ -171,7 +174,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     args.format = args.format or "json"
-    source, build = _route(*parse_tau_spec(args.tau), args.cap)
+    source, build = _route(*parse_tau_spec(args.tau))
     genfun.require_bernoulli_source(source)  # refuse before building the law
     pgf = build()
     dec = genfun.bernoulli_decomposition(pgf)
@@ -279,7 +282,7 @@ def _cmd_sample(args) -> int:
         c = commutator_cycle_count(sigma, tau)
         histogram[c] = histogram.get(c, 0) + 1
     try:
-        reference, provenance = _law(kind, value, args.cap)
+        reference, provenance = _law(kind, value)
     except oracle.EnumerationCapError:
         reference = None
     payload = {
@@ -291,7 +294,7 @@ def _cmd_sample(args) -> int:
     }
     if reference is None:
         payload["reference"] = None
-        payload["note"] = "no exact reference above the enumeration cap"
+        payload["note"] = NO_REFERENCE
     else:
         payload["reference"] = {
             "provenance": provenance,
@@ -307,7 +310,7 @@ def _cmd_sample(args) -> int:
                 line += f"  expected {float(reference.coefficient(k)):.4f}"
             yield line
         if reference is None:
-            yield "no exact reference above the enumeration cap"
+            yield NO_REFERENCE
         else:
             cs = p["chi_square"]
             yield f"chi-square: {cs['statistic']:.3f} on {cs['df']} df, p = {cs['p_value']:.4f}"
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_options(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pgf", help="closed-form or oracle PGF for a tau selector")
+    p = sub.add_parser("pgf", help="closed-form or character-sum PGF for a tau selector")
     p.add_argument("tau")
     _add_global_options(p, top=False)
     p.set_defaults(func=_cmd_pgf)

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .genfun import CyclePGF, one_cycle_pgf
+from .genfun import CHARACTER_MAX_M, CyclePGF, one_cycle_pgf
 from .perm import CycleType, Permutation, from_cycle_type, one_cycle
 from .polys import RationalPoly
 
@@ -55,11 +55,11 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
     if effective > HARD_ENUMERATION_CAP:
         raise ValueError(f"cap {effective} exceeds hard enumeration cap {HARD_ENUMERATION_CAP}")
     if m > effective:
+        raise_cap = f"raise the cap (hard cap {HARD_ENUMERATION_CAP}); " if effective < HARD_ENUMERATION_CAP else ""
         raise EnumerationCapError(
-            f"ground set of size {m} exceeds the enumeration cap {effective}; "
-            "`commcycles pgf` solves one cycle, two equal cycles, the identity and "
-            f"transpositions at any size; otherwise raise the cap (hard cap {HARD_ENUMERATION_CAP}) "
-            "or draw a Monte-Carlo histogram with `commcycles sample`"
+            f"ground set of size {m} exceeds the enumeration cap {effective}; {raise_cap}"
+            f"`commcycles pgf` gives the law of any cycle type up to M = {CHARACTER_MAX_M}, "
+            "and `commcycles sample` draws a Monte-Carlo histogram above that"
         )
 
 

@@ -3,10 +3,11 @@ matrices to cycle counts of permutation commutators.
 
 Every identity is checked by simulating the matrix side and comparing
 against an exact rational target (computed from the closed forms, the
-enumeration oracle, or gamma-moment formulas — never floating-point gamma).
+character sum, or gamma-moment formulas — never floating-point gamma).
 Every estimate carries its target, a standard error and a z-score.  The
 target is computed before any draw, so a trace-power moment with no exact
-law raises EnumerationCapError without sampling.
+law (M above genfun.CHARACTER_MAX_M outside the closed forms) raises
+EnumerationCapError without sampling.
 
 Every estimator takes its dimension and orders, then one sampling plan
 (samples, seed, partitions), and draws through one batch driver, `_collect`.
@@ -37,7 +38,6 @@ from fractions import Fraction
 import numpy as np
 
 from .genfun import commutator_law
-from .oracle import HARD_ENUMERATION_CAP
 from .perm import CycleType
 from .polys import rising_product
 
@@ -207,10 +207,10 @@ def trace_power_target(n_dim: int, power: int, factors: int) -> Fraction:
     `factors` disjoint `power`-cycles and M = power*factors.
 
     The law of C([σ,τ]) comes from genfun.commutator_law: a closed form
-    when τ is in a solved family, otherwise the enumeration oracle up to
-    its hard cap, above which EnumerationCapError is raised.
+    when τ is in a solved family, otherwise the character sum up to
+    M = genfun.CHARACTER_MAX_M, above which EnumerationCapError is raised.
     """
-    law = commutator_law(CycleType([power] * factors), cap=HARD_ENUMERATION_CAP)
+    law = commutator_law(CycleType([power] * factors))
     return math.factorial(power * factors) * law.poly(n_dim)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import commcycles
 from commcycles import cli, genfun, oracle, rmt, verify
-from commcycles.perm import one_cycle
+from commcycles.perm import CycleType, from_cycle_type, one_cycle
 from commcycles.polys import RationalPoly
 
 
@@ -61,18 +61,34 @@ class TestPgfCommand:
         assert data["pgf"]["coeffs"] == ["0/1", "1/2", "0/1", "1/2"]
         assert data["validation"]["ok"] is True
 
-    def test_oracle_fallback(self, capsys):
+    def test_character_fallback(self, capsys):
+        # a type outside the closed forms is answered by the character sum,
+        # and its law is the enumerated one
         code, out, _ = run_cli(capsys, "pgf", "type:[3,2]")
         assert code == 0
         data = json.loads(out)
-        assert data["provenance"] == "oracle enumeration"
+        assert data["provenance"] == "character sum"
         assert data["pgf"]["M"] == 5
+        assert data["validation"]["parity_ok"] is True
+        enumerated = oracle.exact_commutator_distribution(from_cycle_type(CycleType([3, 2])))
+        assert data["pgf"]["coeffs"] == enumerated.poly.coeff_strings()
 
     def test_above_cap_suggests_sample(self, capsys):
-        # `mc` refuses the same τ, so the advice names `sample` only
-        code, _, err = run_cli(capsys, "pgf", "type:[5,4]")
+        # M = 31 is above the character-sum limit; `mc` refuses the same τ,
+        # so the advice names `sample` only
+        code, _, err = run_cli(capsys, "pgf", "type:[16,15]")
         assert code == 2
         assert "`commcycles sample`" in err and "commcycles mc" not in err
+        assert err.count("\n") == 1
+
+    def test_no_enumeration_above_the_oracle_cap(self, capsys, monkeypatch):
+        def enumerate_(*args, **kwargs):
+            raise AssertionError("enumerated permutations")
+
+        monkeypatch.setattr(oracle, "_permutation_blocks", enumerate_)
+        code, out, _ = run_cli(capsys, "pgf", "type:[5,4]")
+        assert code == 0
+        assert json.loads(out)["provenance"] == "character sum"
 
     def test_solved_type_uses_closed_form(self, capsys):
         # M = 20 is far above the enumeration cap; the one-cycle law is closed
@@ -156,12 +172,12 @@ class TestBernoulliCommand:
             raise AssertionError("the law was built")
 
         monkeypatch.setitem(cli._CLOSED_FORMS, "two-cycles", ("two_cycles", built, None))
-        monkeypatch.setattr(oracle, "exact_commutator_distribution", built)
+        monkeypatch.setattr(genfun, "character_law", built)
         for tau in ("two-cycles:200", "type:[3,3,2]"):
             code, _, err = run_cli(capsys, "bernoulli", tau)
             assert code == 2
             assert err == "error: no Bernoulli decomposition for source " + (
-                "'two_cycles'" if tau.startswith("two") else "'oracle'"
+                "'two_cycles'" if tau.startswith("two") else "'characters'"
             ) + " (only uniform, transpositions, one_cycle)\n"
 
     def test_root_find_failure_exit_code(self, capsys, monkeypatch):
@@ -270,11 +286,12 @@ class TestSampleCommand:
         assert "chi_square" in json.loads(proc.stdout)
 
     def test_no_reference_above_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "sample", "type:[5,3,2]", "--draws", "100")
+        # M = 31: no closed form and above the character-sum limit
+        code, out, _ = run_cli(capsys, "sample", "type:[16,13,2]", "--draws", "100")
         assert code == 0
         data = json.loads(out)
         assert data["reference"] is None
-        assert "note" in data
+        assert data["note"] == f"no exact reference above the character-sum limit M = {genfun.CHARACTER_MAX_M}"
 
 
 class TestVerifyCommand:
@@ -393,10 +410,10 @@ class TestMcCommand:
             raise AssertionError("drew samples for a moment with no exact target")
 
         monkeypatch.setattr(rmt, "_collect", collect)
-        code, out, err = run_cli(capsys, "mc", "trace-power", "--n", "2", "--m", "3", "--k", "4")
+        code, out, err = run_cli(capsys, "mc", "trace-power", "--n", "2", "--m", "3", "--k", "11")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ground set of size 12 exceeds the enumeration cap 10") and err.count("\n") == 1
+        assert err.startswith("error: ground set of size 33 exceeds the character-sum limit 30") and err.count("\n") == 1
 
     @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan"), 5.01])
     def test_z_outside_the_gate_exits_1(self, capsys, monkeypatch, z):

@@ -17,6 +17,7 @@ from commcycles.genfun import (
     BernoulliDecomposition,
     CyclePGF,
     bernoulli_decomposition,
+    character_law,
     negative_real_roots,
     one_cycle_pgf,
     one_cycle_pgf_roots,
@@ -28,6 +29,8 @@ from commcycles.genfun import (
     uniform_cycles_pgf,
     validate_pgf,
 )
+from commcycles.oracle import EnumerationCapError
+from commcycles.perm import CycleType
 from commcycles.polys import RationalPoly, falling_factorial, rising_factorial, rising_product
 
 F = Fraction
@@ -134,6 +137,40 @@ class TestTranspositions:
         for m in range(1, 6):
             assert transpositions_rising_form(m, base=2)(1) == F(1, 2**m)
         assert transpositions_rising_form(1, base=2)(1) == F(1, 2)
+
+
+class TestCharacterLaw:
+    """The character sum against the closed forms at sizes the oracle cannot
+    reach; test_oracle.py compares it with enumeration for every M <= 8."""
+
+    @pytest.mark.parametrize("m", [10, 20, 30])
+    def test_equals_one_cycle(self, m):
+        assert character_law(CycleType([m])).poly == one_cycle_pgf(m).poly
+
+    @pytest.mark.parametrize("m", [5, 10, 15])
+    def test_equals_two_cycles(self, m):
+        assert character_law(CycleType([m, m])).poly == two_cycles_pgf(m).poly
+
+    @pytest.mark.parametrize("k", range(5, 9))
+    def test_equals_transpositions(self, k):
+        assert character_law(CycleType([2] * k)).poly == transpositions_pgf(k).poly
+
+    def test_source_and_parity(self):
+        law = character_law(CycleType([5, 4]))
+        assert (law.source, law.M) == ("characters", 9)
+        assert validate_pgf(law).parity_ok is True and validate_pgf(law).ok
+        assert genfun.commutator_route(CycleType([5, 4]))[0] == "characters"
+
+    def test_limit_raises_before_any_partition(self, monkeypatch):
+        def partitions(m):
+            raise AssertionError("generated partitions above the limit")
+
+        monkeypatch.setattr(genfun, "_content_products", partitions)
+        parts = [genfun.CHARACTER_MAX_M - 1, 2]  # M = CHARACTER_MAX_M + 1
+        with pytest.raises(EnumerationCapError, match="character-sum limit"):
+            character_law(CycleType(parts))
+        with pytest.raises(EnumerationCapError):
+            genfun.commutator_law(CycleType(parts))
 
 
 class TestPgfInvariants:

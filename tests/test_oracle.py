@@ -61,6 +61,22 @@ class TestCommutatorDistribution:
         with pytest.raises(ValueError):
             exact_commutator_distribution(Permutation.identity(11), cap=11)
 
+    def test_cap_message_below_the_hard_cap(self):
+        with pytest.raises(EnumerationCapError) as info:
+            exact_commutator_distribution(one_cycle(9))
+        message = str(info.value)
+        assert message.startswith("ground set of size 9 exceeds the enumeration cap 8; raise the cap (hard cap 10);")
+        assert f"any cycle type up to M = {genfun.CHARACTER_MAX_M}" in message and "`commcycles sample`" in message
+
+    def test_cap_message_at_the_hard_cap(self):
+        # the cap cannot be raised further, so the message does not offer it
+        with pytest.raises(EnumerationCapError) as info:
+            exact_commutator_distribution(one_cycle(11), cap=oracle.HARD_ENUMERATION_CAP)
+        message = str(info.value)
+        assert message.startswith("ground set of size 11 exceeds the enumeration cap 10; `commcycles pgf`")
+        assert "raise the cap" not in message
+        assert f"any cycle type up to M = {genfun.CHARACTER_MAX_M}" in message and "`commcycles sample`" in message
+
     def test_parity_of_support(self):
         for tau in (one_cycle(4), one_cycle(5), parse_cycles("(1 2 3)(4 5)")):
             dist = exact_commutator_distribution(tau)
@@ -150,16 +166,20 @@ class TestCommutatorLaw:
     def test_every_type_matches_oracle(self, m):
         for parts in _partitions(m):
             law = genfun.commutator_law(CycleType(parts))
-            assert law.source == (_closed_form_source(parts) or "oracle"), parts
+            assert law.source == (_closed_form_source(parts) or "characters"), parts
             assert genfun.commutator_route(CycleType(parts))[0] == law.source, parts
             assert law.M == m
-            assert law.poly == exact_commutator_distribution(from_cycle_type(CycleType(parts))).poly, parts
+            enumerated = exact_commutator_distribution(from_cycle_type(CycleType(parts))).poly
+            assert law.poly == enumerated, parts
+            # the character sum also covers the closed-form types
+            assert genfun.character_law(CycleType(parts)).poly == enumerated, parts
             assert genfun.validate_pgf(law).ok
 
     def test_above_cap_raises(self):
+        # M = 31: no closed form and above the character-sum limit
         with pytest.raises(EnumerationCapError):
-            genfun.commutator_law(CycleType([5, 4]))
-        assert genfun.commutator_law(CycleType([3, 2, 2, 2]), cap=9).source == "oracle"
+            genfun.commutator_law(CycleType([16, 15]))
+        assert genfun.commutator_law(CycleType([3, 2, 2, 2])).source == "characters"
 
     def test_closed_forms_above_cap(self):
         assert genfun.commutator_law(CycleType([20])) == genfun.one_cycle_pgf(20)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commcycles import rmt
+from commcycles import oracle, rmt
 from commcycles.oracle import EnumerationCapError
 from commcycles.polys import rising_product
 from commcycles.rmt import (
@@ -64,13 +64,17 @@ class TestExactTargets:
         p = trace_power_target(2, 2, 3)
         assert p == math.factorial(6) * (F(8, 15) * 4 + F(2, 5) * 16 + F(1, 15) * 64)
 
-    def test_trace_power_oracle_fallback(self):
+    def test_trace_power_character_fallback(self, monkeypatch):
         # [3,3,3] is the one type [m]^K with M <= 10 outside the closed
-        # forms: it is enumerated above the default cap, up to the hard cap
+        # forms: it comes from the character sum, with no enumeration
+        def enumerate_(*args, **kwargs):
+            raise AssertionError("enumerated permutations")
+
+        monkeypatch.setattr(oracle, "_permutation_blocks", enumerate_)
         assert trace_power_target(2, 3, 3) == 4419360
-        # no closed form and above the hard cap: no exact law
+        # no closed form and above the character-sum limit: no exact law
         with pytest.raises(EnumerationCapError):
-            trace_power_target(2, 3, 4)
+            trace_power_target(2, 3, 11)
 
     def test_gamma_shortcut_targets(self):
         assert gamma_shortcut_target(1, 1, 1) == 1  # Γ(2)/Γ(1)
@@ -87,6 +91,8 @@ class TestExactTargets:
         [
             (1, 1, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 4),
             (2, 2, 5), (3, 3, 2), (3, 4, 2), (4, 4, 2), (4, 5, 2), (2, 5, 2),
+            # character-sum targets up to M = 30
+            (2, 3, 4), (2, 3, 10), (3, 4, 5), (4, 5, 6), (2, 7, 4),
         ],
     )
     def test_gamma_shortcut_equals_bridge(self, n_dim, m, factors):
@@ -166,7 +172,7 @@ class TestEstimates:
 
         monkeypatch.setattr(rmt, "_collect", collect)
         with pytest.raises(EnumerationCapError):
-            mc_trace_power_moment(2, 3, 4, samples=2_000)
+            mc_trace_power_moment(2, 3, 11, samples=2_000)
 
     def test_gamma_shortcut_requires_high_power(self):
         with pytest.raises(ValueError):
