@@ -3,7 +3,7 @@ group, used as the independent witness for every closed form.
 
 The sigma-space is enumerated in lexicographic order and processed in
 contiguous blocks as numpy integer arrays.  A block is one prefix of the
-first M - t positions followed by all t! orderings of the remaining points,
+first M - t positions followed by the t! orderings of the remaining points,
 read from a lexicographic table of range(t) built once per enumeration, so
 no permutation passes through a Python tuple.  A commutator or conjugate
 is one scatter per row (no inverse is formed), and cycles are counted by
@@ -11,6 +11,11 @@ following every row's orbits at once on a flat index.  Block histograms are
 merged by addition, so results are deterministic and exact.  Every law is
 returned as a `CyclePGF` with source "oracle": the integer counts over the
 number of permutations enumerated.
+
+C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits one
+σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
+count against the class size; the uniform and class-member enumerations
+visit all M!, so the class product stays an independent full-group route.
 """
 
 from __future__ import annotations
@@ -63,26 +68,40 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
         )
 
 
-def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
-    """Lexicographic one-line permutations of range(m), in (t!, m) blocks with
-    t the largest size such that t <= m and t! <= _BLOCK_SIZE."""
+def _permutation_blocks(m: int, less=()) -> Iterator[np.ndarray]:
+    """Lexicographic one-line permutations of range(m) with row[a] < row[b]
+    for each (a, b), a < b, in `less`, in blocks of at most t! rows with t
+    the largest size such that t <= m and t! <= _BLOCK_SIZE."""
     t = 0
     while t < m and math.factorial(t + 1) <= _BLOCK_SIZE:
         t += 1
-    # Lexicographic table of the permutations of range(k), k = 1..t: each
-    # first point followed by the table of k - 1 with the points above it
-    # shifted up by one.
-    tail = np.zeros((1, 0), dtype=np.int64)
+    p = m - t
+    # Lexicographic table (int8, to stay small) of the permutations of range(k),
+    # k = 1..t, for the last k positions: each first point, then the table of
+    # k - 1 with the points above it shifted up by one.  Shifting keeps the
+    # order of two columns and the tail points are sorted, so a constraint in
+    # the tail prunes the table as soon as its first position joins it.
+    tail = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, t + 1):
-        first = np.repeat(np.arange(k, dtype=np.int64), len(tail))
+        first = np.repeat(np.arange(k, dtype=np.int8), len(tail))
         rest = np.tile(tail, (k, 1))
         rest += rest >= first[:, None]
         tail = np.column_stack([first, rest])
-    for prefix in itertools.permutations(range(m), m - t):
+        if inner := [first < tail[:, b - m + k] for a, b in less if a == m - k]:
+            tail = tail[np.logical_and.reduce(inner)]
+    # Row[b] > prefix[a] at all tail positions b paired with a iff the least
+    # rank at those b reaches the number of tail points below prefix[a].
+    cross = [(a, b - p) for a, b in less if a < p <= b]
+    low = {a: tail[:, [j for a2, j in cross if a2 == a]].min(axis=1) for a in {a for a, _ in cross}}
+    for prefix in itertools.permutations(range(m), p):
+        if any(prefix[a] > prefix[b] for a, b in less if b < p):
+            continue
         rest = np.array(sorted(set(range(m)).difference(prefix)), dtype=np.int64)
-        block = np.empty((len(tail), m), dtype=np.int64)
-        block[:, : m - t] = prefix
-        block[:, m - t :] = rest[tail]
+        keep = [least >= np.searchsorted(rest, prefix[a]) for a, least in low.items() if prefix[a] > rest[0]]
+        rows = tail[np.logical_and.reduce(keep)] if keep else tail  # no mask that keeps every row
+        block = np.empty((len(rows), m), dtype=np.int64)
+        block[:, :p] = prefix
+        block[:, p:] = rest[rows]
         yield block
 
 
@@ -116,19 +135,25 @@ def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
 
 
 def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -> CyclePGF:
-    """Exact law of the cycle count of [σ,τ] with σ ranging over all M!
-    permutations, each with weight 1/M!."""
+    """Exact law of the cycle count of [σ,τ], σ uniform on all M! permutations,
+    from one σ per coset σZ(τ) ([σz,τ] = [σ,τ] for z in Z(τ)): σ least at each
+    cycle's first point, and rising over first points of equal-length cycles."""
     m = tau.size
     _check_cap(m, cap)
+    cycles = tau.cycles()  # each starts at its least point, in that order
+    less = [(cycle[0], b) for cycle in cycles for b in cycle[1:]]
+    for length in {len(cycle) for cycle in cycles}:
+        firsts = [cycle[0] for cycle in cycles if len(cycle) == length]
+        less += zip(firsts, firsts[1:])
     tau_arr = np.array(tau.map, dtype=np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
-    for block in _permutation_blocks(m):
+    for block in _permutation_blocks(m, less):
         # [σ,τ] = (στ)(τσ)⁻¹ sends τ[σ[i]] to σ[τ[i]]: one scatter per row,
         # with no inverse of σ formed.
         comm = np.empty_like(block)
         np.put_along_axis(comm, tau_arr[block], block[:, tau_arr], axis=1)
         hist += np.bincount(_cycle_counts_rows(comm), minlength=m + 1)
-    return _law_from_hist(m, hist, math.factorial(m))
+    return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
 
 
 def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permutation]:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
+_MAX_PARTITIONS = 1024  # each partition has its own Generator and its own draw calls
 _CHUNK = 1 << 15  # matrix entries per streamed chunk (0.5 MB as complex)
 _SCALE = np.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
 
@@ -100,10 +101,14 @@ def _check_positive(**values: int) -> None:
 
 
 def _check_plan(samples: int, partitions: int) -> None:
-    """Reject a sampling plan that cannot give a standard error."""
+    """Reject a sampling plan that cannot give a standard error, or that
+    asks for more partitions than _MAX_PARTITIONS (never clamped, since the
+    partition count fixes the substreams)."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     _check_positive(partitions=partitions)
+    if partitions > _MAX_PARTITIONS:
+        raise ValueError(f"partitions must be at most {_MAX_PARTITIONS}, got {partitions}")
 
 
 def _streams(seed: int, partitions: int, identity: str) -> list[np.random.Generator]:

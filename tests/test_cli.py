@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -452,6 +453,24 @@ class TestMcCommand:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_too_many_threads_exit_2_before_drawing(self, capsys, monkeypatch, env):
+        # refused, not clamped: the partition count fixes the substreams
+        argv = ["gamma", "--n", "2", "--m", "3", "--samples", "200000"]
+        if env:
+            monkeypatch.setenv("COMMCYCLES_THREADS", "100000")
+        else:
+            argv += ["--threads", "100000"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mc", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: partitions must be at most 1024, got 100000\n"
+        argv = ["real-trace", "--n", "2", "--m", "1", "--samples", "2000", "--threads", "1024"]
+        code, _, _ = run_cli(capsys, "mc", *argv)
+        assert code == 0
 
     def test_draw_error_off_the_calling_thread_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -27,6 +27,7 @@ from commcycles.oracle import (
 from commcycles.perm import (
     CycleType,
     Permutation,
+    commutator_cycle_count,
     disjoint_transpositions,
     from_cycle_type,
     one_cycle,
@@ -121,6 +122,75 @@ class TestKernel:
         perms = [sample_uniform(m, rng) for _ in range(200)]
         rows = np.array([p.map for p in perms], dtype=np.int64)
         assert oracle._cycle_counts_rows(rows).tolist() == [p.cycle_count() for p in perms]
+
+
+def _brute_force_law(tau):
+    """The commutator law from a plain loop over all of S_M."""
+    hist = [0] * (tau.size + 1)
+    for sigma in itertools.permutations(range(tau.size)):
+        hist[commutator_cycle_count(Permutation(sigma), tau)] += 1
+    return RationalPoly(hist) / math.factorial(tau.size)
+
+
+class TestCosetQuotient:
+    """The commutator law visits one σ per coset σZ(τ) of τ's centralizer."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_type_matches_brute_force(self, m):
+        for parts in _partitions(m):
+            tau = from_cycle_type(CycleType(parts))
+            assert exact_commutator_distribution(tau).poly == _brute_force_law(tau), parts
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_relabelled_taus_match_brute_force(self, m):
+        # conjugating by a random σ puts the cycles on non-consecutive points
+        rng = random.Random(100 + m)
+        for _ in range(20):
+            tau = from_cycle_type(CycleType(rng.choice(_partitions(m)))).conjugated_by(sample_uniform(m, rng))
+            assert exact_commutator_distribution(tau).poly == _brute_force_law(tau), tau.cycles()
+
+    def test_constrained_blocks_are_the_filtered_group(self):
+        # M = 10: two prefix positions, so constraints within the prefix,
+        # across prefix and tail, and within the tail all occur
+        tau = Permutation([4, 9, 5, 1, 7, 2, 6, 0, 8, 3])
+        assert tau.cycles() == [(0, 4, 7), (1, 9, 3), (2, 5), (6,), (8,)]
+        less = [(0, 4), (0, 7), (1, 9), (1, 3), (0, 1), (2, 5), (6, 8)]
+        got = np.concatenate(list(oracle._permutation_blocks(10, less)))
+        kept = []
+        for block in oracle._permutation_blocks(10):
+            kept.append(block[np.logical_and.reduce([block[:, a] < block[:, b] for a, b in less])])
+        assert np.array_equal(got, np.concatenate(kept))
+        assert len(got) == tau.cycle_type().class_size() == 50400
+
+    @pytest.mark.parametrize(
+        "tau", [one_cycle(6), parse_cycles("(1 3)(2 5 4)(6)(7)"), one_cycle(9), two_disjoint_cycles(5)]
+    )
+    def test_dropping_a_constraint_trips_the_class_size_check(self, monkeypatch, tau):
+        blocks = oracle._permutation_blocks
+        constraints = []
+
+        def record(m, less=()):
+            constraints[:] = list(less)
+            return blocks(m, less)
+
+        monkeypatch.setattr(oracle, "_permutation_blocks", record)
+        exact_commutator_distribution(tau, cap=10)
+        assert constraints
+        for dropped in range(len(constraints)):
+            less = constraints[:dropped] + constraints[dropped + 1 :]
+            monkeypatch.setattr(oracle, "_permutation_blocks", lambda m, _: blocks(m, less))
+            with pytest.raises(AssertionError, match=f"not {tau.cycle_type().class_size()}$"):
+                exact_commutator_distribution(tau, cap=10)
+
+
+class TestHardCapWitnesses:
+    def test_one_cycle_at_the_hard_cap(self):
+        dist = exact_commutator_distribution(one_cycle(10), cap=oracle.HARD_ENUMERATION_CAP)
+        assert dist.poly == genfun.one_cycle_pgf(10).poly
+
+    def test_two_cycles_at_the_hard_cap(self):
+        dist = exact_commutator_distribution(two_disjoint_cycles(5), cap=oracle.HARD_ENUMERATION_CAP)
+        assert dist.poly == genfun.two_cycles_pgf(5).poly
 
 
 class TestClosedFormAgreement:

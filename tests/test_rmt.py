@@ -258,6 +258,11 @@ class TestEstimates:
         with pytest.raises(ValueError, match="must be at least"):
             call()
 
+    def test_partition_count_bounded(self):
+        # refused, not clamped, since the partition count fixes the substreams
+        with pytest.raises(ValueError, match="partitions must be at most 1024, got 1025"):
+            mc_real_trace_law(2, 1, samples=2000, partitions=1025)
+
 
 class TestKernels:
     """The sampling kernels against the direct numpy formulas they replace."""
