@@ -29,6 +29,7 @@ from .oracle import (
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_distribution,
+    exact_uniform_cycle_laws,
     hultman_count,
     hultman_table_rows,
 )

@@ -18,16 +18,16 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import genfun, oracle, rmt, verify
 from .perm import (
     CycleType,
     Permutation,
-    commutator_cycle_count,
     disjoint_transpositions,
     from_cycle_type,
     one_cycle,
     parse_cycles,
-    sample_uniform,
     two_disjoint_cycles,
 )
 
@@ -37,6 +37,9 @@ ENV_PREFIX = "COMMCYCLES_"
 # whole table up to M = 100 (2550 rows, 180 kB of CSV) takes about 0.15 s on
 # a 2-vCPU machine, half of it the oracle column up to the default cap.
 HULTMAN_MAX_M = 100
+
+# Rows of σ that `sample` draws, then counts at once; a bounded block keeps peak RSS flat.
+SAMPLE_BLOCK = 1024
 
 # What `sample` reports for a type with no exact law to test against.
 NO_REFERENCE = f"no exact reference above the character-sum limit M = {genfun.CHARACTER_MAX_M}"
@@ -270,17 +273,28 @@ def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: in
 
 
 def _cmd_sample(args) -> int:
+    """Histogram of C([σ,τ]) over --draws σ drawn as perm.sample_uniform draws them, written
+    into a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
     args.format = args.format or "json"
+    if args.draws < 1:
+        raise UsageError("draws must be at least 1")
     kind, value = parse_tau_spec(args.tau)
     if kind == "uniform":
         raise UsageError("sampling needs a permutation selector, not uniform:M")
     tau = _tau_permutation(kind, value)
+    m = tau.size
     rng = random.Random(args.seed)
-    histogram: dict[int, int] = {}
-    for _ in range(args.draws):
-        sigma = sample_uniform(tau.size, rng)
-        c = commutator_cycle_count(sigma, tau)
-        histogram[c] = histogram.get(c, 0) + 1
+    tau_arr = np.array(tau.map, dtype=np.int64)
+    block = np.empty((min(args.draws, SAMPLE_BLOCK), m), dtype=np.int64)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for start in range(0, args.draws, len(block)):
+        rows = block[: args.draws - start]
+        for row in rows:
+            sigma = list(range(m))
+            rng.shuffle(sigma)
+            row[:] = sigma
+        counts += np.bincount(oracle._commutator_counts(rows, tau_arr), minlength=m + 1)
+    histogram = {k: int(v) for k, v in enumerate(counts) if v}
     try:
         reference, provenance = _law(kind, value)
     except oracle.EnumerationCapError:

@@ -16,6 +16,7 @@ C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits 
 σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
 count against the class size; the uniform and class-member enumerations
 visit all M!, so the class product stays an independent full-group route.
+One pass gives all three uniform laws; `sample` counts its draws with the commutator kernel.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "exact_commutator_distribution",
     "exact_class_product_distribution",
     "exact_uniform_cycle_distribution",
+    "exact_uniform_cycle_laws",
     "conjugacy_class",
     "hultman_count",
     "hultman_table_rows",
@@ -124,6 +126,14 @@ def _cycle_counts_rows(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _commutator_counts(sigmas: np.ndarray, tau_arr: np.ndarray) -> np.ndarray:
+    """C([σ,τ]) of each row σ of a (rows, m) array.  [σ,τ] = (στ)(τσ)⁻¹ sends
+    τ[σ[i]] to σ[τ[i]]: one scatter per row, with no inverse of σ formed."""
+    comm = np.empty_like(sigmas)
+    np.put_along_axis(comm, tau_arr[sigmas], sigmas[:, tau_arr], axis=1)
+    return _cycle_counts_rows(comm)
+
+
 def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
     """The enumerated law: cycle-count histogram over the number enumerated."""
     counts = [int(c) for c in hist]
@@ -148,11 +158,7 @@ def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -
     tau_arr = np.array(tau.map, dtype=np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
     for block in _permutation_blocks(m, less):
-        # [σ,τ] = (στ)(τσ)⁻¹ sends τ[σ[i]] to σ[τ[i]]: one scatter per row,
-        # with no inverse of σ formed.
-        comm = np.empty_like(block)
-        np.put_along_axis(comm, tau_arr[block], block[:, tau_arr], axis=1)
-        hist += np.bincount(_cycle_counts_rows(comm), minlength=m + 1)
+        hist += np.bincount(_commutator_counts(block, tau_arr), minlength=m + 1)
     return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
 
 
@@ -190,6 +196,22 @@ def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] =
     return _law_from_hist(m, hist, len(members))
 
 
+def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, CyclePGF]:
+    """Exact cycle-count laws of a uniform permutation of m points ("all"), a
+    uniform even one ("alternating") and, for m >= 2, a uniform odd one
+    ("co_alternating"), from one enumeration: a permutation is odd iff m - C is."""
+    _check_cap(m, cap)
+    hist = np.zeros(m + 1, dtype=np.int64)
+    for block in _permutation_blocks(m):
+        hist += np.bincount(_cycle_counts_rows(block), minlength=m + 1)
+    n = math.factorial(m)
+    odd = hist * ((m - np.arange(m + 1)) % 2)
+    laws = {"all": _law_from_hist(m, hist, n), "alternating": _law_from_hist(m, hist - odd, n - n // 2)}
+    if m > 1:
+        laws["co_alternating"] = _law_from_hist(m, odd, n // 2)
+    return laws
+
+
 def exact_uniform_cycle_distribution(
     m: int, subset: str = "all", cap: Optional[int] = None
 ) -> CyclePGF:
@@ -199,16 +221,7 @@ def exact_uniform_cycle_distribution(
         raise ValueError(f"unknown subset {subset!r}")
     if subset == "co_alternating" and m < 2:
         raise ValueError("no odd permutations on a single point")
-    _check_cap(m, cap)
-    hist = np.zeros(m + 1, dtype=np.int64)
-    for block in _permutation_blocks(m):
-        counts = _cycle_counts_rows(block)
-        if subset == "alternating":
-            counts = counts[(m - counts) % 2 == 0]
-        elif subset == "co_alternating":
-            counts = counts[(m - counts) % 2 == 1]
-        hist += np.bincount(counts, minlength=m + 1)
-    return _law_from_hist(m, hist, int(hist.sum()))
+    return exact_uniform_cycle_laws(m, cap)[subset]
 
 
 def _hultman_row(m: int) -> list[int]:

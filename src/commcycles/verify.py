@@ -95,15 +95,12 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
     )
     out.append(_check("transpositions_vs_oracle", ok, f"ground sets <= {max_m}"))
 
-    ok = all(
-        oracle.exact_uniform_cycle_distribution(m, subset, cap=cap).poly
-        == {
-            "all": genfun.uniform_cycles_pgf,
-            "alternating": lambda mm: genfun.alternating_pgf(mm, complement=False),
-            "co_alternating": lambda mm: genfun.alternating_pgf(mm, complement=True),
-        }[subset](m).poly
+    ok = all(  # one enumeration per M gives all three laws
+        law.poly == genfun.uniform_cycles_pgf(m).poly
+        if subset == "all"
+        else law.poly == genfun.alternating_pgf(m, complement=subset == "co_alternating").poly
         for m in range(1, max_m + 1)
-        for subset in (("all", "alternating") if m == 1 else ("all", "alternating", "co_alternating"))
+        for subset, law in oracle.exact_uniform_cycle_laws(m, cap=cap).items()
     )
     out.append(_check("subset_laws_vs_oracle", ok, f"M <= {max_m}"))
 

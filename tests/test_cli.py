@@ -4,10 +4,12 @@ codes, and the verify suite's sensitivity to injected coefficient errors."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 
 import commcycles
 from commcycles import cli, genfun, oracle, rmt, verify
-from commcycles.perm import CycleType, from_cycle_type, one_cycle
+from commcycles.perm import CycleType, commutator_cycle_count, from_cycle_type, one_cycle, sample_uniform
 from commcycles.polys import RationalPoly
 
 
@@ -286,6 +288,41 @@ class TestSampleCommand:
         assert proc.returncode == 0, proc.stderr
         assert "chi_square" in json.loads(proc.stdout)
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_exit_2(self, capsys, monkeypatch, draws):
+        monkeypatch.setattr(oracle, "_commutator_counts", lambda *a: pytest.fail("drew"))
+        code, out, err = run_cli(capsys, "sample", "one-cycle:4", "--draws", draws)
+        assert (code, out, err) == (2, "", "error: draws must be at least 1\n")
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345])
+    @pytest.mark.parametrize("spec", ["one-cycle:7", "type:[3,2,2]", "(1 4)(2 5 3)", "one-cycle:1", "type:[40]"])
+    def test_block_sampler_matches_per_draw_loop(self, capsys, monkeypatch, spec, seed):
+        # same draws in the same order as sample_uniform + commutator_cycle_count,
+        # across block edges (1024 rows), and no draw added or dropped
+        tau = cli._tau_permutation(*cli.parse_tau_spec(spec))
+        made, real = [], random.Random
+
+        class Recording(real):
+            def __init__(self, x):
+                super().__init__(x)
+                made.append(self)
+
+        monkeypatch.setattr(cli.random, "Random", Recording)
+        for draws in (1, 1023, 1024, 1025, 20000) if seed == 0 else (1, 1023, 1024, 1025):
+            made.clear()
+            _, out, _ = run_cli(capsys, "sample", spec, "--draws", str(draws), "--seed", str(seed))
+            rng = real(seed)
+            expected = Counter(commutator_cycle_count(sample_uniform(tau.size, rng), tau) for _ in range(draws))
+            assert json.loads(out)["histogram"] == {str(k): v for k, v in sorted(expected.items())}
+            assert len(made) == 1 and made[0].getstate() == rng.getstate()
+
+    def test_draws_counted_in_bounded_blocks(self, capsys, monkeypatch):
+        sizes, real = [], oracle._commutator_counts
+        monkeypatch.setattr(oracle, "_commutator_counts", lambda rows, tau: sizes.append(len(rows)) or real(rows, tau))
+        code, out, _ = run_cli(capsys, "sample", "one-cycle:5", "--draws", "2049")
+        assert code == 0 and sum(json.loads(out)["histogram"].values()) == 2049
+        assert sizes == [cli.SAMPLE_BLOCK, cli.SAMPLE_BLOCK, 1] and cli.SAMPLE_BLOCK == 1024
+
     def test_no_reference_above_cap(self, capsys):
         # M = 31: no closed form and above the character-sum limit
         code, out, _ = run_cli(capsys, "sample", "type:[16,13,2]", "--draws", "100")
@@ -324,6 +361,43 @@ class TestVerifyCommand:
         # one_cycle_vs_oracle and the Hultman check enumerate each one-cycle
         # once; for M <= 3 the class-product check enumerates it too.
         assert [calls.count(one_cycle(m)) for m in range(4, 8)] == [2, 2, 2, 2]
+
+    def test_uniform_laws_enumerate_once_per_m(self, monkeypatch):
+        blocks = oracle._permutation_blocks
+        uniform = []
+
+        def record(m, less=()):
+            if sys._getframe(1).f_code.co_name not in ("exact_commutator_distribution", "conjugacy_class"):
+                uniform.append(m)
+            return blocks(m, less)
+
+        monkeypatch.setattr(oracle, "_permutation_blocks", record)
+        checks = verify.run_genfun_oracle_checks(max_m=8)
+        assert uniform == list(range(1, 9))
+        # names, verdicts and details as recorded by the benchmark's digests
+        assert [(c.name, c.ok, c.detail) for c in checks[:7]] == [
+            ("one_cycle_vs_oracle", True, "M <= 8"),
+            ("two_cycles_vs_oracle", True, "ground sets <= 8"),
+            ("transpositions_vs_oracle", True, "ground sets <= 8"),
+            ("subset_laws_vs_oracle", True, "M <= 8"),
+            ("one_cycle_equals_odd_law", True, "M <= 9"),
+            ("class_product_reformulation", True, "types with M <= 8"),
+            ("hultman_formula_vs_enumeration", True, "M <= 8"),
+        ]
+
+    def test_swapped_parity_laws_fail_the_subset_check(self, monkeypatch):
+        real = oracle.exact_uniform_cycle_laws
+
+        def swapped(m, cap=None):
+            laws = real(m, cap)
+            if m == 4:
+                laws["alternating"], laws["co_alternating"] = laws["co_alternating"], laws["alternating"]
+            return laws
+
+        monkeypatch.setattr(oracle, "exact_uniform_cycle_laws", swapped)
+        checks = {c.name: c.ok for c in verify.run_genfun_oracle_checks(max_m=5)}
+        assert checks["subset_laws_vs_oracle"] is False
+        assert checks["one_cycle_vs_oracle"] is True
 
     def test_rmt_checks_draw_each_trace_power_once(self, monkeypatch):
         real = rmt.mc_trace_power_moment

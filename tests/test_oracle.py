@@ -294,6 +294,42 @@ class TestUniformSubsetLaws:
             )
 
 
+def _filtered_uniform_law(m, subset):
+    """The subset law from its own pass over S_M, keeping the rows of the
+    chosen parity (m - C is even for an even permutation)."""
+    hist = np.zeros(m + 1, dtype=np.int64)
+    for block in oracle._permutation_blocks(m):
+        counts = oracle._cycle_counts_rows(block)
+        if subset != "all":
+            counts = counts[(m - counts) % 2 == (subset == "co_alternating")]
+        hist += np.bincount(counts, minlength=m + 1)
+    return RationalPoly([int(c) for c in hist]) / int(hist.sum())
+
+
+class TestOnePassUniformLaws:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_row_filtered_enumeration(self, m):
+        laws = oracle.exact_uniform_cycle_laws(m)
+        subsets = ["all", "alternating"] + (["co_alternating"] if m > 1 else [])
+        assert list(laws) == subsets
+        for subset in subsets:
+            assert laws[subset].poly == _filtered_uniform_law(m, subset), subset
+            assert exact_uniform_cycle_distribution(m, subset).poly == laws[subset].poly
+
+    def test_parity_totals_are_checked(self, monkeypatch):
+        # the odd (0 1 3 2) replaced by the identity: still 4! rows, 13 of them even
+        block = next(oracle._permutation_blocks(4))
+        block[1] = block[0]
+        monkeypatch.setattr(oracle, "_permutation_blocks", lambda m: [block])
+        with pytest.raises(AssertionError, match="sum to 13, not 12"):
+            oracle.exact_uniform_cycle_laws(4)
+
+    def test_cap_checked_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_permutation_blocks", lambda m: pytest.fail("enumerated"))
+        with pytest.raises(EnumerationCapError):
+            oracle.exact_uniform_cycle_laws(9)
+
+
 class TestConjugacyClassRoute:
     def test_class_size_checked(self):
         members = conjugacy_class(one_cycle(4))
