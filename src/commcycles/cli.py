@@ -3,14 +3,16 @@
 Subcommands: pgf, dist, bernoulli, hultman, sample, verify, mc.  Output is
 JSON by default (`--format human` for aligned text; dist and hultman also
 speak CSV).  Global flags are mirrored by COMMCYCLES_* environment
-variables; flags win.  Exit codes: 0 pass, 1 check failure, 2 usage error
-or a typed failure (enumeration cap or character-sum limit, root finding),
-each with a one-line message.
+variables, read on every call; flags win, and a bad value exits 2.  Exit
+codes: 0 pass, 1 check failure, 2 usage error or a typed failure
+(enumeration cap or character-sum limit, root finding), each with a
+one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from .perm import (
     two_disjoint_cycles,
 )
 
-ENV_PREFIX = "COMMCYCLES_"
+FORMATS = ("json", "human", "csv")
 
 # Largest `hultman --max-m`.  The formula path builds one PGF per M; the
 # whole table up to M = 100 (2550 rows, 180 kB of CSV) takes about 0.15 s on
@@ -131,7 +133,6 @@ def _law(kind, value):
 
 
 def _cmd_pgf(args) -> int:
-    args.format = args.format or "json"
     pgf, provenance = _law(*parse_tau_spec(args.tau))
     validation = genfun.validate_pgf(pgf)
     payload = {
@@ -155,7 +156,6 @@ def _cmd_pgf(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    args.format = args.format or "json"
     dist = oracle.exact_commutator_distribution(_tau_permutation(*parse_tau_spec(args.tau)), cap=args.cap)
     if args.format == "csv":
         oracle.write_distribution_csv(dist, sys.stdout)
@@ -176,7 +176,6 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    args.format = args.format or "json"
     source, build = _route(*parse_tau_spec(args.tau))
     genfun.require_bernoulli_source(source)  # refuse before building the law
     pgf = build()
@@ -201,7 +200,6 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_hultman(args) -> int:
-    args.format = args.format or "csv"  # the table is CSV-typed
     max_m = args.max_m if args.max_m is not None else 8
     if max_m > HULTMAN_MAX_M:
         raise UsageError(f"the formula path is tabulated up to M = {HULTMAN_MAX_M}")
@@ -275,7 +273,6 @@ def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: in
 def _cmd_sample(args) -> int:
     """Histogram of C([σ,τ]) over --draws σ drawn as perm.sample_uniform draws them, written
     into a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
-    args.format = args.format or "json"
     if args.draws < 1:
         raise UsageError("draws must be at least 1")
     kind, value = parse_tau_spec(args.tau)
@@ -334,7 +331,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    args.format = args.format or "json"
     checks = verify.run_scope(
         args.scope,
         max_m=args.max_m,
@@ -362,7 +358,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    args.format = args.format or "json"
     plan = {"samples": args.samples, "seed": args.seed, "partitions": args.threads}
     n, m, k = args.n, args.m, args.k
     if args.identity == "mixed":
@@ -396,73 +391,75 @@ def _cmd_mc(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise UsageError(f"bad value for {ENV_PREFIX + name}: {raw!r}") from None
+def _format(raw: str) -> str:
+    if raw not in FORMATS:
+        raise ValueError(raw)
+    return raw
 
 
-def _add_global_options(parser: argparse.ArgumentParser, top: bool) -> None:
-    # On the top-level parser the options carry the real (env-aware)
-    # defaults; on subparsers they default to SUPPRESS so that a flag given
-    # after the subcommand overrides one given before it, instead of the
-    # subparser default clobbering the parsed global value.
-    def default(name, cast, fallback):
-        return _env_default(name, cast, fallback) if top else argparse.SUPPRESS
-
-    parser.add_argument("--seed", type=int, default=default("SEED", int, 42))
-    parser.add_argument("--samples", type=int, default=default("SAMPLES", int, 100_000))
-    parser.add_argument("--max-m", type=int, default=default("MAX_M", int, None), dest="max_m")
-    parser.add_argument("--cap", type=int, default=default("CAP", int, None))
-    parser.add_argument("--threads", type=int, default=default("THREADS", int, 1))
-    parser.add_argument(
-        "--format",
-        choices=("json", "human", "csv"),
-        default=default("FORMAT", str, None),
-    )
+# The global options: dest -> (environment variable, cast, fallback).  The
+# fallback of --format is a function of the command: the Hultman table is CSV-typed.
+_GLOBALS = {
+    "seed": ("COMMCYCLES_SEED", int, 42),
+    "samples": ("COMMCYCLES_SAMPLES", int, 100_000),
+    "max_m": ("COMMCYCLES_MAX_M", int, None),
+    "cap": ("COMMCYCLES_CAP", int, None),
+    "threads": ("COMMCYCLES_THREADS", int, 1),
+    "format": ("COMMCYCLES_FORMAT", _format, lambda command: "csv" if command == "hultman" else "json"),
+}
 
 
+# Every parser, the top-level one and each subcommand's, takes the global
+# options with default SUPPRESS: a flag given after the subcommand then beats
+# one given before it, and an option that no flag set is absent from the parsed
+# namespace.  `main` fills those from the environment on every call, so the
+# parser holds no per-call input and one parser serves the whole process.
+def _add_global_options(parser: argparse.ArgumentParser) -> None:
+    for dest, (_, cast, _) in _GLOBALS.items():
+        kind = {"choices": FORMATS} if dest == "format" else {"type": cast}
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, default=argparse.SUPPRESS, **kind)
+
+
+def _fill_globals(args: argparse.Namespace) -> None:
+    for dest, (env, cast, fallback) in _GLOBALS.items():
+        if dest in args:
+            continue
+        raw = os.environ.get(env)
+        if raw is None:
+            setattr(args, dest, fallback(args.command) if callable(fallback) else fallback)
+            continue
+        try:
+            setattr(args, dest, cast(raw))
+        except ValueError:
+            raise UsageError(f"bad value for {env}: {raw!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="commcycles",
         description="Cycle statistics of commutators of random permutations.",
     )
-    _add_global_options(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pgf", help="closed-form or character-sum PGF for a tau selector")
     p.add_argument("tau")
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_pgf)
 
     p = sub.add_parser("dist", help="exact enumerated distribution for a tau selector")
     p.add_argument("tau")
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("bernoulli", help="Bernoulli decomposition of a solved family")
     p.add_argument("tau")
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_bernoulli)
 
-    p = sub.add_parser("hultman", help="table of one-cycle commutator counts")
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_hultman)
+    sub.add_parser("hultman", help="table of one-cycle commutator counts")
 
     p = sub.add_parser("sample", help="Monte-Carlo histogram of the commutator cycle count")
     p.add_argument("tau")
     p.add_argument("--draws", type=int, default=10_000)
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="run consistency suites")
     p.add_argument("--scope", choices=verify.SCOPES, default="all")
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mc", help="one Monte-Carlo identity check")
     p.add_argument("identity", choices=("trace-power", "gamma", "real-trace", "tr-g2", "tr-g1g2", "mixed"))
@@ -471,19 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
-    _add_global_options(p, top=False)
-    p.set_defaults(func=_cmd_mc)
 
+    for p in (parser, *sub.choices.values()):
+        _add_global_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        _fill_globals(args)
         if args.format == "csv" and args.command not in ("dist", "hultman"):
             raise UsageError(f"--format csv is for dist and hultman; {args.command} speaks json or human")
-        code = args.func(args)
+        code = globals()[f"_cmd_{args.command}"](args)  # per call: the parser outlives a patched _cmd_*
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except (ValueError, genfun.RootFindError) as exc:

@@ -586,6 +586,9 @@ class TestGlobalBehavior:
         monkeypatch.setenv("COMMCYCLES_FORMAT", "human")
         _, out, _ = run_cli(capsys, "pgf", "transpositions:2")
         assert "PGF:" in out
+        monkeypatch.setenv("COMMCYCLES_FORMAT", "json")  # beats the table's CSV fallback
+        _, out, _ = run_cli(capsys, "hultman", "--max-m", "2")
+        assert len(json.loads(out)["rows"]) == 2
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -615,4 +618,55 @@ class TestGlobalBehavior:
 
     def test_global_flags_before_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "human", "pgf", "one-cycle:3")
+        assert code == 0 and "PGF:" in out
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("SEED", "abc"), ("SAMPLES", "1e5"), ("MAX_M", "8.0"), ("CAP", ""), ("THREADS", "x"), ("FORMAT", "bogus")],
+    )
+    def test_bad_env_value_exit_2(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(f"COMMCYCLES_{name}", value)
+        code, out, err = run_cli(capsys, "pgf", "one-cycle:3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad value for COMMCYCLES_{name}: {value!r}\n"
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch, request):
+        built, add = [], cli._add_global_options
+        monkeypatch.setattr(cli, "_add_global_options", lambda parser: built.append(parser.prog) or add(parser))
+        cli.build_parser.cache_clear()
+        request.addfinalizer(cli.build_parser.cache_clear)
+        run_cli(capsys, "pgf", "one-cycle:3")
+        run_cli(capsys, "sample", "one-cycle:3", "--draws", "10")
+        assert built.count("commcycles") == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_looked_up_per_call(self, capsys, monkeypatch):
+        assert run_cli(capsys, "pgf", "one-cycle:3")[0] == 0
+        ran = []
+        monkeypatch.setattr(cli, "_cmd_pgf", lambda args: ran.append(args.tau) or 0)
+        code, out, _ = run_cli(capsys, "pgf", "one-cycle:4")
+        assert (code, out, ran) == (0, "", ["one-cycle:4"])
+
+    def test_env_read_on_every_call(self, capsys, monkeypatch):
+        for seed in (123, 456):
+            monkeypatch.setenv("COMMCYCLES_SEED", str(seed))
+            _, out, _ = run_cli(capsys, "sample", "one-cycle:3", "--draws", "100")
+            assert json.loads(out)["seed"] == seed
+        monkeypatch.delenv("COMMCYCLES_SEED")
+        _, out, _ = run_cli(capsys, "sample", "one-cycle:3", "--draws", "100")
+        assert json.loads(out)["seed"] == 42
+
+    def test_flag_after_subcommand_beats_flag_before_and_env(self, capsys, monkeypatch):
+        argv = ["--seed", "1", "sample", "one-cycle:3", "--draws", "100", "--seed", "2"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(out)["seed"] == 2
+        monkeypatch.setenv("COMMCYCLES_SEED", "abc")  # never read: a flag set the seed
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(out)["seed"] == 2
+        _, out, _ = run_cli(capsys, "--seed", "1", "sample", "one-cycle:3", "--draws", "100")
+        assert json.loads(out)["seed"] == 1
+        monkeypatch.delenv("COMMCYCLES_SEED")
+        monkeypatch.setenv("COMMCYCLES_FORMAT", "json")
+        code, out, _ = run_cli(capsys, "--format", "json", "pgf", "one-cycle:3", "--format", "human")
         assert code == 0 and "PGF:" in out
