@@ -28,7 +28,6 @@ from .oracle import (
     EnumerationCapError,
     exact_class_product_distribution,
     exact_commutator_distribution,
-    exact_uniform_cycle_distribution,
     exact_uniform_cycle_laws,
     hultman_count,
     hultman_table_rows,

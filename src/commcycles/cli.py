@@ -201,6 +201,8 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_hultman(args) -> int:
     max_m = args.max_m if args.max_m is not None else 8
+    if max_m < 1:
+        raise UsageError(f"--max-m must be at least 1, got {max_m}")
     if max_m > HULTMAN_MAX_M:
         raise UsageError(f"the formula path is tabulated up to M = {HULTMAN_MAX_M}")
     rows = oracle.hultman_table_rows(max_m, oracle_cap=args.cap)

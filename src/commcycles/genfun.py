@@ -24,8 +24,8 @@ from .perm import CycleType
 from .polys import (
     ONE,
     RationalPoly,
-    falling_factorial,
     rising_factorial,
+    rising_falling_sum,
     rising_square_sum,
 )
 
@@ -35,6 +35,7 @@ __all__ = [
     "BernoulliTerm",
     "BernoulliDecomposition",
     "RootFindError",
+    "EnumerationCapError",
     "uniform_cycles_pgf",
     "alternating_pgf",
     "one_cycle_pgf",
@@ -52,12 +53,14 @@ __all__ = [
     "one_cycle_pgf_roots",
 ]
 
-# Source tags for PGFs produced in this package.  "oracle" marks PGFs built
-# from an enumerated distribution rather than a closed form.
+# Source tags of the commutator laws; C has the parity of M under each.
 COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity", "characters")
-SOURCES = ("uniform", "alternating", "co_alternating", *COMMUTATOR_SOURCES, "oracle")
 # The sources whose laws `bernoulli_decomposition` decomposes.
 BERNOULLI_SOURCES = ("uniform", "transpositions", "one_cycle")
+
+
+class EnumerationCapError(ValueError):
+    """Ground set too large for exhaustive enumeration or the character sum."""
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,10 @@ def alternating_pgf(m: int, complement: bool = False) -> CyclePGF:
     if complement:
         if m < 2:
             raise ValueError("no odd permutations on a single point")
-        poly = (rising_factorial(m) - falling_factorial(m)) / math.factorial(m)
-        return CyclePGF(poly, m, "co_alternating")
+        return CyclePGF(rising_falling_sum(m, -1) / math.factorial(m), m, "co_alternating")
     if m == 1:
         return CyclePGF(RationalPoly([0, 1]), 1, "alternating")
-    poly = (rising_factorial(m) + falling_factorial(m)) / math.factorial(m)
-    return CyclePGF(poly, m, "alternating")
+    return CyclePGF(rising_falling_sum(m, 1) / math.factorial(m), m, "alternating")
 
 
 def one_cycle_pgf(m: int) -> CyclePGF:
@@ -128,8 +129,7 @@ def one_cycle_pgf(m: int) -> CyclePGF:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    poly = (rising_factorial(m + 1) - falling_factorial(m + 1)) / math.factorial(m + 1)
-    return CyclePGF(poly, m, "one_cycle")
+    return CyclePGF(rising_falling_sum(m + 1, -1) / math.factorial(m + 1), m, "one_cycle")
 
 
 def two_cycles_pgf(m: int) -> CyclePGF:
@@ -145,8 +145,8 @@ def two_cycles_pgf(m: int) -> CyclePGF:
     if m < 1:
         raise ValueError("m must be positive")
     two_m = 2 * m
-    head = (rising_factorial(two_m + 1) - falling_factorial(two_m + 1)) / math.factorial(two_m + 1)
-    cross = (rising_factorial(m + 1) - falling_factorial(m + 1)) / (m + 1)
+    head = rising_falling_sum(two_m + 1, -1) / math.factorial(two_m + 1)
+    cross = rising_falling_sum(m + 1, -1) / (m + 1)
     cross = (cross * cross) * Fraction(2, math.factorial(two_m))
     s = rising_square_sum(m)
     diag = (s + s.reflect()) * Fraction(2, math.factorial(two_m))
@@ -231,8 +231,6 @@ def character_law(cycle_type: CycleType) -> CyclePGF:
     and is divided by M! once.  Above CHARACTER_MAX_M it raises
     EnumerationCapError before any work.
     """
-    from .oracle import EnumerationCapError  # oracle imports this module
-
     m, parts = cycle_type.size, cycle_type.parts
     if m > CHARACTER_MAX_M:
         raise EnumerationCapError(

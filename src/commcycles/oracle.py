@@ -16,7 +16,8 @@ C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits 
 σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
 count against the class size; the uniform and class-member enumerations
 visit all M!, so the class product stays an independent full-group route.
-One pass gives all three uniform laws; `sample` counts its draws with the commutator kernel.
+Each law has one entry point, and one pass gives all three uniform laws;
+`sample` counts its draws with the commutator kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .genfun import CHARACTER_MAX_M, CyclePGF, one_cycle_pgf
+from .genfun import CHARACTER_MAX_M, CyclePGF, EnumerationCapError, one_cycle_pgf
 from .perm import CycleType, Permutation, from_cycle_type, one_cycle
 from .polys import RationalPoly
 
@@ -38,7 +39,6 @@ __all__ = [
     "EnumerationCapError",
     "exact_commutator_distribution",
     "exact_class_product_distribution",
-    "exact_uniform_cycle_distribution",
     "exact_uniform_cycle_laws",
     "conjugacy_class",
     "hultman_count",
@@ -51,10 +51,6 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 8
 HARD_ENUMERATION_CAP = 10
 _BLOCK_SIZE = 40320
-
-
-class EnumerationCapError(ValueError):
-    """Ground set too large for exhaustive enumeration."""
 
 
 def _check_cap(m: int, cap: Optional[int]) -> None:
@@ -212,18 +208,6 @@ def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, Cyc
     return laws
 
 
-def exact_uniform_cycle_distribution(
-    m: int, subset: str = "all", cap: Optional[int] = None
-) -> CyclePGF:
-    """Exact cycle-count law of a uniform permutation of m points, or of a
-    uniform even ("alternating") or odd ("co_alternating") permutation."""
-    if subset not in ("all", "alternating", "co_alternating"):
-        raise ValueError(f"unknown subset {subset!r}")
-    if subset == "co_alternating" and m < 2:
-        raise ValueError("no odd permutations on a single point")
-    return exact_uniform_cycle_laws(m, cap)[subset]
-
-
 def _hultman_row(m: int) -> list[int]:
     """m! times the one-cycle commutator PGF: index k -> count, k = 0..m."""
     counts = (one_cycle_pgf(m).poly * math.factorial(m)).coeffs
@@ -233,22 +217,14 @@ def _hultman_row(m: int) -> list[int]:
     return [int(value) for value in counts]
 
 
-def hultman_count(m: int, k: int, method: str = "formula", cap: Optional[int] = None) -> int:
+def hultman_count(m: int, k: int) -> int:
     """Number of permutations σ of m points whose commutator with the
-    canonical m-cycle has exactly k cycles.
-
-    The formula path reads the coefficient of t^k in m! times the one-cycle
-    commutator PGF; the enumeration path counts directly (m within the cap).
-    Out-of-range or parity-impossible k gives 0.
-    """
+    canonical m-cycle has exactly k cycles (0 for out-of-range or
+    parity-impossible k): the coefficient of t^k in m! times the one-cycle
+    commutator PGF.  `hultman_table_rows` sets the enumerated counts beside it."""
     if k < 1 or k > m or (m - k) % 2:
         return 0
-    if method == "formula":
-        return _hultman_row(m)[k]
-    if method == "enumerate":
-        dist = exact_commutator_distribution(one_cycle(m), cap=cap)
-        return int(dist.coefficient(k) * math.factorial(m))
-    raise ValueError(f"unknown method {method!r}")
+    return _hultman_row(m)[k]
 
 
 def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tuple]:

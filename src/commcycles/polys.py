@@ -27,6 +27,7 @@ __all__ = [
     "ZERO",
     "rising_factorial",
     "falling_factorial",
+    "rising_falling_sum",
     "rising_product",
     "discrete_difference",
     "rising_square_sum",
@@ -290,6 +291,16 @@ def falling_factorial(n: int) -> RationalPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _poly([-c if (n - k) & 1 else c for k, c in enumerate(_rising_row(n))], 1)
+
+
+def rising_falling_sum(n: int, sign: int) -> RationalPoly:
+    """R_n(X) + sign * F_n(X), sign = 1 or -1, from one row of c(n, k): F_n has
+    the coefficients (-1)^(n-k) c(n, k), so the terms with (-1)^(n-k) = sign
+    double and the others cancel."""
+    if n < 0 or sign not in (1, -1):
+        raise ValueError(f"need n >= 0 and sign 1 or -1, got n={n}, sign={sign}")
+    odd = sign == -1
+    return _poly([2 * c if (n - k) & 1 == odd else 0 for k, c in enumerate(_rising_row(n))], 1)
 
 
 def rising_product(x: Rational, n: int) -> Rational:

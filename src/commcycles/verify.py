@@ -6,13 +6,15 @@ arithmetic with zero tolerance, statistical checks use a z-score threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import genfun, oracle, rmt
-from .perm import CycleType, disjoint_transpositions, from_cycle_type, one_cycle, two_disjoint_cycles
+from .perm import CycleType, from_cycle_type
 from .polys import (
+    RationalPoly,
     connection_expand,
     discrete_difference,
     falling_factorial,
@@ -73,26 +75,18 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
 
 
 def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[CheckResult]:
+    @functools.cache
+    def enumerated(*parts: int) -> RationalPoly:  # one enumeration per cycle type, shared by every check
+        return oracle.exact_commutator_distribution(from_cycle_type(CycleType(parts)), cap=cap).poly
+
     out = []
-    ok = all(
-        oracle.exact_commutator_distribution(one_cycle(m), cap=cap).poly
-        == genfun.one_cycle_pgf(m).poly
-        for m in range(1, max_m + 1)
-    )
+    ok = all(enumerated(m) == genfun.one_cycle_pgf(m).poly for m in range(1, max_m + 1))
     out.append(_check("one_cycle_vs_oracle", ok, f"M <= {max_m}"))
 
-    ok = all(
-        oracle.exact_commutator_distribution(two_disjoint_cycles(m), cap=cap).poly
-        == genfun.two_cycles_pgf(m).poly
-        for m in range(1, max_m // 2 + 1)
-    )
+    ok = all(enumerated(m, m) == genfun.two_cycles_pgf(m).poly for m in range(1, max_m // 2 + 1))
     out.append(_check("two_cycles_vs_oracle", ok, f"ground sets <= {max_m}"))
 
-    ok = all(
-        oracle.exact_commutator_distribution(disjoint_transpositions(m), cap=cap).poly
-        == genfun.transpositions_pgf(m).poly
-        for m in range(1, max_m // 2 + 1)
-    )
+    ok = all(enumerated(*[2] * m) == genfun.transpositions_pgf(m).poly for m in range(1, max_m // 2 + 1))
     out.append(_check("transpositions_vs_oracle", ok, f"ground sets <= {max_m}"))
 
     ok = all(  # one enumeration per M gives all three laws
@@ -111,19 +105,14 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
     out.append(_check("one_cycle_equals_odd_law", ok, "M <= 9"))
 
     types = [t for t in ([1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2]) if sum(t) <= max_m]
-    ok = all(
-        oracle.exact_class_product_distribution(CycleType(t), cap=cap).poly
-        == oracle.exact_commutator_distribution(from_cycle_type(CycleType(t)), cap=cap).poly
-        for t in types
-    )
+    ok = all(oracle.exact_class_product_distribution(CycleType(t), cap=cap).poly == enumerated(*t) for t in types)
     out.append(_check("class_product_reformulation", ok, f"types with M <= {max_m}"))
 
-    ok = True
-    for m in range(1, max_m + 1):  # one enumeration per M, compared with every formula row
-        enumerated = oracle.exact_commutator_distribution(one_cycle(m), cap=cap)
-        ok &= all(
-            oracle.hultman_count(m, k) == enumerated.coefficient(k) * math.factorial(m) for k in range(1, m + 1)
-        )
+    ok = all(
+        oracle.hultman_count(m, k) == enumerated(m).coefficient(k) * math.factorial(m)
+        for m in range(1, max_m + 1)
+        for k in range(1, m + 1)
+    )
     out.append(_check("hultman_formula_vs_enumeration", ok, f"M <= {max_m}"))
 
     ok = genfun.two_cycles_pgf(2).poly == genfun.transpositions_pgf(2).poly
@@ -241,13 +230,15 @@ def run_scope(
 ) -> list[CheckResult]:
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
+    if max_m is not None and max_m < 1:
+        raise ValueError(f"--max-m must be at least 1, got {max_m}")
     out = []
     if scope in ("factorials", "all"):
-        out.extend(run_factorial_checks(max_n=max_m or 12))
+        out.extend(run_factorial_checks(max_n=12 if max_m is None else max_m))
     if scope in ("genfun_vs_oracle", "all"):
-        out.extend(run_genfun_oracle_checks(max_m=max_m or 6, cap=cap))
+        out.extend(run_genfun_oracle_checks(max_m=6 if max_m is None else max_m, cap=cap))
     if scope in ("bernoulli", "all"):
-        out.extend(run_bernoulli_checks(max_m=max_m or 30))
+        out.extend(run_bernoulli_checks(max_m=30 if max_m is None else max_m))
     if scope in ("rmt", "all"):
         out.extend(run_rmt_checks(samples=samples, seed=seed, partitions=partitions))
     return out

@@ -224,6 +224,15 @@ class TestHultmanCommand:
         code, _, err = run_cli(capsys, "hultman", "--max-m", str(cli.HULTMAN_MAX_M + 1))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["hultman"]] + [["verify", "--scope", scope] for scope in verify.SCOPES])
+    @pytest.mark.parametrize("max_m", ["0", "-1"])
+    def test_max_m_below_one_refused(self, capsys, monkeypatch, command, max_m):
+        for name in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("checks ran"))
+        code, out, err = run_cli(capsys, *command, "--max-m", max_m)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-m must be at least 1, got {max_m}\n"
+
     def test_closed_pipe_exits_quietly(self):
         # The full table is about 180 kB, more than a pipe buffers, so the
         # writer meets the closed pipe while it is still printing.
@@ -358,9 +367,27 @@ class TestVerifyCommand:
         monkeypatch.setattr(oracle, "exact_commutator_distribution", counted)
         checks = verify.run_genfun_oracle_checks(max_m=7)
         assert all(c.ok for c in checks)
-        # one_cycle_vs_oracle and the Hultman check enumerate each one-cycle
-        # once; for M <= 3 the class-product check enumerates it too.
-        assert [calls.count(one_cycle(m)) for m in range(4, 8)] == [2, 2, 2, 2]
+        # one_cycle_vs_oracle, the Hultman check and (for M <= 3) the
+        # class-product check share one enumeration of each one-cycle.
+        assert [calls.count(one_cycle(m)) for m in range(1, 8)] == [1] * 7
+
+    def test_one_enumeration_per_cycle_type(self, monkeypatch):
+        real = oracle.exact_commutator_distribution
+        calls = []
+
+        def counted(tau, cap=None):
+            calls.append(tau.cycle_type().parts)
+            return real(tau, cap=cap)
+
+        monkeypatch.setattr(oracle, "exact_commutator_distribution", counted)
+        assert all(c.ok for c in verify.run_genfun_oracle_checks(max_m=8))
+        # [1]..[8], [m, m] for m <= 4, [2]^3, [2]^4, and [2, 1], [3, 2], [4, 2]
+        assert len(calls) == len(set(calls)) == 17
+        assert set(calls) == {
+            *((m,) for m in range(1, 9)),
+            *((m, m) for m in range(1, 5)),
+            (2, 2, 2), (2, 2, 2, 2), (2, 1), (3, 2), (4, 2),
+        }
 
     def test_uniform_laws_enumerate_once_per_m(self, monkeypatch):
         blocks = oracle._permutation_blocks

@@ -11,6 +11,7 @@ import pytest
 
 import numpy as np
 
+import commcycles
 from commcycles import genfun, oracle
 from commcycles.oracle import (
     EnumerationCapError,
@@ -18,7 +19,7 @@ from commcycles.oracle import (
     distribution_rows,
     exact_class_product_distribution,
     exact_commutator_distribution,
-    exact_uniform_cycle_distribution,
+    exact_uniform_cycle_laws,
     hultman_count,
     hultman_table_rows,
     write_distribution_csv,
@@ -61,6 +62,12 @@ class TestCommutatorDistribution:
         assert dist.probabilities() == {9: F(1)}
         with pytest.raises(ValueError):
             exact_commutator_distribution(Permutation.identity(11), cap=11)
+
+    def test_cap_error_has_one_home(self):
+        assert EnumerationCapError is genfun.EnumerationCapError is commcycles.EnumerationCapError
+        assert EnumerationCapError.__module__ == "commcycles.genfun"
+        with pytest.raises(EnumerationCapError):  # the character-sum limit raises the same class
+            genfun.character_law(CycleType([16, 15]))
 
     def test_cap_message_below_the_hard_cap(self):
         with pytest.raises(EnumerationCapError) as info:
@@ -261,37 +268,36 @@ class TestCommutatorLaw:
 
 class TestUniformSubsetLaws:
     def test_all_m3(self):
-        dist = exact_uniform_cycle_distribution(3)
+        dist = exact_uniform_cycle_laws(3)["all"]
         assert dist.probabilities() == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
 
     def test_alternating_m3(self):
-        dist = exact_uniform_cycle_distribution(3, "alternating")
+        dist = exact_uniform_cycle_laws(3)["alternating"]
         assert dist.probabilities() == {3: F(1, 3), 1: F(2, 3)}
 
     def test_co_alternating_m2(self):
-        dist = exact_uniform_cycle_distribution(2, "co_alternating")
+        dist = exact_uniform_cycle_laws(2)["co_alternating"]
         assert dist.probabilities() == {1: F(1)}
 
     def test_co_alternating_m1_rejected(self):
-        with pytest.raises(ValueError):
-            exact_uniform_cycle_distribution(1, "co_alternating")
+        # no odd permutations on a single point: the law is absent
+        laws = exact_uniform_cycle_laws(1)
+        assert "co_alternating" not in laws
+        assert laws["alternating"].probabilities() == {1: F(1)}
 
     def test_unknown_subset_rejected(self):
-        with pytest.raises(ValueError):
-            exact_uniform_cycle_distribution(3, "odd")
+        laws = exact_uniform_cycle_laws(3)
+        assert list(laws) == ["all", "alternating", "co_alternating"]
+        with pytest.raises(KeyError):
+            laws["odd"]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_against_closed_forms(self, m):
-        assert exact_uniform_cycle_distribution(m).poly == genfun.uniform_cycles_pgf(m).poly
-        assert (
-            exact_uniform_cycle_distribution(m, "alternating").poly
-            == genfun.alternating_pgf(m).poly
-        )
+        laws = exact_uniform_cycle_laws(m)
+        assert laws["all"].poly == genfun.uniform_cycles_pgf(m).poly
+        assert laws["alternating"].poly == genfun.alternating_pgf(m).poly
         if m >= 2:
-            assert (
-                exact_uniform_cycle_distribution(m, "co_alternating").poly
-                == genfun.alternating_pgf(m, complement=True).poly
-            )
+            assert laws["co_alternating"].poly == genfun.alternating_pgf(m, complement=True).poly
 
 
 def _filtered_uniform_law(m, subset):
@@ -314,7 +320,6 @@ class TestOnePassUniformLaws:
         assert list(laws) == subsets
         for subset in subsets:
             assert laws[subset].poly == _filtered_uniform_law(m, subset), subset
-            assert exact_uniform_cycle_distribution(m, subset).poly == laws[subset].poly
 
     def test_parity_totals_are_checked(self, monkeypatch):
         # the odd (0 1 3 2) replaced by the identity: still 4! rows, 13 of them even
@@ -368,8 +373,9 @@ class TestHultman:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_formula_matches_enumeration(self, m):
+        enumerated = exact_commutator_distribution(one_cycle(m))
         for k in range(1, m + 1):
-            assert hultman_count(m, k) == hultman_count(m, k, method="enumerate")
+            assert hultman_count(m, k) == enumerated.coefficient(k) * math.factorial(m)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_row_sums_are_factorials(self, m):

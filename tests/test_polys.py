@@ -17,6 +17,7 @@ from commcycles.polys import (
     discrete_difference,
     falling_factorial,
     rising_factorial,
+    rising_falling_sum,
     rising_product,
     rising_square_sum,
 )
@@ -144,6 +145,16 @@ class TestFactorialPolynomials:
             assert falling_factorial(n) == RationalPoly(signed)
             row = [(row[k - 1] if k else 0) + n * (row[k] if k < len(row) else 0) for k in range(n + 2)]
             product = product * (X + n)
+
+    def test_rising_falling_sum(self):
+        for n in range(41):
+            assert rising_falling_sum(n, 1) == rising_factorial(n) + falling_factorial(n)
+            assert rising_falling_sum(n, -1) == rising_factorial(n) - falling_factorial(n)
+        assert rising_falling_sum(3, 1) == poly(0, 4, 0, 2)  # R_3 = X^3 + 3X^2 + 2X
+        assert rising_falling_sum(3, -1) == poly(0, 0, 6)
+        for n, sign in [(-1, 1), (3, 0), (3, 2)]:
+            with pytest.raises(ValueError):
+                rising_falling_sum(n, sign)
 
     @pytest.mark.parametrize("n", range(9))
     def test_reflection_relation(self, n):
