@@ -37,11 +37,13 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "HARD_ENUMERATION_CAP",
     "EnumerationCapError",
+    "resolve_cap",
     "exact_commutator_distribution",
     "exact_class_product_distribution",
     "exact_uniform_cycle_laws",
     "conjugacy_class",
     "hultman_count",
+    "hultman_row",
     "hultman_table_rows",
     "distribution_rows",
     "write_distribution_csv",
@@ -53,10 +55,19 @@ HARD_ENUMERATION_CAP = 10
 _BLOCK_SIZE = 40320
 
 
-def _check_cap(m: int, cap: Optional[int]) -> None:
+def resolve_cap(cap: Optional[int]) -> int:
+    """The enumeration cap in force: the default for None; a cap below 1 or
+    above the hard cap raises ValueError."""
     effective = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if effective < 1:
+        raise ValueError(f"--cap must be at least 1, got {effective}")
     if effective > HARD_ENUMERATION_CAP:
         raise ValueError(f"cap {effective} exceeds hard enumeration cap {HARD_ENUMERATION_CAP}")
+    return effective
+
+
+def _check_cap(m: int, cap: Optional[int]) -> None:
+    effective = resolve_cap(cap)
     if m > effective:
         raise_cap = f"raise the cap (hard cap {HARD_ENUMERATION_CAP}); " if effective < HARD_ENUMERATION_CAP else ""
         raise EnumerationCapError(
@@ -208,7 +219,7 @@ def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, Cyc
     return laws
 
 
-def _hultman_row(m: int) -> list[int]:
+def hultman_row(m: int) -> list[int]:
     """m! times the one-cycle commutator PGF: index k -> count, k = 0..m."""
     counts = (one_cycle_pgf(m).poly * math.factorial(m)).coeffs
     for k, value in enumerate(counts):
@@ -224,20 +235,20 @@ def hultman_count(m: int, k: int) -> int:
     commutator PGF.  `hultman_table_rows` sets the enumerated counts beside it."""
     if k < 1 or k > m or (m - k) % 2:
         return 0
-    return _hultman_row(m)[k]
+    return hultman_row(m)[k]
 
 
 def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tuple]:
     """Rows (m, k, count) for all nonzero counts up to max_m, with an
     enumerated cross-check column for m within the cap (None above it)."""
-    cap = DEFAULT_ENUMERATION_CAP if oracle_cap is None else oracle_cap
+    cap = resolve_cap(oracle_cap)
     rows = []
     for m in range(1, max_m + 1):
         enumerated: dict[int, int] = {}
         if m <= cap:
             dist = exact_commutator_distribution(one_cycle(m), cap=cap)
             enumerated = {k: int(p * math.factorial(m)) for k, p in dist.probabilities().items()}
-        for k, count in enumerate(_hultman_row(m)):
+        for k, count in enumerate(hultman_row(m)):
             if count:
                 rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
     return rows

@@ -43,6 +43,7 @@ from .polys import rising_product
 
 __all__ = [
     "MomentReport",
+    "Z_MAX",
     "mc_trace_power_moment",
     "mc_gamma_shortcut_moment",
     "mc_real_trace_law",
@@ -61,6 +62,7 @@ _BATCH = 1 << 15
 _MAX_PARTITIONS = 1024  # each partition has its own Generator and its own draw calls
 _CHUNK = 1 << 15  # matrix entries per streamed chunk (0.5 MB as complex)
 _SCALE = np.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
+Z_MAX = 5.0  # an estimate passes when |z| <= Z_MAX (`mc`'s exit code, `verify`'s checks)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A short call of each command, without global flags.
+COMMAND_ARGV = {
+    "pgf": ["pgf", "one-cycle:3"],
+    "dist": ["dist", "one-cycle:3"],
+    "bernoulli": ["bernoulli", "uniform:3"],
+    "hultman": ["hultman"],
+    "sample": ["sample", "one-cycle:3", "--draws", "10"],
+    "verify": ["verify", "--scope", "factorials"],
+    "mc": ["mc", "gamma", "--n", "1"],
+}
+
+
+def stub_commands(monkeypatch) -> list:
+    """Replace every _cmd_* by a stub that records the parsed namespace and exits 0."""
+    ran = []
+    for command in COMMAND_ARGV:
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: ran.append(args) or 0)
+    return ran
+
+
 class TestTauSpecParsing:
     def test_named_selectors(self):
         assert cli.parse_tau_spec("one-cycle:5") == ("one-cycle", 5)
@@ -48,7 +68,7 @@ class TestTauSpecParsing:
         assert kind == "explicit" and p.size == 5
 
     @pytest.mark.parametrize(
-        "bad", ["nonsense", "one-cycle:x", "one-cycle:0", "type:{}", "type:[1,\"a\"]"]
+        "bad", ["nonsense", "one-cycle:x", "one-cycle:0", "type:{}", "type:[1,\"a\"]", "type:[true]", "type:[true,1]"]
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(cli.UsageError):
@@ -233,6 +253,18 @@ class TestHultmanCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --max-m must be at least 1, got {max_m}\n"
 
+    @pytest.mark.parametrize(
+        "command", [["dist", "type:[3]"], ["hultman", "--max-m", "3"]] + [["verify", "--scope", s] for s in verify.SCOPES]
+    )
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    def test_cap_below_one_refused(self, capsys, monkeypatch, command, cap):
+        for name in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("checks ran"))
+        monkeypatch.setattr(oracle, "_permutation_blocks", lambda *a, **k: pytest.fail("enumerated"))
+        code, out, err = run_cli(capsys, *command, "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: --cap must be at least 1, got {cap}\n"
+
     def test_closed_pipe_exits_quietly(self):
         # The full table is about 180 kB, more than a pipe buffers, so the
         # writer meets the closed pipe while it is still printing.
@@ -370,6 +402,14 @@ class TestVerifyCommand:
         # one_cycle_vs_oracle, the Hultman check and (for M <= 3) the
         # class-product check share one enumeration of each one-cycle.
         assert [calls.count(one_cycle(m)) for m in range(1, 8)] == [1] * 7
+
+    def test_hultman_check_builds_one_row_per_m(self, monkeypatch):
+        real = oracle.one_cycle_pgf
+        built = []
+        monkeypatch.setattr(oracle, "one_cycle_pgf", lambda m: built.append(m) or real(m))
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=8)}
+        assert checks["hultman_formula_vs_enumeration"] == verify.CheckResult("hultman_formula_vs_enumeration", True, "M <= 8")
+        assert built == list(range(1, 9))
 
     def test_one_enumeration_per_cycle_type(self, monkeypatch):
         real = oracle.exact_commutator_distribution
@@ -652,15 +692,77 @@ class TestGlobalBehavior:
         [("SEED", "abc"), ("SAMPLES", "1e5"), ("MAX_M", "8.0"), ("CAP", ""), ("THREADS", "x"), ("FORMAT", "bogus")],
     )
     def test_bad_env_value_exit_2(self, capsys, monkeypatch, name, value):
+        # A command that reads the variable refuses the value; any other ignores it.
         monkeypatch.setenv(f"COMMCYCLES_{name}", value)
-        code, out, err = run_cli(capsys, "pgf", "one-cycle:3")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: bad value for COMMCYCLES_{name}: {value!r}\n"
+        ran = stub_commands(monkeypatch)
+        for command, argv in COMMAND_ARGV.items():
+            code, out, err = run_cli(capsys, *argv)
+            if name.lower() in cli._READS[command]:
+                assert (code, out, ran) == (2, "", [])
+                assert err == f"error: bad value for COMMCYCLES_{name}: {value!r}\n"
+            else:
+                assert (code, out, err) == (0, "", "") and ran.pop().command == command
+
+    def test_unread_variable_ignored_end_to_end(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMMCYCLES_THREADS", "x")
+        code, out, _ = run_cli(capsys, "bernoulli", "uniform:3")
+        assert code == 0 and json.loads(out)["provenance"] == "exact"
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_unread_global_flag_exits_2(self, capsys, monkeypatch, command):
+        ran = stub_commands(monkeypatch)
+        argv = COMMAND_ARGV[command]
+        unread = [d for d in cli._GLOBALS if d not in cli._READS[command]]
+        assert len(unread) == {"pgf": 4, "dist": 4, "bernoulli": 5, "hultman": 3, "sample": 4, "mc": 2, "verify": 0}[command]
+        for dest in unread:
+            flag = ["--" + dest.replace("_", "-"), "3"]
+            code, out, err = run_cli(capsys, *flag, *argv)  # before the subcommand: refused in main
+            assert (code, out) == (2, "")
+            assert err == f"error: {command} does not take {flag[0]}\n"
+            with pytest.raises(SystemExit) as exc:  # after it: refused by the subcommand's parser
+                cli.main([*argv, *flag])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pgf", "one-cycle:3", "--samples", "5", "--threads", "9"],
+            ["mc", "trace-power", "--n", "2", "--m", "3", "--k", "3", "--cap", "3", "--max-m", "1"],
+        ],
+    )
+    def test_several_unread_flags_exit_2(self, capsys, monkeypatch, argv):
+        ran = stub_commands(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert (exc.value.code, capsys.readouterr().out, ran) == (2, "", [])
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_read_global_flags_before_and_after(self, capsys, monkeypatch, command):
+        ran = stub_commands(monkeypatch)
+        argv = COMMAND_ARGV[command]
+        for dest in cli._READS[command]:
+            flag = "--" + dest.replace("_", "-")
+            first, second, env = ("human", "json", "human") if dest == "format" else ("3", "4", "5")
+            cast = str if dest == "format" else int
+            assert run_cli(capsys, flag, first, *argv)[0] == 0
+            assert getattr(ran.pop(), dest) == cast(first)
+            assert run_cli(capsys, *argv, flag, first)[0] == 0
+            assert getattr(ran.pop(), dest) == cast(first)
+            assert run_cli(capsys, flag, first, *argv, flag, second)[0] == 0
+            assert getattr(ran.pop(), dest) == cast(second)  # the flag after the subcommand wins
+            monkeypatch.setenv(cli._GLOBALS[dest][0], env)
+            assert run_cli(capsys, *argv)[0] == 0
+            assert getattr(ran.pop(), dest) == cast(env)
+            assert run_cli(capsys, *argv, flag, second)[0] == 0
+            assert getattr(ran.pop(), dest) == cast(second)  # a flag beats the variable
+            monkeypatch.delenv(cli._GLOBALS[dest][0])
 
     def test_parser_built_once_per_process(self, capsys, monkeypatch, request):
         built, add = [], cli._add_global_options
-        monkeypatch.setattr(cli, "_add_global_options", lambda parser: built.append(parser.prog) or add(parser))
+        monkeypatch.setattr(cli, "_add_global_options", lambda parser, *dests: built.append(parser.prog) or add(parser, *dests))
         cli.build_parser.cache_clear()
         request.addfinalizer(cli.build_parser.cache_clear)
         run_cli(capsys, "pgf", "one-cycle:3")
