@@ -273,9 +273,39 @@ def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: in
     return {"statistic": stat, "df": df, "p_value": _chi2_sf(stat, df)}
 
 
+def _shuffle_rows(rows: np.ndarray, rng: random.Random) -> None:
+    """Fill each row of `rows`, in order, with what rng.shuffle(list(range(M))) would give.
+
+    CPython's shuffle swaps x[n-1] with x[j] for n = M, ..., 2, where j is
+    getrandbits(n.bit_length()) redrawn until j < n.  The swap indices of all
+    rows are drawn by that rule, word for word, so the rng ends in the same
+    state; the swaps then run as numpy column operations over the block."""
+    count, m = rows.shape
+    plan = [(n, n.bit_length()) for n in range(m, 1, -1)]
+    getrandbits = rng.getrandbits
+    js = []
+    append = js.append
+    for _ in range(count):
+        for n, k in plan:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            append(j)
+    swaps = np.array(js, dtype=np.int64).reshape(count, len(plan))
+    rows[:] = np.arange(m)
+    r = np.arange(count)
+    for c, (n, _) in enumerate(plan):
+        j = swaps[:, c]
+        last = rows[:, n - 1].copy()  # a copy, so that j == n - 1 leaves the row as it is
+        rows[:, n - 1] = rows[r, j]
+        rows[r, j] = last
+
+
 def _cmd_sample(args) -> int:
-    """Histogram of C([σ,τ]) over --draws σ drawn as perm.sample_uniform draws them, written
-    into a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
+    """Histogram of C([σ,τ]) over --draws σ.  The σ are exactly perm.sample_uniform's
+    draws on random.Random(seed), same words and same end state: _shuffle_rows follows
+    CPython's _randbelow rejection rule, which the tests pin against rng.shuffle.  They
+    fill a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
     if args.draws < 1:
         raise UsageError("draws must be at least 1")
     kind, value = parse_tau_spec(args.tau)
@@ -289,10 +319,7 @@ def _cmd_sample(args) -> int:
     counts = np.zeros(m + 1, dtype=np.int64)
     for start in range(0, args.draws, len(block)):
         rows = block[: args.draws - start]
-        for row in rows:
-            sigma = list(range(m))
-            rng.shuffle(sigma)
-            row[:] = sigma
+        _shuffle_rows(rows, rng)
         counts += np.bincount(oracle._commutator_counts(rows, tau_arr), minlength=m + 1)
     histogram = {k: int(v) for k, v in enumerate(counts) if v}
     try:
@@ -432,11 +459,20 @@ def _add_global_options(parser: argparse.ArgumentParser, dests=tuple(_GLOBALS)) 
         parser.add_argument("--" + dest.replace("_", "-"), dest=dest, default=argparse.SUPPRESS, **kind)
 
 
+def _refuse_unread(args: argparse.Namespace, extras: list[str]) -> None:
+    """Refuse a global flag that the command does not read, given before the
+    subcommand (parsed by the top-level parser) or after it (left over by the
+    subcommand's parser), with one message."""
+    left_over = {arg.partition("=")[0] for arg in extras}
+    for dest in _GLOBALS:
+        flag = "--" + dest.replace("_", "-")
+        if dest not in _READS[args.command] and (dest in args or flag in left_over):
+            raise UsageError(f"{args.command} does not take {flag}")
+
+
 def _fill_globals(args: argparse.Namespace) -> None:
     reads = _READS[args.command]
     for dest, (env, cast, fallback) in _GLOBALS.items():
-        if dest in args and dest not in reads:  # a flag given before the subcommand
-            raise UsageError(f"{args.command} does not take --{dest.replace('_', '-')}")
         if dest in args or dest not in reads:  # an unread variable is never looked at
             continue
         raw = os.environ.get(env)
@@ -492,7 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extras = parser.parse_known_args(argv)
+        _refuse_unread(args, extras)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
         _fill_globals(args)
         if args.format == "csv" and args.command not in ("dist", "hultman"):
             raise UsageError(f"--format csv is for dist and hultman; {args.command} speaks json or human")

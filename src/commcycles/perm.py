@@ -257,7 +257,10 @@ def from_cycle_type(ct: CycleType) -> Permutation:
 
 
 def sample_uniform(size: int, rng: random.Random) -> Permutation:
-    """Uniformly random permutation via the rng's Fisher-Yates shuffle."""
+    """Uniformly random permutation via the rng's Fisher-Yates shuffle.
+
+    This stays the per-draw reference for `commcycles sample`, whose block
+    sampler (cli._shuffle_rows) must give the same permutations."""
     if size < 1:
         raise ValueError("size must be positive")
     vals = list(range(size))

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import commcycles
@@ -336,7 +337,9 @@ class TestSampleCommand:
         assert (code, out, err) == (2, "", "error: draws must be at least 1\n")
 
     @pytest.mark.parametrize("seed", [0, 3, 12345])
-    @pytest.mark.parametrize("spec", ["one-cycle:7", "type:[3,2,2]", "(1 4)(2 5 3)", "one-cycle:1", "type:[40]"])
+    @pytest.mark.parametrize(
+        "spec", ["one-cycle:7", "type:[3,2,2]", "(1 4)(2 5 3)", "one-cycle:1", "type:[40]", "one-cycle:2", "type:[5,4]"]
+    )
     def test_block_sampler_matches_per_draw_loop(self, capsys, monkeypatch, spec, seed):
         # same draws in the same order as sample_uniform + commutator_cycle_count,
         # across block edges (1024 rows), and no draw added or dropped
@@ -356,6 +359,23 @@ class TestSampleCommand:
             expected = Counter(commutator_cycle_count(sample_uniform(tau.size, rng), tau) for _ in range(draws))
             assert json.loads(out)["histogram"] == {str(k): v for k, v in sorted(expected.items())}
             assert len(made) == 1 and made[0].getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_shuffle_rows_equals_successive_shuffles(self, m, seed):
+        # bounds n = 2, 4, 8 draw one bit more than they need and reject half of the words;
+        # n = 9 rejects 7/16 of them
+        for count in (1, 1023, 1024, 1025):
+            rng, reference = random.Random(seed), random.Random(seed)
+            rows = np.full((count, m), -1, dtype=np.int64)
+            cli._shuffle_rows(rows, rng)
+            expected = []
+            for _ in range(count):
+                sigma = list(range(m))
+                reference.shuffle(sigma)
+                expected.append(sigma)
+            assert rows.tolist() == expected
+            assert rng.getstate() == reference.getstate()
 
     def test_draws_counted_in_bounded_blocks(self, capsys, monkeypatch):
         sizes, real = [], oracle._commutator_counts
@@ -716,15 +736,20 @@ class TestGlobalBehavior:
         assert len(unread) == {"pgf": 4, "dist": 4, "bernoulli": 5, "hultman": 3, "sample": 4, "mc": 2, "verify": 0}[command]
         for dest in unread:
             flag = ["--" + dest.replace("_", "-"), "3"]
-            code, out, err = run_cli(capsys, *flag, *argv)  # before the subcommand: refused in main
-            assert (code, out) == (2, "")
-            assert err == f"error: {command} does not take {flag[0]}\n"
-            with pytest.raises(SystemExit) as exc:  # after it: refused by the subcommand's parser
-                cli.main([*argv, *flag])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and f"unrecognized arguments: {' '.join(flag)}" in captured.err
+            for order in ([*flag, *argv], [*argv, *flag], [*argv, f"{flag[0]}={flag[1]}"]):
+                code, out, err = run_cli(capsys, *order)  # before or after the subcommand: one refusal
+                assert (code, out) == (2, "")
+                assert err == f"error: {command} does not take {flag[0]}\n"
         assert ran == []
+
+    def test_other_leftovers_still_refused_by_argparse(self, capsys, monkeypatch):
+        ran = stub_commands(monkeypatch)
+        for extra in (["--bogus", "5"], ["stray"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["pgf", "one-cycle:3", *extra])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out, ran) == (2, "", [])
+            assert f"commcycles: error: unrecognized arguments: {' '.join(extra)}" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -734,10 +759,11 @@ class TestGlobalBehavior:
         ],
     )
     def test_several_unread_flags_exit_2(self, capsys, monkeypatch, argv):
+        # the first unread flag in cli._GLOBALS order is named, as when they come first
         ran = stub_commands(monkeypatch)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert (exc.value.code, capsys.readouterr().out, ran) == (2, "", [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"error: {argv[0]} does not take {'--samples' if argv[0] == 'pgf' else '--max-m'}\n"
 
     @pytest.mark.parametrize("command", list(COMMAND_ARGV))
     def test_read_global_flags_before_and_after(self, capsys, monkeypatch, command):
