@@ -462,11 +462,17 @@ def _add_global_options(parser: argparse.ArgumentParser, dests=tuple(_GLOBALS)) 
 def _refuse_unread(args: argparse.Namespace, extras: list[str]) -> None:
     """Refuse a global flag that the command does not read, given before the
     subcommand (parsed by the top-level parser) or after it (left over by the
-    subcommand's parser), with one message."""
-    left_over = {arg.partition("=")[0] for arg in extras}
-    for dest in _GLOBALS:
-        flag = "--" + dest.replace("_", "-")
-        if dest not in _READS[args.command] and (dest in args or flag in left_over):
+    subcommand's parser), with one message.  A left-over `--x` names the one
+    global flag it is a prefix of, as argparse reads it before the subcommand;
+    an ambiguous prefix is left to argparse."""
+    flags = {dest: "--" + dest.replace("_", "-") for dest in _GLOBALS}
+    left_over = set()
+    for arg in extras:  # "", "-" and "--" are prefixes of every flag
+        named = [dest for dest, flag in flags.items() if flag.startswith(arg.partition("=")[0])]
+        if len(named) == 1:
+            left_over.add(named[0])
+    for dest, flag in flags.items():
+        if dest not in _READS[args.command] and (dest in args or dest in left_over):
             raise UsageError(f"{args.command} does not take {flag}")
 
 

@@ -22,8 +22,9 @@ holds its real parts (drawn first, as one (2, b, n, n) draw would) and
 streams the rest through `_normal_chunks` in chunks of `_CHUNK` entries,
 reducing each complex chunk at once; no whole complex batch is formed.
 
-Traces of matrix powers are contracted, never formed: tr G^p is one einsum
-over G^ceil(p/2) and G^floor(p/2) (a single three-operand einsum for p = 3).
+Traces of matrix powers are contracted, never formed: tr G^p sums G^ceil(p/2)
+against the transpose of G^floor(p/2), both built batch-last, as (n, n, k)
+stacks, so each product is n multiply-adds over the k matrices of a chunk.
 """
 
 from __future__ import annotations
@@ -149,19 +150,27 @@ def _ginibre(rng: np.random.Generator, n: int, out: np.ndarray, reduce) -> None:
         out[rows] = reduce(chunk)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix products of two batch-last stacks of shape (n, n, k): n
+    broadcast multiply-adds, each a contiguous vector op over the k matrices."""
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[None, j]
+    return out
+
+
 def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
-    """tr G^p for each matrix of the stack g, without forming G^p."""
+    """tr G^p for each matrix of the stack g, without forming G^p: the sum of
+    G^ceil(p/2) times the transpose of G^floor(p/2), entry by entry, with the
+    powers built batch-last by `_product`."""
     if p == 1:
         return np.einsum("kii->k", g)
-    if p == 2:
-        return np.einsum("kij,kji->k", g, g)
-    if p == 3:
-        return np.einsum("kij,kjl,kli->k", g, g, g)
-    low = g
+    a = np.ascontiguousarray(g.transpose(1, 2, 0))
+    low = a
     for _ in range(p // 2 - 1):
-        low = np.einsum("kij,kjl->kil", low, g)
-    high = low if p % 2 == 0 else np.einsum("kij,kjl->kil", low, g)
-    return np.einsum("kij,kji->k", high, low)
+        low = _product(low, a)
+    high = low if p % 2 == 0 else _product(low, a)
+    return (high * low.transpose(1, 0, 2)).sum(axis=(0, 1))
 
 
 def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray:
@@ -327,7 +336,7 @@ def tr_g_squared_samples(
     _check_positive(N=n_dim)
 
     def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: np.einsum("kij,kji->k", g, g))
+        _ginibre(rng, n_dim, values, lambda g: _power_trace(g, 2))
 
     return _collect("tr_g_squared", seed, partitions, samples, draw, dtype=complex)
 

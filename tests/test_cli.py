@@ -752,6 +752,35 @@ class TestGlobalBehavior:
             assert f"commcycles: error: unrecognized arguments: {' '.join(extra)}" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["--sam", "5", "pgf", "one-cycle:3"], "pgf does not take --samples"),
+            (["pgf", "one-cycle:3", "--sam", "5"], "pgf does not take --samples"),
+            (["pgf", "one-cycle:3", "--sam=5"], "pgf does not take --samples"),
+            (["pgf", "one-cycle:3", "--th=2"], "pgf does not take --threads"),
+            (["mc", "trace-power", "--n", "2", "--ma", "1"], "mc does not take --max-m"),
+        ],
+        ids=["before", "after", "after_equals", "threads_equals", "mc_max_m"],
+    )
+    def test_unread_flag_prefix_exits_2(self, capsys, monkeypatch, argv, refusal):
+        # a unique prefix names its flag on either side of the subcommand
+        ran = stub_commands(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"error: {refusal}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--s", "5", "pgf", "one-cycle:3"], ["pgf", "one-cycle:3", "--s", "5"]], ids=["before", "after"]
+    )
+    def test_ambiguous_flag_prefix_left_to_argparse(self, capsys, monkeypatch, argv):
+        ran = stub_commands(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, ran) == (2, "", [])
+        assert "commcycles: error: ambiguous option: --s could match --seed, --samples" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["pgf", "one-cycle:3", "--samples", "5", "--threads", "9"],

@@ -269,11 +269,20 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_trace_matches_matrix_power(self, n):
-        x, y = np.random.default_rng(n).standard_normal((2, 200, n, n))
-        g = (x + 1j * y) * np.sqrt(0.5)
-        for p in range(1, 7):
-            direct = np.trace(np.linalg.matrix_power(g, p), axis1=1, axis2=2)
-            np.testing.assert_allclose(_power_trace(g, p), direct, rtol=1e-12)
+        # C-contiguous stacks of one matrix, of 200 and of a streamed chunk's
+        # size, and a (k, n, n) view of a batch-last array; none is written to
+        rng = np.random.default_rng(n)
+        stacks = []
+        for count in (1, 200, _CHUNK // (n * n)):
+            x, y = rng.standard_normal((2, count, n, n))
+            stacks.append((x + 1j * y) * np.sqrt(0.5))
+        stacks.append(np.ascontiguousarray(stacks[1].transpose(1, 2, 0)).transpose(2, 0, 1))
+        for g in stacks:
+            kept = g.copy()
+            for p in range(1, 9):
+                direct = np.trace(np.linalg.matrix_power(g, p), axis1=1, axis2=2)
+                np.testing.assert_allclose(_power_trace(g, p), direct, rtol=1e-12)
+            assert np.array_equal(g, kept)
 
     @pytest.mark.parametrize("n, count", [(1, 70_001), (3, 5001), (2, _CHUNK // 2), (4, _CHUNK // 8 + 1)])
     def test_streamed_draw_layout(self, n, count):
@@ -415,6 +424,23 @@ class TestPartitions:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         threaded = mc_tr_g_squared_law(2, 2, samples=5_001, seed=3, partitions=8)
         assert (threaded.estimate, threaded.std_error) == (serial.estimate, serial.std_error)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: mc_trace_power_moment(4, 3, 1, samples=5_001, seed=3, partitions=2),
+            lambda: mixed_trace_vanishing(3, 2, 5, samples=5_001, seed=3, partitions=2),
+        ],
+        ids=["trace_power", "mixed_trace"],
+    )
+    def test_power_trace_estimates_equal_serial_partitions(self, monkeypatch, run):
+        # the product chain of _power_trace is what runs side by side here
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = run()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threaded = run()
+        assert (threaded.estimate, threaded.std_error) == (serial.estimate, serial.std_error)
+        assert threaded.extra == serial.extra
 
 
 class TestGaussianConvention:
