@@ -15,7 +15,6 @@ from .genfun import (
     character_law,
     commutator_law,
     one_cycle_pgf,
-    one_cycle_pgf_roots,
     transpositions_pgf,
     transpositions_rising_form,
     two_cycles_pgf,
@@ -29,23 +28,18 @@ from .oracle import (
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_laws,
-    hultman_count,
+    hultman_row,
     hultman_table_rows,
 )
 from .perm import (
     CycleType,
     Permutation,
-    commutator,
-    compose,
-    cycle_count,
     disjoint_transpositions,
     format_cycles,
     from_cycle_type,
-    inverse,
     one_cycle,
     parse_cycles,
     sample_uniform,
-    sign_parity,
     two_disjoint_cycles,
 )
 from .polys import (

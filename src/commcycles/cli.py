@@ -82,9 +82,12 @@ def parse_tau_spec(text: str):
             parts = json.loads(tail)
         except json.JSONDecodeError:
             raise UsageError(f"expected type:[c1,c2,...], got {text!r}") from None
-        if not isinstance(parts, list) or not all(type(p) is int for p in parts):  # true and false are ints too
+        if not isinstance(parts, list):
             raise UsageError(f"expected a list of integers in {text!r}")
-        return ("type", CycleType(parts))
+        try:
+            return ("type", CycleType(parts))
+        except ValueError as exc:
+            raise UsageError(f"{exc} in {text!r}") from None
     raise UsageError(f"unknown tau selector {head!r}")
 
 

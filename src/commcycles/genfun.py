@@ -50,7 +50,6 @@ __all__ = [
     "require_bernoulli_source",
     "bernoulli_decomposition",
     "negative_real_roots",
-    "one_cycle_pgf_roots",
 ]
 
 # Source tags of the commutator laws; C has the parity of M under each.
@@ -535,16 +534,3 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
         return BernoulliDecomposition(terms, 0)
     terms = tuple(BernoulliTerm(1.0 / (1.0 - u), 2) for u in negative_real_roots(pgf.M))
     return BernoulliDecomposition(terms, 2 - pgf.M % 2)
-
-
-def one_cycle_pgf_roots(m: int) -> list[complex]:
-    """All nonzero roots of the one-cycle commutator PGF of order m: the
-    pairs ±i*y_j with sum_{k=1..m} atan(y_j/k) = pi*(m/2 - j), from the
-    certified roots u_j = -y_j^2 of `negative_real_roots`, largest first.
-    They lie on the imaginary axis (the Lee-Yang property) by construction.
-    """
-    roots = []
-    for u in negative_real_roots(m):
-        y = math.sqrt(-u)
-        roots += [complex(0.0, y), complex(0.0, -y)]
-    return roots

@@ -42,7 +42,6 @@ __all__ = [
     "exact_class_product_distribution",
     "exact_uniform_cycle_laws",
     "conjugacy_class",
-    "hultman_count",
     "hultman_row",
     "hultman_table_rows",
     "distribution_rows",
@@ -226,16 +225,6 @@ def hultman_row(m: int) -> list[int]:
         if value.denominator != 1:
             raise AssertionError(f"non-integer count {value} at m={m}, k={k}")
     return [int(value) for value in counts]
-
-
-def hultman_count(m: int, k: int) -> int:
-    """Number of permutations σ of m points whose commutator with the
-    canonical m-cycle has exactly k cycles (0 for out-of-range or
-    parity-impossible k): the coefficient of t^k in m! times the one-cycle
-    commutator PGF.  `hultman_table_rows` sets the enumerated counts beside it."""
-    if k < 1 or k > m or (m - k) % 2:
-        return 0
-    return hultman_row(m)[k]
 
 
 def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tuple]:

@@ -1,5 +1,6 @@
-"""Permutations of {0, ..., M-1} in one-line notation, cycle statistics,
-commutators, canonical representatives of cycle types, and uniform sampling.
+"""Permutations of {0, ..., M-1} in one-line notation, their cycles and
+cycle types, canonical representatives of cycle types, and uniform sampling.
+Commutator cycle counts are computed in bulk by `oracle`.
 
 Internally everything is 0-based one-line notation (map[i] = image of i);
 the 1-based cycle notation of the group-theory literature appears only in
@@ -17,12 +18,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "Permutation",
     "CycleType",
-    "compose",
-    "inverse",
-    "commutator",
-    "commutator_cycle_count",
-    "cycle_count",
-    "sign_parity",
     "one_cycle",
     "two_disjoint_cycles",
     "disjoint_transpositions",
@@ -65,24 +60,11 @@ class Permutation:
     def __getitem__(self, i: int) -> int:
         return self._map[i]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition self∘other: (self*other)[i] = self[other[i]]."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        s = self._map
-        return Permutation(s[j] for j in other._map)
-
     def inverse(self) -> "Permutation":
         out = [0] * self.size
         for i, v in enumerate(self._map):
             out[v] = i
         return Permutation(out)
-
-    def conjugated_by(self, s: "Permutation") -> "Permutation":
-        """The conjugate s∘self∘s⁻¹, which has the same cycle type."""
-        return s * self * s.inverse()
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Orbits as tuples, each starting at its smallest element, ordered
@@ -102,18 +84,8 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def cycle_count(self) -> int:
-        return _orbit_count(self._map)
-
     def cycle_type(self) -> "CycleType":
         return CycleType(len(c) for c in self.cycles())
-
-    def is_even(self) -> bool:
-        # A permutation is even iff its cycle count has the parity of M.
-        return (self.size - self.cycle_count()) % 2 == 0
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self._map))
 
     def __eq__(self, other):
         if isinstance(other, Permutation):
@@ -130,58 +102,6 @@ class Permutation:
         return format_cycles(self)
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """a∘b, i.e. apply b first: result[i] = a[b[i]]."""
-    return a * b
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def commutator(s: Permutation, t: Permutation) -> Permutation:
-    """The commutator s∘t∘s⁻¹∘t⁻¹ (always an even permutation)."""
-    if s.size != t.size:
-        raise ValueError(f"size mismatch: {s.size} vs {t.size}")
-    return s * t * s.inverse() * t.inverse()
-
-
-def commutator_cycle_count(s: Permutation, t: Permutation) -> int:
-    """C([s,t]), the cycle count of the commutator, from one list: [s,t]
-    sends t[s[i]] to s[t[i]].  No intermediate Permutation is built."""
-    if s.size != t.size:
-        raise ValueError(f"size mismatch: {s.size} vs {t.size}")
-    sm, tm = s._map, t._map
-    comm = [0] * len(sm)
-    for si, ti in zip(sm, tm):
-        comm[tm[si]] = sm[ti]
-    return _orbit_count(comm)
-
-
-def _orbit_count(mapping: Sequence[int]) -> int:
-    """Number of orbits of a bijection given in one-line notation."""
-    seen = [False] * len(mapping)
-    count = 0
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = mapping[j]
-    return count
-
-
-def cycle_count(p: Permutation) -> int:
-    return p.cycle_count()
-
-
-def sign_parity(p: Permutation) -> str:
-    """'even' or 'odd'."""
-    return "even" if p.is_even() else "odd"
-
-
 @dataclass(frozen=True)
 class CycleType:
     """A multiset of cycle lengths, stored sorted in decreasing order."""
@@ -189,19 +109,15 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        ps = tuple(sorted(parts, reverse=True))
-        if not ps or any(p < 1 for p in ps):
-            raise ValueError(f"cycle type needs positive parts, got {ps}")
-        object.__setattr__(self, "parts", ps)
+        ps = tuple(parts)
+        if not ps or any(type(p) is not int or p < 1 for p in ps):  # True and 2.0 are refused too
+            raise ValueError(f"cycle type needs positive integer parts, got {list(ps)}")
+        object.__setattr__(self, "parts", tuple(sorted(ps, reverse=True)))
 
     @property
     def size(self) -> int:
         """Size of the ground set (sum of the parts)."""
         return sum(self.parts)
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
     def class_size(self) -> int:
         """Number of permutations with this cycle type:

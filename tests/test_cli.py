@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import commcycles
+from _reference import commutator_cycle_count
 from commcycles import cli, genfun, oracle, rmt, verify
-from commcycles.perm import CycleType, commutator_cycle_count, from_cycle_type, one_cycle, sample_uniform
+from commcycles.perm import CycleType, from_cycle_type, one_cycle, sample_uniform
 from commcycles.polys import RationalPoly
 
 
@@ -69,7 +70,11 @@ class TestTauSpecParsing:
         assert kind == "explicit" and p.size == 5
 
     @pytest.mark.parametrize(
-        "bad", ["nonsense", "one-cycle:x", "one-cycle:0", "type:{}", "type:[1,\"a\"]", "type:[true]", "type:[true,1]"]
+        "bad",
+        [
+            "nonsense", "one-cycle:x", "one-cycle:0", "type:{}", "type:[1,\"a\"]", "type:[true]", "type:[true,1]",
+            "type:[1.5]", "type:[2.0,1]", "type:[]", "type:[3,0]",
+        ],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(cli.UsageError):
@@ -129,6 +134,12 @@ class TestPgfCommand:
         assert data["provenance"] == "closed-form: two-cycles"
         assert data["pgf"]["source"] == "two_cycles"
         assert data["validation"]["parity_ok"] is True
+
+    @pytest.mark.parametrize("spec", ["type:[true]", "type:[1.5]"])
+    def test_non_integer_parts_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "pgf", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: cycle type needs positive integer parts, got {json.loads(spec[5:])} in {spec!r}\n"
 
     def test_transpositions_example(self, capsys):
         code, out, _ = run_cli(capsys, "pgf", "transpositions:2")
@@ -356,7 +367,7 @@ class TestSampleCommand:
             made.clear()
             _, out, _ = run_cli(capsys, "sample", spec, "--draws", str(draws), "--seed", str(seed))
             rng = real(seed)
-            expected = Counter(commutator_cycle_count(sample_uniform(tau.size, rng), tau) for _ in range(draws))
+            expected = Counter(commutator_cycle_count(sample_uniform(tau.size, rng).map, tau.map) for _ in range(draws))
             assert json.loads(out)["histogram"] == {str(k): v for k, v in sorted(expected.items())}
             assert len(made) == 1 and made[0].getstate() == rng.getstate()
 

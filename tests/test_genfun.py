@@ -20,7 +20,6 @@ from commcycles.genfun import (
     character_law,
     negative_real_roots,
     one_cycle_pgf,
-    one_cycle_pgf_roots,
     RootFindError,
     alternating_pgf,
     transpositions_pgf,
@@ -268,10 +267,15 @@ class TestBernoulliDecompositions:
                 assert float(a.p) == pytest.approx(float(b.p), abs=1e-15)
 
 
+def imaginary_roots(m):
+    """The nonzero roots ±i*y_j of the one-cycle PGF, from u_j = -y_j^2."""
+    return [complex(0.0, sign * math.sqrt(-u)) for u in negative_real_roots(m) for sign in (1, -1)]
+
+
 class TestRootFinder:
     @pytest.mark.parametrize("m", range(3, 31))
     def test_lee_yang_property(self, m):
-        roots = one_cycle_pgf_roots(m)
+        roots = imaginary_roots(m)
         offset = 1 if m % 2 else 2
         assert len(roots) == m - offset
         assert max(abs(z.real) for z in roots) < 1e-9
@@ -281,7 +285,7 @@ class TestRootFinder:
         # independent cross-check: numpy's eigenvalue-based roots, polished
         w = rising_factorial(m + 1) - falling_factorial(m + 1)
         np_roots = [z for z in np.roots([float(c) for c in reversed(w.coeffs)]) if abs(z) > 1e-8]
-        ours = sorted(one_cycle_pgf_roots(m), key=lambda z: round(z.imag, 9))
+        ours = sorted(imaginary_roots(m), key=lambda z: round(z.imag, 9))
         theirs = sorted(np_roots, key=lambda z: round(z.imag, 9))
         assert len(ours) == len(theirs)
         assert max(abs(a - b) for a, b in zip(ours, theirs)) < 1e-6

@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 
 import commcycles
+from _reference import commutator_cycle_count, conjugate
 from commcycles import genfun, oracle
 from commcycles.oracle import (
     EnumerationCapError,
@@ -20,7 +21,7 @@ from commcycles.oracle import (
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_laws,
-    hultman_count,
+    hultman_row,
     hultman_table_rows,
     write_distribution_csv,
     write_hultman_csv,
@@ -28,7 +29,6 @@ from commcycles.oracle import (
 from commcycles.perm import (
     CycleType,
     Permutation,
-    commutator_cycle_count,
     disjoint_transpositions,
     from_cycle_type,
     one_cycle,
@@ -107,7 +107,8 @@ class TestCommutatorDistribution:
             reference = exact_commutator_distribution(tau)
             for _ in range(20):
                 s = sample_uniform(tau.size, rng)
-                assert exact_commutator_distribution(tau.conjugated_by(s)).probabilities() == reference.probabilities()
+                conj = Permutation(conjugate(s.map, tau.map))
+                assert exact_commutator_distribution(conj).probabilities() == reference.probabilities()
 
 
 class TestKernel:
@@ -128,14 +129,14 @@ class TestKernel:
         rng = random.Random(m)
         perms = [sample_uniform(m, rng) for _ in range(200)]
         rows = np.array([p.map for p in perms], dtype=np.int64)
-        assert oracle._cycle_counts_rows(rows).tolist() == [p.cycle_count() for p in perms]
+        assert oracle._cycle_counts_rows(rows).tolist() == [len(p.cycles()) for p in perms]
 
 
 def _brute_force_law(tau):
     """The commutator law from a plain loop over all of S_M."""
     hist = [0] * (tau.size + 1)
     for sigma in itertools.permutations(range(tau.size)):
-        hist[commutator_cycle_count(Permutation(sigma), tau)] += 1
+        hist[commutator_cycle_count(sigma, tau.map)] += 1
     return RationalPoly(hist) / math.factorial(tau.size)
 
 
@@ -153,7 +154,8 @@ class TestCosetQuotient:
         # conjugating by a random σ puts the cycles on non-consecutive points
         rng = random.Random(100 + m)
         for _ in range(20):
-            tau = from_cycle_type(CycleType(rng.choice(_partitions(m)))).conjugated_by(sample_uniform(m, rng))
+            canonical = from_cycle_type(CycleType(rng.choice(_partitions(m))))
+            tau = Permutation(conjugate(sample_uniform(m, rng).map, canonical.map))
             assert exact_commutator_distribution(tau).poly == _brute_force_law(tau), tau.cycles()
 
     def test_constrained_blocks_are_the_filtered_group(self):
@@ -365,21 +367,18 @@ class TestConjugacyClassRoute:
 
 class TestHultman:
     def test_small_values(self):
-        assert hultman_count(3, 3) == 3
-        assert hultman_count(3, 2) == 0  # parity forbids
-        assert hultman_count(3, 1) == 3
-        assert hultman_count(3, 5) == 0
-        assert hultman_count(2, 2) == 2
+        assert hultman_row(3) == [0, 3, 0, 3]  # parity forbids k = 2
+        assert hultman_row(2) == [0, 0, 2]
+        assert hultman_row(5)[3] == 75
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_formula_matches_enumeration(self, m):
         enumerated = exact_commutator_distribution(one_cycle(m))
-        for k in range(1, m + 1):
-            assert hultman_count(m, k) == enumerated.coefficient(k) * math.factorial(m)
+        assert hultman_row(m) == [enumerated.coefficient(k) * math.factorial(m) for k in range(m + 1)]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_row_sums_are_factorials(self, m):
-        assert sum(hultman_count(m, k) for k in range(1, m + 1)) == math.factorial(m)
+        assert sum(hultman_row(m)) == math.factorial(m)
 
     def test_table_rows(self):
         rows = hultman_table_rows(3)

@@ -1,35 +1,38 @@
-"""Permutation arithmetic, cycle statistics, canonical constructors,
-the cycle-notation parser, and seeded sampling checks."""
+"""Permutations and their cycles, the commutator kernel against the plain
+reference algebra, canonical constructors, the cycle-notation parser, and
+seeded sampling checks."""
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import commutator_cycle_count, compose, conjugate, orbit_count
+from commcycles import oracle
 from commcycles.perm import (
     CycleType,
     Permutation,
-    commutator,
-    commutator_cycle_count,
-    compose,
-    cycle_count,
     disjoint_transpositions,
     format_cycles,
     from_cycle_type,
-    inverse,
     one_cycle,
     parse_cycles,
     sample_uniform,
-    sign_parity,
     two_disjoint_cycles,
 )
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
 )
+
+
+def kernel_count(s, t):
+    """C([s,t]) from the shipped numpy kernel, for one pair."""
+    return int(oracle._commutator_counts(np.array([s.map]), np.array(t.map))[0])
 
 
 def equal_size_perm_pairs():
@@ -50,37 +53,27 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([])
 
+    # compose is the reference's product, which defines its one-list formulas
     def test_compose_identity(self):
-        p = Permutation([2, 0, 1])
-        assert compose(Permutation.identity(3), p) == p
-        assert compose(p, Permutation.identity(3)) == p
+        p = (2, 0, 1)
+        assert compose((0, 1, 2), p) == p
+        assert compose(p, (0, 1, 2)) == p
 
     def test_compose_involution(self):
-        swap = Permutation([1, 0])
-        assert compose(swap, swap) == Permutation.identity(2)
+        assert compose((1, 0), (1, 0)) == (0, 1)
 
     def test_compose_three_cycle_squared(self):
-        c = Permutation([1, 2, 0])  # (0 1 2)
-        assert compose(c, c) == Permutation([2, 0, 1])  # (0 2 1)
-
-    def test_compose_size_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(Permutation([0]), Permutation([0, 1]))
+        c = (1, 2, 0)  # (0 1 2)
+        assert compose(c, c) == (2, 0, 1)  # (0 2 1)
 
     def test_inverse_examples(self):
-        assert inverse(Permutation.identity(4)) == Permutation.identity(4)
-        assert inverse(Permutation([1, 2, 0])) == Permutation([2, 0, 1])
+        assert Permutation.identity(4).inverse() == Permutation.identity(4)
+        assert Permutation([1, 2, 0]).inverse() == Permutation([2, 0, 1])
 
     def test_cycle_count_examples(self):
-        assert cycle_count(Permutation.identity(5)) == 5
-        assert cycle_count(one_cycle(6)) == 1
-        assert cycle_count(Permutation([1, 0, 3, 2])) == 2
-
-    def test_sign_parity_examples(self):
-        assert sign_parity(Permutation.identity(3)) == "even"
-        assert sign_parity(Permutation([1, 0])) == "odd"
-        # 3-cycle: one cycle, M=3, 1 ≡ 3 (mod 2)
-        assert sign_parity(Permutation([1, 2, 0])) == "even"
+        assert len(Permutation.identity(5).cycles()) == 5
+        assert len(one_cycle(6).cycles()) == 1
+        assert len(Permutation([1, 0, 3, 2]).cycles()) == 2
 
     def test_cycles_listing(self):
         p = parse_cycles("(1 2 3)(4 5)", size=6)
@@ -89,46 +82,48 @@ class TestBasics:
 
 
 class TestCommutator:
+    """C([s,t]) from the numpy kernel, checked by hand and against the reference."""
+
     def test_with_identity(self):
+        # the commutator is the identity, with M cycles
         p = Permutation([2, 0, 1])
-        assert commutator(p, Permutation.identity(3)).is_identity()
-        assert commutator(Permutation.identity(3), p).is_identity()
+        assert kernel_count(p, Permutation.identity(3)) == 3
+        assert kernel_count(Permutation.identity(3), p) == 3
 
     def test_with_itself(self):
         p = Permutation([3, 1, 0, 2])
-        assert commutator(p, p).is_identity()
+        assert kernel_count(p, p) == 4
 
     def test_known_three_cycle(self):
         s = parse_cycles("(1 2)", size=3)
         t = parse_cycles("(1 2 3)")
-        c = commutator(s, t)
-        assert c.cycle_count() == 1  # a 3-cycle
+        assert kernel_count(s, t) == 1  # a 3-cycle
 
     @settings(max_examples=60)
     @given(equal_size_perm_pairs())
     def test_parity_matches_ground_set(self, pair):
+        # a commutator is even: C([s,t]) ≡ M (mod 2)
         s, t = pair
-        c = commutator(s, t)
-        assert c.is_even()
-        assert c.cycle_count() % 2 == s.size % 2
+        c = kernel_count(s, t)
+        assert c == commutator_cycle_count(s.map, t.map)
+        assert c % 2 == s.size % 2
 
     @settings(max_examples=100)
     @given(equal_size_perm_pairs())
     def test_cycle_count_without_products(self, pair):
+        # the reference's one-list formula is the orbit count of s∘t∘s⁻¹∘t⁻¹
         s, t = pair
-        assert commutator_cycle_count(s, t) == commutator(s, t).cycle_count()
-
-    def test_cycle_count_size_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator_cycle_count(Permutation.identity(2), Permutation.identity(3))
+        product = compose(compose(s.map, t.map), compose(s.inverse().map, t.inverse().map))
+        assert commutator_cycle_count(s.map, t.map) == orbit_count(product)
 
 
 class TestAlgebraProperties:
     @given(perms)
     def test_inverse_is_involution(self, p):
-        assert inverse(inverse(p)) == p
-        assert compose(p, inverse(p)).is_identity()
-        assert compose(inverse(p), p).is_identity()
+        identity = tuple(range(p.size))
+        assert p.inverse().inverse() == p
+        assert compose(p.map, p.inverse().map) == identity
+        assert compose(p.inverse().map, p.map) == identity
 
     @settings(max_examples=40)
     @given(
@@ -139,21 +134,23 @@ class TestAlgebraProperties:
         )
     )
     def test_compose_associative(self, triple):
-        a, b, c = triple
+        a, b, c = (p.map for p in triple)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     @settings(max_examples=60)
     @given(equal_size_perm_pairs())
     def test_conjugation_preserves_cycle_count(self, pair):
         s, t = pair
-        assert t.conjugated_by(s).cycle_count() == t.cycle_count()
-        assert t.conjugated_by(s).cycle_type() == t.cycle_type()
+        conj = Permutation(conjugate(s.map, t.map))
+        assert conj.map == compose(compose(s.map, t.map), s.inverse().map)
+        assert len(conj.cycles()) == len(t.cycles())
+        assert conj.cycle_type() == t.cycle_type()
 
 
 class TestCanonicalConstructors:
     def test_one_cycle_map(self):
         assert one_cycle(3).map == (1, 2, 0)
-        assert one_cycle(1).is_identity()
+        assert one_cycle(1).map == (0,)
 
     def test_two_disjoint_cycles(self):
         assert two_disjoint_cycles(1) == Permutation.identity(2)
@@ -182,6 +179,12 @@ class TestCanonicalConstructors:
         )
         assert total == math.factorial(4)
 
+    @pytest.mark.parametrize("parts", [[], [0], [3, -1], [1.5, 1.5], [2.0, 1], [True], [True, True], ["2"]])
+    def test_cycle_type_refuses_bad_parts(self, parts):
+        # only positive plain ints: a float or bool part would fail later, deep in a law
+        with pytest.raises(ValueError, match="positive integer parts"):
+            CycleType(parts)
+
 
 class TestCycleNotation:
     def test_parse_basic(self):
@@ -196,7 +199,7 @@ class TestCycleNotation:
         assert p.map == (1, 0, 2, 3)
 
     def test_identity_needs_size(self):
-        assert parse_cycles("()", size=3).is_identity()
+        assert parse_cycles("()", size=3) == Permutation.identity(3)
         with pytest.raises(ValueError):
             parse_cycles("()")
 
@@ -232,12 +235,12 @@ class TestSampling:
     def test_size_one_always_identity(self):
         rng = random.Random(0)
         for _ in range(20):
-            assert sample_uniform(1, rng).is_identity()
+            assert sample_uniform(1, rng).map == (0,)
 
     def test_two_point_frequencies(self):
         rng = random.Random(42)
         draws = 10_000
-        hits = sum(sample_uniform(2, rng).is_identity() for _ in range(draws))
+        hits = sum(sample_uniform(2, rng).map == (0, 1) for _ in range(draws))
         # each of the two permutations has frequency 1/2; allow 3 standard errors
         se = math.sqrt(0.25 / draws)
         assert abs(hits / draws - 0.5) < 3 * se
@@ -245,7 +248,7 @@ class TestSampling:
     def test_mean_cycle_count_matches_harmonic_sum(self):
         rng = random.Random(2024)
         draws = 100_000
-        total = sum(sample_uniform(5, rng).cycle_count() for _ in range(draws))
+        total = sum(len(sample_uniform(5, rng).cycles()) for _ in range(draws))
         mean = total / draws
         expected = float(Fraction(137, 60))  # 1 + 1/2 + 1/3 + 1/4 + 1/5
         variance = sum(Fraction(1, k) * (1 - Fraction(1, k)) for k in range(1, 6))
