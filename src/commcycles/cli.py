@@ -151,8 +151,9 @@ def _cmd_pgf(args) -> int:
         yield f"tau: {p['tau']}   ({p['provenance']})"
         yield f"ground set size: {pgf.M}"
         yield f"PGF: {p['pretty']}"
-        for k, prob in sorted(pgf.probabilities().items()):
-            yield f"  P(C = {k}) = {_fraction_str(prob)}"
+        for k, prob in enumerate(p["pgf"]["coeffs"]):
+            if prob != "0/1":
+                yield f"  P(C = {k}) = {prob}"
         yield f"invariants ok: {validation.ok}"
 
     _emit(payload, args.format, human)
@@ -164,16 +165,13 @@ def _cmd_dist(args) -> int:
     if args.format == "csv":
         oracle.write_distribution_csv(dist, sys.stdout)
         return 0
-    payload = {
-        "tau": args.tau,
-        "M": dist.M,
-        "probs": {str(k): _fraction_str(p) for k, p in dist.probabilities().items()},
-    }
+    probs = dist.reduced_probabilities()
+    payload = {"tau": args.tau, "M": dist.M, "probs": {str(k): f"{n}/{d}" for k, (n, d) in probs.items()}}
 
     def human(p):
         yield f"tau: {p['tau']}   M = {dist.M}"
-        for k, prob in dist.probabilities().items():
-            yield f"  P(C = {k}) = {_fraction_str(prob)} = {float(prob):.6f}"
+        for k, (n, d) in probs.items():
+            yield f"  P(C = {k}) = {n}/{d} = {n / d:.6f}"
 
     _emit(payload, args.format, human)
     return 0
@@ -226,7 +224,7 @@ def _cmd_hultman(args) -> int:
     return 0
 
 
-def _pool_bins(probs: dict[int, Fraction], draws: int, min_expected: float = 5.0):
+def _pool_bins(probs: dict[int, float], draws: int, min_expected: float = 5.0):
     """Pool adjacent support bins until each pooled bin expects at least
     min_expected draws; returns [(ks, expected)]."""
     pooled = []
@@ -234,7 +232,7 @@ def _pool_bins(probs: dict[int, Fraction], draws: int, min_expected: float = 5.0
     current_expected = 0.0
     for k, p in sorted(probs.items()):
         current_ks.append(k)
-        current_expected += float(p) * draws
+        current_expected += p * draws
         if current_expected >= min_expected:
             pooled.append((tuple(current_ks), current_expected))
             current_ks, current_expected = [], 0.0
@@ -261,7 +259,7 @@ def _chi2_sf(x: float, df: int) -> float:
     )
 
 
-def _chi_square(probs: dict[int, Fraction], histogram: dict[int, int], draws: int):
+def _chi_square(probs: dict[int, float], histogram: dict[int, int], draws: int):
     if any(k not in probs for k in histogram):
         return {"statistic": float("inf"), "df": 0, "p_value": 0.0}
     pooled = _pool_bins(probs, draws)
@@ -340,18 +338,17 @@ def _cmd_sample(args) -> int:
         payload["reference"] = None
         payload["note"] = NO_REFERENCE
     else:
-        payload["reference"] = {
-            "provenance": provenance,
-            "probs": {str(k): _fraction_str(p) for k, p in sorted(reference.probabilities().items())},
-        }
-        payload["chi_square"] = _chi_square(reference.probabilities(), histogram, args.draws)
+        probs = reference.reduced_probabilities()
+        expected = {k: n / d for k, (n, d) in probs.items()}
+        payload["reference"] = {"provenance": provenance, "probs": {str(k): f"{n}/{d}" for k, (n, d) in probs.items()}}
+        payload["chi_square"] = _chi_square(expected, histogram, args.draws)
 
     def human(p):
         yield f"tau: {p['tau']}   M = {p['M']}   draws = {p['draws']}  seed = {p['seed']}"
         for k, v in sorted(histogram.items()):
             line = f"  C = {k}: {v}  ({v / args.draws:.4f})"
             if reference is not None:
-                line += f"  expected {float(reference.coefficient(k)):.4f}"
+                line += f"  expected {expected.get(k, 0.0):.4f}"
             yield line
         if reference is None:
             yield NO_REFERENCE

@@ -13,6 +13,7 @@ one-cycle family.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +23,9 @@ import numpy as np
 
 from .perm import CycleType
 from .polys import (
-    ONE,
     RationalPoly,
+    _reduced,
+    _times_x_plus,
     rising_factorial,
     rising_falling_sum,
     rising_square_sum,
@@ -77,6 +79,11 @@ class CyclePGF:
     def probabilities(self) -> dict[int, Fraction]:
         """Nonzero probabilities keyed by cycle count."""
         return {k: c for k, c in enumerate(self.poly.coeffs) if c}
+
+    def reduced_probabilities(self) -> dict[int, tuple[int, int]]:
+        """Nonzero probabilities keyed by cycle count, as (numerator, denominator) in lowest terms."""
+        den = self.poly.denominator
+        return {k: _reduced(c, den) for k, c in enumerate(self.poly.numerators) if c}
 
     def mean(self) -> Fraction:
         """Expected cycle count (derivative of the PGF at 1)."""
@@ -160,12 +167,12 @@ def transpositions_pgf(m: int) -> CyclePGF:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    poly = ONE
-    denom = 1
+    row = [1]  # prod (u + 2k - 2) in u = t^2
     for k in range(1, m + 1):
-        poly = poly * RationalPoly([2 * k - 2, 0, 1])
-        denom *= 2 * k - 1
-    return CyclePGF(poly / denom, 2 * m, "transpositions")
+        row = _times_x_plus(row, 2 * k - 2)
+    num = [0] * (2 * m + 1)
+    num[::2] = row
+    return CyclePGF(RationalPoly(num) / math.prod(range(1, 2 * m, 2)), 2 * m, "transpositions")
 
 
 def transpositions_rising_form(m: int, base: int = 4) -> RationalPoly:
@@ -342,11 +349,11 @@ class PgfValidation:
 def validate_pgf(pgf: CyclePGF) -> PgfValidation:
     """Check normalization, nonnegativity, zero constant term, and (for
     sources with a parity law) that only cycle counts of the right parity
-    carry mass.  All checks are exact."""
-    poly = pgf.poly
-    normalized = poly(1) == 1
-    nonnegative = all(c >= 0 for c in poly.coeffs)
-    zero_constant = poly.coefficient(0) == 0
+    carry mass.  All checks are exact, on the integer numerators."""
+    num = pgf.poly.numerators
+    normalized = sum(num) == pgf.poly.denominator
+    nonnegative = all(c >= 0 for c in num)
+    zero_constant = not num or num[0] == 0
     if pgf.source in COMMUTATOR_SOURCES or pgf.source == "alternating":
         want = pgf.M % 2
     elif pgf.source == "co_alternating":
@@ -356,7 +363,7 @@ def validate_pgf(pgf: CyclePGF) -> PgfValidation:
     if want is None:
         parity_ok: Union[bool, None] = None
     else:
-        parity_ok = all(k % 2 == want for k, c in enumerate(poly.coeffs) if c)
+        parity_ok = all(k % 2 == want for k, c in enumerate(num) if c)
     return PgfValidation(pgf.source, pgf.M, normalized, nonnegative, zero_constant, parity_ok)
 
 
@@ -395,11 +402,12 @@ class BernoulliDecomposition:
         decompositions return a RationalPoly; numeric ones a float
         coefficient list (index = degree)."""
         if self.is_exact:
-            poly = RationalPoly([0] * self.offset + [1])
+            poly, den = RationalPoly([0] * self.offset + [1]), 1  # p = r/q: factors ((q - r) + r t^m) / q
             for t in self.terms:
-                factor = [1 - t.p] + [Fraction(0)] * (t.multiplier - 1) + [t.p]
-                poly = poly * RationalPoly(factor)
-            return poly
+                r, q = t.p.numerator, t.p.denominator
+                poly = poly * RationalPoly([q - r] + [0] * (t.multiplier - 1) + [r])
+                den *= q
+            return poly / den
         coeffs = [0.0] * self.offset + [1.0]
         for t in self.terms:
             p = float(t.p)
@@ -417,13 +425,11 @@ class BernoulliDecomposition:
         decomposition and the PGF (0.0 for exact matches)."""
         rebuilt = self.reconstruct()
         if isinstance(rebuilt, RationalPoly):
-            degree = max(rebuilt.degree, pgf.poly.degree)
-            return float(max(abs(rebuilt.coefficient(k) - pgf.poly.coefficient(k)) for k in range(degree + 1)))
-        degree = max(len(rebuilt) - 1, pgf.poly.degree)
-        return max(
-            abs((rebuilt[k] if k < len(rebuilt) else 0.0) - float(pgf.poly.coefficient(k)))
-            for k in range(degree + 1)
-        )
+            diff = rebuilt - pgf.poly
+            return max(map(abs, diff.numerators), default=0) / diff.denominator
+        den = pgf.poly.denominator
+        exact = [c / den for c in pgf.poly.numerators]  # int / int rounds correctly, as float(Fraction) does
+        return max(abs(a - b) for a, b in itertools.zip_longest(rebuilt, exact, fillvalue=0.0))
 
     def to_json(self) -> dict:
         terms = []
@@ -489,7 +495,7 @@ def negative_real_roots(m: int) -> list[float]:
     raises RootFindError naming j, the bracket and the two signs.
     """
     offset = 2 - m % 2
-    even = RationalPoly(one_cycle_pgf(m).poly.coeffs[offset::2])
+    even = RationalPoly(one_cycle_pgf(m).poly.numerators[offset::2])  # a positive multiple: same signs
     roots = [-y * y for y in _phase_roots(m).tolist()]
     prev_hi = None
     for j, u in enumerate(roots, 1):

@@ -220,11 +220,10 @@ def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, Cyc
 
 def hultman_row(m: int) -> list[int]:
     """m! times the one-cycle commutator PGF: index k -> count, k = 0..m."""
-    counts = (one_cycle_pgf(m).poly * math.factorial(m)).coeffs
-    for k, value in enumerate(counts):
-        if value.denominator != 1:
-            raise AssertionError(f"non-integer count {value} at m={m}, k={k}")
-    return [int(value) for value in counts]
+    counts = one_cycle_pgf(m).poly * math.factorial(m)
+    if counts.denominator != 1:
+        raise AssertionError(f"non-integer counts at m={m}: common denominator {counts.denominator}")
+    return list(counts.numerators)
 
 
 def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tuple]:
@@ -235,8 +234,8 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
     for m in range(1, max_m + 1):
         enumerated: dict[int, int] = {}
         if m <= cap:
-            dist = exact_commutator_distribution(one_cycle(m), cap=cap)
-            enumerated = {k: int(p * math.factorial(m)) for k, p in dist.probabilities().items()}
+            law = exact_commutator_distribution(one_cycle(m), cap=cap).poly * math.factorial(m)
+            enumerated = {k: c for k, c in enumerate(law.numerators) if c}  # counts: class size divides m!
         for k, count in enumerate(hultman_row(m)):
             if count:
                 rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
@@ -247,7 +246,7 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
 
 
 def distribution_rows(dist: CyclePGF) -> list[tuple[int, int, int, int]]:
-    return [(dist.M, k, p.numerator, p.denominator) for k, p in dist.probabilities().items()]
+    return [(dist.M, k, n, d) for k, (n, d) in dist.reduced_probabilities().items()]
 
 
 def write_distribution_csv(dist: CyclePGF, fileobj) -> None:

@@ -40,7 +40,7 @@ class Permutation:
             raise ValueError("permutation must act on at least one point")
         seen = [False] * n
         for v in m:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a bijection of range({n}): {m}")
             seen[v] = True
         self._map = m

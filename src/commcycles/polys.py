@@ -6,10 +6,11 @@ tuple of integer numerators indexed by degree and one positive denominator.
 The highest-degree numerator is nonzero (the zero polynomial has no
 numerators, degree -1, and denominator 1), and the denominator shares no
 factor with all the numerators, so equal polynomials have equal
-representations.  Ring operations and exact evaluation work on integers
-only and reduce once per result; `coeffs` hands the coefficients out as
-`fractions.Fraction` values.  Floating point only enters when a polynomial
-is *evaluated* at a float or complex point.
+representations.  Ring operations, composition, exact evaluation and
+rendering work on these integers and reduce once per result; `numerators`
+and `denominator` hand them out, `coeffs` and `coefficient` one
+`fractions.Fraction` per coefficient.  Floating point only enters when a
+polynomial is *evaluated* at a float or complex point.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def _poly(num: list[int], den: int) -> "RationalPoly":
     return p
 
 
+def _reduced(c: int, den: int) -> tuple[int, int]:
+    """The fraction c/den in lowest terms, by one gcd."""
+    g = math.gcd(c, den)
+    return c // g, den // g
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -82,6 +89,16 @@ class RationalPoly:
         values = [_exact(c) for c in coeffs]
         den = math.lcm(*(v.denominator for v in values))
         self._num, self._den = _canonical([v.numerator * (den // v.denominator) for v in values], den)
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Integer numerators, index = degree, over `denominator`."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator of every coefficient."""
+        return self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -207,11 +224,14 @@ class RationalPoly:
         return (v > 0) - (v < 0)
 
     def compose(self, inner: "RationalPoly") -> "RationalPoly":
-        """The polynomial self(inner(X))."""
-        acc = RationalPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPoly([c])
-        return acc
+        """The polynomial self(inner(X)).  With inner = q/e, homogeneous
+        Horner on integers as in `_horner`: sum_k c_k q^k e^(n-k) over den * e^n."""
+        q, e = inner._num or (0,), inner._den
+        acc = [0]
+        for i, c in enumerate(reversed(self._num)):
+            acc = _convolve(acc, q)
+            acc[0] += c * e**i
+        return _poly(acc, self._den * e ** max(self.degree, 0))
 
     def reflect(self) -> "RationalPoly":
         """The polynomial P(-X)."""
@@ -223,8 +243,8 @@ class RationalPoly:
     # -- rendering ------------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
-        """Coefficients as "num/den" strings, index = degree."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        """Coefficients as reduced "num/den" strings, index = degree."""
+        return [f"{n}/{d}" for n, d in (_reduced(c, self._den) for c in self._num)]
 
     @classmethod
     def from_coeff_strings(cls, strings: Sequence[str]) -> "RationalPoly":
@@ -234,18 +254,18 @@ class RationalPoly:
         """Human-readable rendering, highest degree first."""
         if self.is_zero:
             return "0"
-        coeffs = self.coeffs
         parts = []
         for k in range(self.degree, -1, -1):
-            c = coeffs[k]
+            c = self._num[k]
             if not c:
                 continue
-            mag = abs(c)
+            n, d = _reduced(abs(c), self._den)
+            mag = str(n) if d == 1 else f"{n}/{d}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 xk = var if k == 1 else f"{var}^{k}"
-                body = xk if mag == 1 else f"{mag}*{xk}"
+                body = xk if mag == "1" else f"{mag}*{xk}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

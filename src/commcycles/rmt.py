@@ -24,7 +24,8 @@ reducing each complex chunk at once; no whole complex batch is formed.
 
 Traces of matrix powers are contracted, never formed: tr G^p sums G^ceil(p/2)
 against the transpose of G^floor(p/2), both built batch-last, as (n, n, k)
-stacks, so each product is n multiply-adds over the k matrices of a chunk.
+stacks, so each product is n multiply-adds over the k matrices of a chunk;
+the traces of several powers share one chain of powers.
 """
 
 from __future__ import annotations
@@ -159,18 +160,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_trace(g: np.ndarray, p: int) -> np.ndarray:
-    """tr G^p for each matrix of the stack g, without forming G^p: the sum of
-    G^ceil(p/2) times the transpose of G^floor(p/2), entry by entry, with the
-    powers built batch-last by `_product`."""
-    if p == 1:
-        return np.einsum("kii->k", g)
-    a = np.ascontiguousarray(g.transpose(1, 2, 0))
-    low = a
-    for _ in range(p // 2 - 1):
-        low = _product(low, a)
-    high = low if p % 2 == 0 else _product(low, a)
-    return (high * low.transpose(1, 0, 2)).sum(axis=(0, 1))
+def _power_traces(g: np.ndarray, *powers: int) -> list[np.ndarray]:
+    """tr G^p for each p of `powers` and each matrix of the stack g, without
+    forming G^p: the sum of G^ceil(p/2) times the transpose of G^floor(p/2),
+    entry by entry, from one chain of powers built batch-last by `_product`."""
+    a = np.ascontiguousarray(g.transpose(1, 2, 0)) if max(powers) > 1 else None
+    chain = [None, a]  # chain[i] = G^i
+    while len(chain) <= (max(powers) + 1) // 2:
+        chain.append(_product(chain[-1], a))
+    return [
+        np.einsum("kii->k", g) if p == 1 else (chain[(p + 1) // 2] * chain[p // 2].transpose(1, 0, 2)).sum(axis=(0, 1))
+        for p in powers
+    ]
 
 
 def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray:
@@ -282,7 +283,7 @@ def mc_trace_power_moment(
     target = trace_power_target(n_dim, power, factors)
 
     def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_trace(g, power)) ** (2 * factors))
+        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_traces(g, power)[0]) ** (2 * factors))
 
     values = _collect("trace_power", seed, partitions, samples, draw)
     params = {"N": n_dim, "M": power, "K": factors}
@@ -336,7 +337,7 @@ def tr_g_squared_samples(
     _check_positive(N=n_dim)
 
     def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: _power_trace(g, 2))
+        _ginibre(rng, n_dim, values, lambda g: _power_traces(g, 2)[0])
 
     return _collect("tr_g_squared", seed, partitions, samples, draw, dtype=complex)
 
@@ -394,7 +395,7 @@ def mixed_trace_vanishing(
         raise ValueError("mixed moment vanishes only for M1 != M2")
 
     def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: _power_trace(g, m1) * np.conj(_power_trace(g, m2)))
+        _ginibre(rng, n_dim, values, lambda g: (t := _power_traces(g, m1, m2))[0] * np.conj(t[1]))
 
     values = _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex)
     n = values.size

@@ -11,10 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import _reference as reference
 from commcycles import genfun
 from commcycles.genfun import (
     BernoulliDecomposition,
+    BernoulliTerm,
     CyclePGF,
     bernoulli_decomposition,
     character_law,
@@ -130,6 +134,11 @@ class TestTranspositions:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_rising_form_with_corrected_prefactor(self, m):
         assert transpositions_rising_form(m, base=4) == transpositions_pgf(m).poly
+
+    def test_rising_form_up_to_120(self):
+        # the product in u = t^2 against the rising factorial composed with t^2/2
+        for m in range(1, 121):
+            assert transpositions_pgf(m).poly == transpositions_rising_form(m)
 
     def test_halved_prefactor_fails_normalization(self):
         # documented failing witness: the 2^M prefactor gives mass 2^-M
@@ -265,6 +274,99 @@ class TestBernoulliDecompositions:
             for a, b in zip(again.terms, dec.terms):
                 assert a.multiplier == b.multiplier
                 assert float(a.p) == pytest.approx(float(b.p), abs=1e-15)
+
+
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1, F(1, 2), F(-1, 3)]),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+)
+polys = st.lists(coefficients, max_size=8).map(RationalPoly)
+sources = st.sampled_from(["uniform", "oracle", "alternating", "co_alternating", *genfun.COMMUTATOR_SOURCES])
+bernoulli_terms = st.lists(
+    st.tuples(st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool), st.integers(1, 3)),
+    max_size=6,
+)
+
+
+def parity_law(pgf):
+    """The parity every cycle count with mass must have, or None."""
+    if pgf.source in genfun.COMMUTATOR_SOURCES or pgf.source == "alternating":
+        return pgf.M % 2
+    return (pgf.M + 1) % 2 if pgf.source == "co_alternating" else None
+
+
+def flags(pgf):
+    v = validate_pgf(pgf)
+    return (v.normalized, v.nonnegative, v.zero_constant, v.parity_ok)
+
+
+class TestIntegerNumerators:
+    """Validation, Bernoulli reconstruction and residuals read the integer
+    numerators; each is held against a reference that reads one Fraction per
+    coefficient (tests/_reference.py)."""
+
+    LAWS = [
+        one_cycle_pgf(9),
+        one_cycle_pgf(10),
+        two_cycles_pgf(4),
+        transpositions_pgf(5),
+        alternating_pgf(6),
+        alternating_pgf(7, complement=True),
+        character_law(CycleType([3, 2, 2])),
+    ]
+
+    @given(polys, sources, st.integers(1, 12))
+    def test_validate_matches_reference(self, p, source, m):
+        pgf = CyclePGF(p, m, source)
+        assert flags(pgf) == reference.pgf_flags(p.coeffs, parity_law(pgf))
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: f"{law.source}-{law.M}")
+    def test_each_flag_flips(self, law):
+        t = RationalPoly([0, 1])
+        want = parity_law(law)
+        assert flags(law) == (True, True, True, True)
+        low = min(k for k, c in enumerate(law.poly.numerators) if c)
+        broken = {
+            0: law.poly * F(1, 2),  # mass 1/2
+            1: law.poly - t**low + t ** (low + 2),  # mass kept, P(C = low) < 0
+            2: (law.poly + 1) / 2,  # mass at C = 0
+            3: (law.poly + t ** (1 + want)) / 2,  # mass at a count of the wrong parity
+        }
+        for flag, poly_ in broken.items():
+            bad = CyclePGF(poly_, law.M, law.source)
+            assert flags(bad) == reference.pgf_flags(poly_.coeffs, want)
+            assert flags(bad)[flag] is False
+            assert not validate_pgf(bad).ok
+
+    @given(bernoulli_terms, st.integers(0, 3))
+    def test_reconstruct_matches_reference(self, terms, offset):
+        dec = BernoulliDecomposition(tuple(BernoulliTerm(p, k) for p, k in terms), offset)
+        assert list(dec.reconstruct().coeffs) == reference.bernoulli_product(terms, offset)
+
+    @given(bernoulli_terms, st.integers(0, 3), polys)
+    def test_exact_residual_matches_reference(self, terms, offset, p):
+        dec = BernoulliDecomposition(tuple(BernoulliTerm(q, k) for q, k in terms), offset)
+        want = reference.residual(reference.bernoulli_product(terms, offset), p.coeffs)
+        assert dec.residual_against(CyclePGF(p, 1, "uniform")) == want
+
+    @given(bernoulli_terms.filter(bool), st.integers(0, 3), polys)
+    def test_numeric_residual_matches_reference(self, terms, offset, p):
+        dec = BernoulliDecomposition(tuple(BernoulliTerm(float(q), k) for q, k in terms), offset)
+        want = reference.residual(dec.reconstruct(), p.coeffs)
+        assert dec.residual_against(CyclePGF(p, 1, "one_cycle")) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30, 60])
+    def test_exact_families_reconstruct_exactly(self, m):
+        for pgf in (uniform_cycles_pgf(m), transpositions_pgf(m)):
+            dec = bernoulli_decomposition(pgf)
+            assert dec.reconstruct() == pgf.poly
+            assert dec.residual_against(pgf) == 0.0
+
+    @given(polys, sources)
+    def test_reduced_probabilities(self, p, source):
+        pgf = CyclePGF(p, 3, source)
+        assert pgf.reduced_probabilities() == {k: (c.numerator, c.denominator) for k, c in pgf.probabilities().items()}
 
 
 def imaginary_roots(m):

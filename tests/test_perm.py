@@ -53,6 +53,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([])
 
+    @pytest.mark.parametrize("mapping", [[True, False], [False], [0, True], [1.0, 0]])
+    def test_refuses_non_int_points(self, mapping):
+        # bool is an int subclass: only a plain-int check refuses True and False
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(mapping)
+
     # compose is the reference's product, which defines its one-list formulas
     def test_compose_identity(self):
         p = (2, 0, 1)

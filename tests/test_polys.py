@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _reference as reference
 from commcycles.polys import (
     ONE,
     RationalPoly,
@@ -88,6 +89,50 @@ small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 small_polys = st.lists(small_fractions, max_size=6).map(RationalPoly)
+
+# Coefficients that stress the integer readers: zero, unit magnitude (drawn
+# without a factor), other integers, and fractions over mixed denominators.
+edge_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, F(1, 2), F(-1, 3)]),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+)
+edge_polys = st.lists(edge_coeffs, max_size=8).map(RationalPoly)
+
+
+class TestIntegerNumerators:
+    """Readers of `numerators` and `denominator` against the references that
+    read one Fraction per coefficient (tests/_reference.py)."""
+
+    @given(edge_polys)
+    def test_numerators_over_denominator_are_the_coefficients(self, p):
+        assert p.denominator > 0
+        assert tuple(F(c, p.denominator) for c in p.numerators) == p.coeffs
+
+    @given(edge_polys)
+    def test_coeff_strings(self, p):
+        assert p.coeff_strings() == reference.coeff_strings(p.coeffs)
+
+    @given(edge_polys, st.sampled_from(["t", "X"]))
+    def test_pretty(self, p, var):
+        assert p.pretty(var) == reference.pretty(p.coeffs, var)
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((-1,), "-1"),
+            ((0, -1), "-t"),
+            ((1, 0, -1), "-t^2 + 1"),
+            ((F(3, 6), F(-4, 2)), "-2*t + 1/2"),
+            ((F(-1, 3), 0, F(1, 2)), "1/2*t^2 - 1/3"),
+        ],
+    )
+    def test_pretty_units_and_reduced_magnitudes(self, coeffs, text):
+        assert RationalPoly(coeffs).pretty() == text
+
+    @given(st.lists(edge_coeffs, max_size=5).map(RationalPoly), st.lists(edge_coeffs, max_size=4).map(RationalPoly))
+    def test_compose(self, p, q):
+        assert p.compose(q).coeffs == tuple(reference.poly_compose(p.coeffs, q.coeffs))
 
 
 class TestRingProperties:

@@ -2,6 +2,7 @@
 seeded determinism, and quick z-score sanity runs (the full statistical
 grid runs in test_acceptance.py)."""
 
+import itertools
 import math
 import os
 import sys
@@ -22,7 +23,7 @@ from commcycles.rmt import (
     _ginibre,
     _normal_chunks,
     _partition_sizes,
-    _power_trace,
+    _power_traces,
     _streams,
     gamma_shortcut_target,
     mc_gamma_shortcut_moment,
@@ -279,10 +280,41 @@ class TestKernels:
         stacks.append(np.ascontiguousarray(stacks[1].transpose(1, 2, 0)).transpose(2, 0, 1))
         for g in stacks:
             kept = g.copy()
-            for p in range(1, 9):
+            for p, traces in enumerate(_power_traces(g, *range(1, 9)), 1):
                 direct = np.trace(np.linalg.matrix_power(g, p), axis1=1, axis2=2)
-                np.testing.assert_allclose(_power_trace(g, p), direct, rtol=1e-12)
+                np.testing.assert_allclose(traces, direct, rtol=1e-12)
             assert np.array_equal(g, kept)
+
+    def test_shared_powers_equal_one_chain_per_power(self):
+        # powers come from one chain G^(i+1) = G^i G, so sharing it between
+        # the traces changes no bit of any of them, in any order of the powers
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((2, 300, 3, 3))
+        g = (x + 1j * y) * np.sqrt(0.5)
+        alone = {p: _power_traces(g, p)[0] for p in range(1, 9)}
+        for p1, p2 in itertools.permutations(range(1, 9), 2):
+            t1, t2 = _power_traces(g, p1, p2)
+            assert np.array_equal(t1, alone[p1]) and np.array_equal(t2, alone[p2])
+
+    # Estimates of the two-chain kernel (one batch-last copy and one chain of
+    # powers per trace): sharing the chain must not move them by one bit, on
+    # one thread or two.
+    MIXED_PINNED = [
+        ((3, 3, 5, 5001, 3, 2), 15.602044870991298, 20.254325741898736, -12.515117435369802, 9.316417752297749),
+        ((2, 1, 2, 5001, 0, 1), 0.019996502614896466, 0.07012992237040755, 0.016561714565898982, -0.011205789908134579),
+        ((4, 2, 4, 5001, 7, 3), 3.3681155245427177, 4.444922268415976, -1.5334558245592427, -2.9987856576939604),
+        ((3, 5, 3, 5001, 1, 2), 22.44139694869056, 20.507746886499433, -21.152857492624925, 7.494859365284957),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "args, estimate, std_error, re, im", MIXED_PINNED, ids=[f"N{a[0]}-{a[1]}-{a[2]}-p{a[5]}" for a, *_ in MIXED_PINNED]
+    )
+    def test_mixed_estimates_pinned_bit_for_bit(self, monkeypatch, threads, args, estimate, std_error, re, im):
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        rep = mixed_trace_vanishing(*args)
+        assert (rep.estimate, rep.std_error) == (estimate, std_error)
+        assert rep.extra == {"estimate_re": re, "estimate_im": im}
 
     @pytest.mark.parametrize("n, count", [(1, 70_001), (3, 5001), (2, _CHUNK // 2), (4, _CHUNK // 8 + 1)])
     def test_streamed_draw_layout(self, n, count):
