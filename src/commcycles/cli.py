@@ -2,17 +2,20 @@
 
 Subcommands: pgf, dist, bernoulli, hultman, sample, verify, mc.  Output is
 JSON by default (`--format human` for aligned text; dist and hultman also
-speak CSV).  A command takes only the global flags it reads (`_READS`), before
-or after its name; each falls back to its COMMCYCLES_* variable, read on every
-call.  A flag wins; an unread flag or a bad value exits 2; an unread variable is
-ignored.  Exit codes: 0 pass, 1 check failure, 2 usage error or a typed failure
-(enumeration cap or character-sum limit, root finding), each with a one-line
-message.
+speak CSV), and `_emit` writes every format.  One `parse_args` call reads the
+command line.  Every parser declares all the global flags, so a flag may come
+before or after the command's name, and `_refuse_unread` refuses one that the
+command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
+variable, read on every call.  A flag wins; an unread flag or a bad value
+exits 2; an unread variable is ignored.  Exit codes: 0 pass, 1 check failure,
+2 usage error or a typed failure (enumeration cap or character-sum limit, root
+finding), each with a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -105,8 +108,12 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _emit(payload: dict, fmt: str, human_lines) -> None:
-    if fmt == "human":
+def _emit(payload: dict, fmt: str, human_lines, csv_rows=None) -> None:
+    """Write the payload as JSON, its human lines, or the CSV rows (a header
+    first; None is written as an empty field)."""
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
+    elif fmt == "human":
         for line in human_lines(payload):
             print(line)
     else:
@@ -162,9 +169,6 @@ def _cmd_pgf(args) -> int:
 
 def _cmd_dist(args) -> int:
     dist = oracle.exact_commutator_distribution(_tau_permutation(*parse_tau_spec(args.tau)), cap=args.cap)
-    if args.format == "csv":
-        oracle.write_distribution_csv(dist, sys.stdout)
-        return 0
     probs = dist.reduced_probabilities()
     payload = {"tau": args.tau, "M": dist.M, "probs": {str(k): f"{n}/{d}" for k, (n, d) in probs.items()}}
 
@@ -173,7 +177,8 @@ def _cmd_dist(args) -> int:
         for k, (n, d) in probs.items():
             yield f"  P(C = {k}) = {n}/{d} = {n / d:.6f}"
 
-    _emit(payload, args.format, human)
+    header = ("M", "cycle_count", "probability_num", "probability_den")
+    _emit(payload, args.format, human, [header, *((dist.M, k, n, d) for k, (n, d) in probs.items())])
     return 0
 
 
@@ -208,19 +213,14 @@ def _cmd_hultman(args) -> int:
     if max_m > HULTMAN_MAX_M:
         raise UsageError(f"the formula path is tabulated up to M = {HULTMAN_MAX_M}")
     rows = oracle.hultman_table_rows(max_m, oracle_cap=args.cap)
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"M": m, "k": k, "count": c, "oracle_count": oc} for m, k, c, oc in rows
-            ]
-        }
-        print(json.dumps(payload))
-    elif args.format == "human":
-        print(f"{'M':>3} {'k':>3} {'count':>12} {'oracle':>12}")
+    payload = {"rows": [{"M": m, "k": k, "count": c, "oracle_count": oc} for m, k, c, oc in rows]}
+
+    def human(p):
+        yield f"{'M':>3} {'k':>3} {'count':>12} {'oracle':>12}"
         for m, k, c, oc in rows:
-            print(f"{m:>3} {k:>3} {c:>12} {('' if oc is None else oc):>12}")
-    else:
-        oracle.write_hultman_csv(rows, sys.stdout)
+            yield f"{m:>3} {k:>3} {c:>12} {('' if oc is None else oc):>12}"
+
+    _emit(payload, args.format, human, [("M", "k", "count", "oracle_count"), *rows])
     return 0
 
 
@@ -310,8 +310,6 @@ def _cmd_sample(args) -> int:
     if args.draws < 1:
         raise UsageError("draws must be at least 1")
     kind, value = parse_tau_spec(args.tau)
-    if kind == "uniform":
-        raise UsageError("sampling needs a permutation selector, not uniform:M")
     tau = _tau_permutation(kind, value)
     m = tau.size
     rng = random.Random(args.seed)
@@ -448,32 +446,31 @@ _READS = {
 }
 
 
-# Every parser takes global options with default SUPPRESS, the top-level one all
-# of them and each subcommand's only those it reads: a flag given after the
-# subcommand then beats one given before it, and an option that no flag set is
-# absent from the parsed namespace.  `main` fills those from the environment on
-# every call, so the parser holds no per-call input and one parser serves the process.
-def _add_global_options(parser: argparse.ArgumentParser, dests=tuple(_GLOBALS)) -> None:
-    for dest in dests:
-        kind = {"choices": FORMATS} if dest == "format" else {"type": _GLOBALS[dest][1]}
+# Every parser, the top-level one and each subcommand's, declares all the global
+# options with default SUPPRESS.  So argparse reads a flag, or a prefix of one,
+# the same way before and after the subcommand; a flag after it beats one before
+# it; and an option that no flag set is absent from the parsed namespace.  The
+# flags a command reads come first, typed and in its --help.  The others are
+# hidden and take any value or none: `_refuse_unread` refuses them whatever
+# follows.  `main` fills the absent options from the environment on every call,
+# so the parser holds no per-call input and one parser serves the process.
+def _add_global_options(parser: argparse.ArgumentParser, reads=tuple(_GLOBALS)) -> None:
+    for dest in (*reads, *(d for d in _GLOBALS if d not in reads)):
+        if dest not in reads:
+            kind = {"help": argparse.SUPPRESS, "nargs": "?"}
+        elif dest == "format":
+            kind = {"choices": FORMATS}
+        else:
+            kind = {"type": _GLOBALS[dest][1]}
         parser.add_argument("--" + dest.replace("_", "-"), dest=dest, default=argparse.SUPPRESS, **kind)
 
 
-def _refuse_unread(args: argparse.Namespace, extras: list[str]) -> None:
-    """Refuse a global flag that the command does not read, given before the
-    subcommand (parsed by the top-level parser) or after it (left over by the
-    subcommand's parser), with one message.  A left-over `--x` names the one
-    global flag it is a prefix of, as argparse reads it before the subcommand;
-    an ambiguous prefix is left to argparse."""
-    flags = {dest: "--" + dest.replace("_", "-") for dest in _GLOBALS}
-    left_over = set()
-    for arg in extras:  # "", "-" and "--" are prefixes of every flag
-        named = [dest for dest, flag in flags.items() if flag.startswith(arg.partition("=")[0])]
-        if len(named) == 1:
-            left_over.add(named[0])
-    for dest, flag in flags.items():
-        if dest not in _READS[args.command] and (dest in args or dest in left_over):
-            raise UsageError(f"{args.command} does not take {flag}")
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """Refuse the first global flag, in `_GLOBALS` order, that was given but
+    that the command does not read."""
+    for dest in _GLOBALS:
+        if dest in args and dest not in _READS[args.command]:
+            raise UsageError(f"{args.command} does not take --{dest.replace('_', '-')}")
 
 
 def _fill_globals(args: argparse.Namespace) -> None:
@@ -534,11 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args, extras = parser.parse_known_args(argv)
-        _refuse_unread(args, extras)
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
+        _refuse_unread(args)
         _fill_globals(args)
         if args.format == "csv" and args.command not in ("dist", "hultman"):
             raise UsageError(f"--format csv is for dist and hultman; {args.command} speaks json or human")

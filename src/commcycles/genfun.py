@@ -280,7 +280,7 @@ def commutator_route(cycle_type: CycleType) -> tuple[str, Callable[[], CyclePGF]
     uniform, for τ of this type; build() returns the law.
 
     [σ,τ] = (στσ⁻¹)·τ⁻¹ with στσ⁻¹ uniform on the class of τ, so the law
-    depends on the cycle type alone.  The types [m], [m,m], [1]^M and [2]^k
+    depends on the cycle type alone.  The types [m], [1]^M, [2]^k and [m,m]
     (tested in that order) have closed forms at any size; every other type
     goes to the character sum `character_law`, which raises
     EnumerationCapError above M = CHARACTER_MAX_M.  No route enumerates
@@ -289,12 +289,12 @@ def commutator_route(cycle_type: CycleType) -> tuple[str, Callable[[], CyclePGF]
     parts = cycle_type.parts
     if len(parts) == 1:
         return "one_cycle", lambda: one_cycle_pgf(parts[0])
-    if len(parts) == 2 and parts[0] == parts[1]:
-        return "two_cycles", lambda: two_cycles_pgf(parts[0])
     if parts[0] == 1:
         return "identity", lambda: CyclePGF(RationalPoly([0] * len(parts) + [1]), len(parts), "identity")
     if parts[0] == parts[-1] == 2:
         return "transpositions", lambda: transpositions_pgf(len(parts))
+    if len(parts) == 2 and parts[0] == parts[1]:
+        return "two_cycles", lambda: two_cycles_pgf(parts[0])
     return "characters", lambda: character_law(cycle_type)
 
 

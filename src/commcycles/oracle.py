@@ -22,7 +22,6 @@ Each law has one entry point, and one pass gives all three uniform laws;
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from typing import Iterator, Optional
@@ -44,9 +43,6 @@ __all__ = [
     "conjugacy_class",
     "hultman_row",
     "hultman_table_rows",
-    "distribution_rows",
-    "write_distribution_csv",
-    "write_hultman_csv",
 ]
 
 DEFAULT_ENUMERATION_CAP = 8
@@ -241,22 +237,3 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
                 rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
     return rows
 
-
-# -- CSV emitters ---------------------------------------------------------------
-
-
-def distribution_rows(dist: CyclePGF) -> list[tuple[int, int, int, int]]:
-    return [(dist.M, k, n, d) for k, (n, d) in dist.reduced_probabilities().items()]
-
-
-def write_distribution_csv(dist: CyclePGF, fileobj) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["M", "cycle_count", "probability_num", "probability_den"])
-    writer.writerows(distribution_rows(dist))
-
-
-def write_hultman_csv(rows: list[tuple], fileobj) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["M", "k", "count", "oracle_count"])
-    for m, k, count, oracle_count in rows:
-        writer.writerow([m, k, count, "" if oracle_count is None else oracle_count])

@@ -135,6 +135,13 @@ class TestPgfCommand:
         assert data["pgf"]["source"] == "two_cycles"
         assert data["validation"]["parity_ok"] is True
 
+    def test_two_fixed_points_take_the_identity_route(self, capsys):
+        code, out, _ = run_cli(capsys, "pgf", "type:[1,1]")
+        assert code == 0
+        data = json.loads(out)
+        assert data["provenance"] == "closed-form: identity"
+        assert data["pgf"] == {"M": 2, "source": "identity", "coeffs": ["0/1", "0/1", "1/1"]}
+
     @pytest.mark.parametrize("spec", ["type:[true]", "type:[1.5]"])
     def test_non_integer_parts_exit_2(self, capsys, spec):
         code, out, err = run_cli(capsys, "pgf", spec)
@@ -152,6 +159,15 @@ class TestDistCommand:
         code, out, _ = run_cli(capsys, "dist", "type:[2,2]", "--format", "csv")
         assert code == 0
         assert out == "M,cycle_count,probability_num,probability_den\n4,2,2,3\n4,4,1,3\n"
+
+    def test_csv_explicit_tau(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "(1 2)(3 4)", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "M,cycle_count,probability_num,probability_den\n4,2,2,3\n4,4,1,3\n"
+
+    def test_uniform_refused(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "uniform:3")
+        assert (code, out, err) == (2, "", "error: 'uniform' selects a law, not a permutation\n")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "(1 2 3)")
@@ -193,6 +209,15 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "two-cycles:2")
         assert code == 2
         assert "Bernoulli" in err
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_type_of_transpositions(self, capsys, k):
+        # [2,2] is two transpositions before it is two equal cycles
+        code, out, err = run_cli(capsys, "bernoulli", "type:" + json.dumps([2] * k))
+        assert (code, err) == (0, "")
+        terms = json.loads(out)["decomposition"]["terms"]
+        assert [t["p"] for t in terms] == [f"1/{2 * j - 1}" for j in range(1, k + 1)]
+        assert all(t["multiplier"] == 2 for t in terms)
 
     def test_type_matches_named_family(self, capsys):
         _, by_type, _ = run_cli(capsys, "bernoulli", "type:[12]")
@@ -237,6 +262,12 @@ class TestHultmanCommand:
         assert code == 0
         assert out.splitlines()[0] == "M,k,count,oracle_count"
         assert "3,1,3,3" in out
+
+    def test_csv_empty_oracle_field(self, capsys):
+        # above the cap the oracle column is an empty field
+        code, out, err = run_cli(capsys, "hultman", "--max-m", "3", "--cap", "2", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "M,k,count,oracle_count\n1,1,1,1\n2,2,2,2\n3,1,3,\n3,3,3,\n"
 
     def test_row_sums(self, capsys):
         code, out, _ = run_cli(capsys, "hultman", "--max-m", "5", "--format", "json")
@@ -346,6 +377,11 @@ class TestSampleCommand:
         monkeypatch.setattr(oracle, "_commutator_counts", lambda *a: pytest.fail("drew"))
         code, out, err = run_cli(capsys, "sample", "one-cycle:4", "--draws", draws)
         assert (code, out, err) == (2, "", "error: draws must be at least 1\n")
+
+    def test_uniform_refused_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_commutator_counts", lambda *a: pytest.fail("drew"))
+        code, out, err = run_cli(capsys, "sample", "uniform:3", "--draws", "5")
+        assert (code, out, err) == (2, "", "error: 'uniform' selects a law, not a permutation\n")
 
     @pytest.mark.parametrize("seed", [0, 3, 12345])
     @pytest.mark.parametrize(
@@ -770,11 +806,14 @@ class TestGlobalBehavior:
             (["pgf", "one-cycle:3", "--sam=5"], "pgf does not take --samples"),
             (["pgf", "one-cycle:3", "--th=2"], "pgf does not take --threads"),
             (["mc", "trace-power", "--n", "2", "--ma", "1"], "mc does not take --max-m"),
+            (["pgf", "one-cycle:3", "--threads", "x"], "pgf does not take --threads"),
+            (["pgf", "one-cycle:3", "--th"], "pgf does not take --threads"),
         ],
-        ids=["before", "after", "after_equals", "threads_equals", "mc_max_m"],
+        ids=["before", "after", "after_equals", "threads_equals", "mc_max_m", "bad_value", "no_value"],
     )
     def test_unread_flag_prefix_exits_2(self, capsys, monkeypatch, argv, refusal):
-        # a unique prefix names its flag on either side of the subcommand
+        # a unique prefix names its flag on either side of the subcommand, and an
+        # unread flag is refused whatever value follows it, or none
         ran = stub_commands(monkeypatch)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, ran) == (2, "", [])
@@ -825,6 +864,16 @@ class TestGlobalBehavior:
             assert run_cli(capsys, *argv, flag, second)[0] == 0
             assert getattr(ran.pop(), dest) == cast(second)  # a flag beats the variable
             monkeypatch.delenv(cli._GLOBALS[dest][0])
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_help_lists_the_read_global_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = {dest: "--" + dest.replace("_", "-") + " " for dest in cli._GLOBALS}
+        listed = sorted((out.index(flag), dest) for dest, flag in flags.items() if flag in out)
+        assert [dest for _, dest in listed] == list(cli._READS[command])  # in usage order
 
     def test_parser_built_once_per_process(self, capsys, monkeypatch, request):
         built, add = [], cli._add_global_options
