@@ -36,6 +36,7 @@ from .perm import (
     parse_cycles,
     two_disjoint_cycles,
 )
+from .polys import _pretty_strings
 
 FORMATS = ("json", "human", "csv")
 
@@ -149,8 +150,8 @@ def _cmd_pgf(args) -> int:
     payload = {
         "tau": args.tau,
         "provenance": provenance,
-        "pgf": pgf.to_json(),
-        "pretty": pgf.poly.pretty(),
+        "pgf": (law := pgf.to_json()),
+        "pretty": _pretty_strings(law["coeffs"]),  # the reduced strings, not a second reduction
         "validation": validation.to_json(),
     }
 

@@ -24,11 +24,13 @@ import numpy as np
 from .perm import CycleType
 from .polys import (
     RationalPoly,
+    _poly,
     _reduced,
+    _rising_falling,
+    _rising_square_sweep,
     _times_x_plus,
     rising_factorial,
     rising_falling_sum,
-    rising_square_sum,
 )
 
 __all__ = [
@@ -146,15 +148,16 @@ def two_cycles_pgf(m: int) -> CyclePGF:
         + 2/(2m)! * ((R_{m+1}(t) - F_{m+1}(t)) / (m+1))^2
         - 2/(2m)! * (S(t) + S(-t))
 
-    with S = rising_square_sum(m).  Only even powers of t survive.
+    with S = rising_square_sum(m); only even powers of t survive.  One sweep
+    of 2m + 1 multiplications by (t + i) gives R_{m+1}, R_{2m+1} and S.
     """
     if m < 1:
         raise ValueError("m must be positive")
     two_m = 2 * m
-    head = rising_falling_sum(two_m + 1, -1) / math.factorial(two_m + 1)
-    cross = rising_falling_sum(m + 1, -1) / (m + 1)
+    short, long, s = _rising_square_sweep(m)  # R_{m+1}, R_{2m+1}, S
+    head = _rising_falling(long, -1) / math.factorial(two_m + 1)
+    cross = _rising_falling(short, -1) / (m + 1)
     cross = (cross * cross) * Fraction(2, math.factorial(two_m))
-    s = rising_square_sum(m)
     diag = (s + s.reflect()) * Fraction(2, math.factorial(two_m))
     return CyclePGF(head + cross - diag, two_m, "two_cycles")
 
@@ -402,12 +405,11 @@ class BernoulliDecomposition:
         decompositions return a RationalPoly; numeric ones a float
         coefficient list (index = degree)."""
         if self.is_exact:
-            poly, den = RationalPoly([0] * self.offset + [1]), 1  # p = r/q: factors ((q - r) + r t^m) / q
+            row = [1]  # p = r/q: one integer row times each (q - r) + r t^m, over the product of the q
             for t in self.terms:
-                r, q = t.p.numerator, t.p.denominator
-                poly = poly * RationalPoly([q - r] + [0] * (t.multiplier - 1) + [r])
-                den *= q
-            return poly / den
+                r, q, pad = t.p.numerator, t.p.denominator, [0] * t.multiplier
+                row = [(q - r) * a + r * b for a, b in zip(row + pad, pad + row)]
+            return _poly([0] * self.offset + row, math.prod(t.p.denominator for t in self.terms))
         coeffs = [0.0] * self.offset + [1.0]
         for t in self.terms:
             p = float(t.p)
@@ -455,30 +457,39 @@ class RootFindError(RuntimeError):
 # phase solve is accurate to about 1e-14; 2^-40 is about 9e-13.
 _BRACKET = Fraction(1, 2**40)
 
+_PHASE_STEPS = 64  # Newton steps before `_phase_roots` gives up; it takes 7-10 up to M = 400
+
 
 def _phase_roots(m: int) -> np.ndarray:
     """y_1 > y_2 > ... > y_n > 0 (n = ceil(m/2) - 1) solving the phase
-    equation sum_{k=1..m} atan(y/k) = pi*(m/2 - j), all j at once by float
-    bisection on [0, m(m+1)/2].  At the upper end the left side is
-    m*pi/2 - sum_k atan(k/y) > m*pi/2 - sum_k k/y = m*pi/2 - 1, above every
-    target, so every root lies inside; each step halves all n brackets
-    until no midpoint falls strictly between its endpoints."""
-    k = np.arange(1, m + 1, dtype=float)
-    target = np.pi * (m / 2 - np.arange(1, (m + 1) // 2))
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, m * (m + 1) / 2)
-    while True:
-        mid = (lo + hi) / 2
-        if not ((lo < mid) & (mid < hi)).any():
-            return mid
-        below = np.arctan(mid[:, None] / k).sum(axis=1) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    equation f(y) = sum_{k=1..m} atan(y/k) = pi*(m/2 - j), all j at once by
+    Newton steps, f'(y) = sum_k k/(k^2 + y^2), inside brackets.  As y*H_m >=
+    f(y) = m*pi/2 - sum_k atan(k/y) >= m*pi/2 - m(m+1)/(2y), y_j lies in
+    [pi*(m/2 - j)/H_m, m(m+1)/(2*pi*j)]; Newton starts at the geometric mean,
+    and a step that would not land strictly inside the bracket bisects it.
+    A root stops once its Newton step is within 2^-44 of it or no midpoint
+    falls strictly inside its bracket; one still moving after _PHASE_STEPS
+    steps raises RootFindError naming m."""
+    k, j = np.arange(1, m + 1, dtype=float), np.arange(1, (m + 1) // 2)
+    target = np.pi * (m / 2 - j)
+    lo, hi = target / (1 / k).sum(), m * (m + 1) / (2 * np.pi * j)
+    y, live = np.sqrt(lo * hi), np.arange(len(j))
+    for _ in range(_PHASE_STEPS):
+        x, r = y[live], y[live, None] / k
+        f = np.arctan(r).sum(axis=1) - target[live]
+        newton = x - f / (1 / (k + k * r * r)).sum(axis=1)
+        lo[live], hi[live] = a, b = np.where(f < 0, x, lo[live]), np.where(f < 0, hi[live], x)
+        mid, done = (a + b) / 2, abs(newton - x) <= x * 2**-44
+        y[live] = np.where(done | (a < newton) & (newton < b), newton, mid)
+        live = live[~done & (a < mid) & (mid < b)]
+        if not live.size:
+            return y
+    raise RootFindError(f"the phase equation at m={m} did not settle in {_PHASE_STEPS} steps")
 
 
-def negative_real_roots(m: int) -> list[float]:
-    """The roots u_1 < ... < u_n < 0 of the even part E of the one-cycle
-    PGF of order m, (R_{m+1}(t) - F_{m+1}(t))/(m+1)! = t^offset * E(t^2),
+def negative_real_roots(pgf: CyclePGF) -> list[float]:
+    """The roots u_1 < ... < u_n < 0 of the even part E of a one-cycle law
+    of order m = pgf.M, (R_{m+1}(t) - F_{m+1}(t))/(m+1)! = t^offset * E(t^2),
     where offset = 2 - m % 2 and n = deg E = (m - offset)/2.
 
     At t = iy every factor (iy + k)/(iy - k) of R_{m+1}/F_{m+1} has modulus
@@ -488,14 +499,14 @@ def negative_real_roots(m: int) -> list[float]:
         sum_{k=1..m} atan(y_j/k) = pi*(m/2 - j),   j = 1..n,
 
     whose left side rises strictly from 0 to m*pi/2: one root per j, and
-    u_j = -y_j^2.  The y_j come from a float solve of this equation
-    (`_phase_roots`); each u_j is then certified by an exact integer sign
-    change of E at the dyadic endpoints u_j*(1 ± 2^-40), with the n
+    u_j = -y_j^2.  The y_j come from a float Newton solve (`_phase_roots`);
+    each u_j is then certified by an exact integer sign change of E, from the
+    law's numerators, at the dyadic endpoints u_j*(1 ± 2^-40), with the n
     brackets disjoint, so every root of E is isolated.  A failed check
     raises RootFindError naming j, the bracket and the two signs.
     """
-    offset = 2 - m % 2
-    even = RationalPoly(one_cycle_pgf(m).poly.numerators[offset::2])  # a positive multiple: same signs
+    m, offset = pgf.M, 2 - pgf.M % 2
+    even = RationalPoly(pgf.poly.numerators[offset::2])  # a positive multiple: same signs
     roots = [-y * y for y in _phase_roots(m).tolist()]
     prev_hi = None
     for j, u in enumerate(roots, 1):
@@ -538,5 +549,5 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
         pairs = pgf.M // 2
         terms = tuple(BernoulliTerm(Fraction(1, 2 * k - 1), 2) for k in range(1, pairs + 1))
         return BernoulliDecomposition(terms, 0)
-    terms = tuple(BernoulliTerm(1.0 / (1.0 - u), 2) for u in negative_real_roots(pgf.M))
+    terms = tuple(BernoulliTerm(1.0 / (1.0 - u), 2) for u in negative_real_roots(pgf))
     return BernoulliDecomposition(terms, 2 - pgf.M % 2)

@@ -252,28 +252,24 @@ class RationalPoly:
 
     def pretty(self, var: str = "t") -> str:
         """Human-readable rendering, highest degree first."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self._num[k]
-            if not c:
-                continue
-            n, d = _reduced(abs(c), self._den)
-            mag = str(n) if d == 1 else f"{n}/{d}"
-            if k == 0:
-                body = mag
-            else:
-                xk = var if k == 1 else f"{var}^{k}"
-                body = xk if mag == "1" else f"{mag}*{xk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _pretty_strings(self.coeff_strings(), var)
 
     def __repr__(self):
         return f"RationalPoly({self.pretty(var='X')!r})"
+
+
+def _pretty_strings(strings: Sequence[str], var: str = "t") -> str:
+    """Human-readable rendering, highest degree first, of the reduced
+    "num/den" coefficient strings that `RationalPoly.coeff_strings` gives."""
+    parts = []
+    for k in range(len(strings) - 1, -1, -1):
+        if strings[k] != "0/1":
+            sign, mag = ("-", strings[k][1:]) if strings[k][0] == "-" else ("+", strings[k])
+            mag = mag.removesuffix("/1")
+            xk = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            body = mag if not xk else xk if mag == "1" else f"{mag}*{xk}"
+            parts.append(f"{sign} {body}" if parts else body if sign == "+" else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 ZERO = RationalPoly()
@@ -319,8 +315,13 @@ def rising_falling_sum(n: int, sign: int) -> RationalPoly:
     double and the others cancel."""
     if n < 0 or sign not in (1, -1):
         raise ValueError(f"need n >= 0 and sign 1 or -1, got n={n}, sign={sign}")
-    odd = sign == -1
-    return _poly([2 * c if (n - k) & 1 == odd else 0 for k, c in enumerate(_rising_row(n))], 1)
+    return _rising_falling(_rising_row(n), sign)
+
+
+def _rising_falling(row: list[int], sign: int) -> RationalPoly:
+    """R_n(X) + sign * F_n(X) from the row of c(n, k), k = 0..n."""
+    n, odd = len(row) - 1, sign == -1
+    return _poly([2 * c if (n - k) & 1 == odd else 0 for k, c in enumerate(row)], 1)
 
 
 def rising_product(x: Rational, n: int) -> Rational:
@@ -358,19 +359,26 @@ def rising_square_sum(m: int) -> RationalPoly:
     with R_n the degree-n rising factorial.  The rows R_{m+1}..R_{2m+1} are
     built in one sweep and summed over the denominator lcm(m+1..2m+1).
     """
+    return _rising_square_sweep(m)[2]
+
+
+def _rising_square_sweep(m: int) -> tuple[list[int], list[int], RationalPoly]:
+    """(row of R_{m+1}, row of R_{2m+1}, rising_square_sum(m)) from the one
+    sweep of 2m + 1 multiplications by (X + i)."""
     if m < 1:
         raise ValueError("m must be positive")
     top = 2 * m + 1
     den = math.lcm(*range(m + 1, top + 1))
     total = [0] * (top + 1)
-    row = _rising_row(m)
+    row = first = _rising_row(m + 1)
     for n in range(m + 1, top + 1):
-        row = _times_x_plus(row, n - 1)  # R_n
+        if n > m + 1:
+            row = _times_x_plus(row, n - 1)  # R_n
         k = top - n
         weight = (-1) ** k * math.factorial(k) * math.comb(m, k) ** 2 * (den // n)
         for j, c in enumerate(row):
             total[j] += weight * c
-    return _poly(total, den)
+    return first, row, _poly(total, den)
 
 
 def connection_expand(m: int, n: int) -> RationalPoly:

@@ -8,10 +8,20 @@ Exact-law readers on coefficient lists of `fractions.Fraction` (index =
 degree), one Fraction per coefficient, as `RationalPoly.coeffs` gives them:
 the references for the integer-numerator rendering, composition, PGF
 validation and Bernoulli reconstruction in `polys` and `genfun`.
+
+Earlier forms of three closed-form routines, each doing its work the long
+way: the phase equation of the one-cycle roots by plain bisection, the
+two-cycles law from three separately built rows of rising factorials, and
+an exact Bernoulli reconstruction by one `RationalPoly` product per term.
 """
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from commcycles.polys import RationalPoly, rising_falling_sum, rising_square_sum
 
 
 def compose(a, b):
@@ -126,3 +136,46 @@ def residual(rebuilt, coeffs):
         pairs = itertools.zip_longest(rebuilt, coeffs, fillvalue=Fraction(0))
         return float(max(abs(a - b) for a, b in pairs))
     return max(abs(a - float(b)) for a, b in itertools.zip_longest(rebuilt, coeffs, fillvalue=0.0))
+
+
+# -- closed forms the long way -------------------------------------------------
+
+
+def phase_roots_bisection(m):
+    """y_1 > ... > y_n > 0 with sum_{k=1..m} atan(y_j/k) = pi*(m/2 - j), by
+    halving all brackets [0, m(m+1)/2] until no midpoint falls strictly
+    between its endpoints."""
+    k = np.arange(1, m + 1, dtype=float)
+    target = np.pi * (m / 2 - np.arange(1, (m + 1) // 2))
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, m * (m + 1) / 2)
+    while True:
+        mid = (lo + hi) / 2
+        if not ((lo < mid) & (mid < hi)).any():
+            return mid
+        below = np.arctan(mid[:, None] / k).sum(axis=1) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+
+
+def two_cycles_law(m):
+    """The two-cycles PGF of `genfun.two_cycles_pgf`, from R_{2m+1} - F_{2m+1},
+    R_{m+1} - F_{m+1} and rising_square_sum(m), each built on its own."""
+    two_m = 2 * m
+    head = rising_falling_sum(two_m + 1, -1) / math.factorial(two_m + 1)
+    cross = rising_falling_sum(m + 1, -1) / (m + 1)
+    cross = (cross * cross) * Fraction(2, math.factorial(two_m))
+    s = rising_square_sum(m)
+    diag = (s + s.reflect()) * Fraction(2, math.factorial(two_m))
+    return head + cross - diag
+
+
+def bernoulli_reconstruct(terms, offset):
+    """t^offset * prod ((q - r) + r t^multiplier) / q over (p = r/q, multiplier), one
+    RationalPoly product per term."""
+    poly, den = RationalPoly([0] * offset + [1]), 1
+    for p, multiplier in terms:
+        r, q = p.numerator, p.denominator
+        poly = poly * RationalPoly([q - r] + [0] * (multiplier - 1) + [r])
+        den *= q
+    return poly / den

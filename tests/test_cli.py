@@ -148,6 +148,18 @@ class TestPgfCommand:
         assert (code, out) == (2, "")
         assert err == f"error: cycle type needs positive integer parts, got {json.loads(spec[5:])} in {spec!r}\n"
 
+    @pytest.mark.parametrize(
+        "tau",
+        ["one-cycle:9", "two-cycles:6", "transpositions:5", "uniform:7", "type:[1,1,1]", "type:[3,3]", "type:[3,2]", "type:[4,4,1]"],
+    )
+    def test_pretty_renders_the_law(self, capsys, tau):
+        # `pretty` is rendered from the coefficient strings, once reduced
+        want = cli._law(*cli.parse_tau_spec(tau))[0].poly.pretty()
+        _, out, _ = run_cli(capsys, "pgf", tau)
+        assert json.loads(out)["pretty"] == want
+        _, out, _ = run_cli(capsys, "pgf", tau, "--format", "human")
+        assert out.splitlines()[2] == f"PGF: {want}"
+
     def test_transpositions_example(self, capsys):
         code, out, _ = run_cli(capsys, "pgf", "transpositions:2")
         data = json.loads(out)
@@ -239,6 +251,21 @@ class TestBernoulliCommand:
             assert err == "error: no Bernoulli decomposition for source " + (
                 "'two_cycles'" if tau.startswith("two") else "'characters'"
             ) + " (only uniform, transpositions, one_cycle)\n"
+
+    def test_one_cycle_law_built_once(self, capsys, monkeypatch):
+        real = genfun.one_cycle_pgf
+        built = []
+
+        def counted(m):
+            built.append(m)
+            return real(m)
+
+        monkeypatch.setattr(genfun, "one_cycle_pgf", counted)
+        monkeypatch.setitem(cli._CLOSED_FORMS, "one-cycle", ("one_cycle", counted, cli._CLOSED_FORMS["one-cycle"][2]))
+        for tau in ("one-cycle:12", "type:[13]"):
+            code, _, err = run_cli(capsys, "bernoulli", tau)
+            assert (code, err) == (0, "")
+        assert built == [12, 13]
 
     def test_root_find_failure_exit_code(self, capsys, monkeypatch):
         # a float root moved off its certificate exits 2 with one line

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import _reference as reference
 from commcycles import genfun
+from commcycles import polys as polys_module
 from commcycles.genfun import (
     BernoulliDecomposition,
     BernoulliTerm,
@@ -123,6 +124,19 @@ class TestTwoCycles:
                 - 2 * sum(s**2 for s in singles)
             )
             assert math.factorial(2 * m) * p(n) == expected
+
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_matches_three_row_form(self, m):
+        assert two_cycles_pgf(m).poly == reference.two_cycles_law(m)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 40])
+    def test_one_sweep_of_rising_rows(self, monkeypatch, m):
+        # R_{m+1} and R_{2m+1} come from the sweep that sums S
+        real = polys_module._times_x_plus
+        calls = []
+        monkeypatch.setattr(polys_module, "_times_x_plus", lambda row, i: calls.append(i) or real(row, i))
+        two_cycles_pgf(m)
+        assert calls == list(range(2 * m + 1))
 
 
 class TestTranspositions:
@@ -344,6 +358,11 @@ class TestIntegerNumerators:
         dec = BernoulliDecomposition(tuple(BernoulliTerm(p, k) for p, k in terms), offset)
         assert list(dec.reconstruct().coeffs) == reference.bernoulli_product(terms, offset)
 
+    @given(bernoulli_terms, st.integers(0, 3))
+    def test_reconstruct_matches_products(self, terms, offset):
+        dec = BernoulliDecomposition(tuple(BernoulliTerm(p, k) for p, k in terms), offset)
+        assert dec.reconstruct() == reference.bernoulli_reconstruct(terms, offset)
+
     @given(bernoulli_terms, st.integers(0, 3), polys)
     def test_exact_residual_matches_reference(self, terms, offset, p):
         dec = BernoulliDecomposition(tuple(BernoulliTerm(q, k) for q, k in terms), offset)
@@ -371,7 +390,7 @@ class TestIntegerNumerators:
 
 def imaginary_roots(m):
     """The nonzero roots ±i*y_j of the one-cycle PGF, from u_j = -y_j^2."""
-    return [complex(0.0, sign * math.sqrt(-u)) for u in negative_real_roots(m) for sign in (1, -1)]
+    return [complex(0.0, sign * math.sqrt(-u)) for u in negative_real_roots(one_cycle_pgf(m)) for sign in (1, -1)]
 
 
 class TestRootFinder:
@@ -397,12 +416,13 @@ class TestRootFinder:
         # an independent witness of the certificate: E changes sign across
         # each returned root and the brackets are disjoint
         offset = 1 if m % 2 else 2
-        coeffs = one_cycle_pgf(m).poly.coeffs[offset::2]
+        law = one_cycle_pgf(m)
+        coeffs = law.poly.coeffs[offset::2]
 
         def e_at(u):
             return sum(c * u**k for k, c in enumerate(coeffs))
 
-        roots = negative_real_roots(m)
+        roots = negative_real_roots(law)
         assert len(roots) == len(coeffs) - 1 == (m - offset) // 2
         assert roots == sorted(roots) and all(u < 0 for u in roots)
         for u in roots:
@@ -421,6 +441,33 @@ class TestRootFinder:
         assert time.perf_counter() - start < 2.0
         assert len(dec.terms) == (m - dec.offset) // 2
         assert dec.residual_against(pgf) < 1e-10
+
+    @pytest.mark.parametrize("m", range(1, 201))
+    def test_newton_matches_bisection(self, m):
+        y = genfun._phase_roots(m)
+        want = reference.phase_roots_bisection(m)
+        assert len(y) == len(want) == (m - 1) // 2
+        assert np.all(np.abs(y - want) <= 1e-13 * want)
+        assert negative_real_roots(one_cycle_pgf(m)) == [-v * v for v in y.tolist()]
+
+    def test_step_ceiling_raises(self, monkeypatch):
+        monkeypatch.setattr(genfun, "_PHASE_STEPS", 3)
+        with pytest.raises(RootFindError, match=r"^the phase equation at m=30 did not settle in 3 steps$"):
+            bernoulli_decomposition(one_cycle_pgf(30))
+
+    def test_settles_within_the_ceiling(self, monkeypatch):
+        # Newton settles in 7-10 steps up to M = 400; 12 leaves room for the
+        # last bits of arctan to differ between platforms
+        monkeypatch.setattr(genfun, "_PHASE_STEPS", 12)
+        for m in range(1, 401):
+            assert len(genfun._phase_roots(m)) == (m - 1) // 2
+
+    @pytest.mark.parametrize("m", range(210, 401, 10))
+    def test_every_root_certifies(self, m):
+        # every M <= 200 certifies in test_newton_matches_bisection; all of
+        # 201..400 takes some 19 s, so one M in ten here
+        roots = negative_real_roots(one_cycle_pgf(m))
+        assert len(roots) == (m - 1) // 2
 
     def test_uncertified_root_raises(self, monkeypatch):
         # the float phase solve is the one substitution point; a root moved
