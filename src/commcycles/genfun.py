@@ -454,8 +454,10 @@ class RootFindError(RuntimeError):
 
 
 # Half-width of each certifying bracket, relative to the root.  The float
-# phase solve is accurate to about 1e-14; 2^-40 is about 9e-13.
-_BRACKET = Fraction(1, 2**40)
+# phase solve is accurate to about 1e-14; 2^-40 is about 9e-13.  Each end is
+# rounded to the nearest double, which moves it by 2^-53 relative at most and
+# keeps its numerator to 53 bits, so the exact sign evaluations stay cheap.
+_BRACKET = 2.0**-40
 
 _PHASE_STEPS = 64  # Newton steps before `_phase_roots` gives up; it takes 7-10 up to M = 400
 
@@ -501,7 +503,7 @@ def negative_real_roots(pgf: CyclePGF) -> list[float]:
     whose left side rises strictly from 0 to m*pi/2: one root per j, and
     u_j = -y_j^2.  The y_j come from a float Newton solve (`_phase_roots`);
     each u_j is then certified by an exact integer sign change of E, from the
-    law's numerators, at the dyadic endpoints u_j*(1 ± 2^-40), with the n
+    law's numerators, at the nearest doubles to u_j*(1 ± 2^-40), with the n
     brackets disjoint, so every root of E is isolated.  A failed check
     raises RootFindError naming j, the bracket and the two signs.
     """
@@ -510,7 +512,7 @@ def negative_real_roots(pgf: CyclePGF) -> list[float]:
     roots = [-y * y for y in _phase_roots(m).tolist()]
     prev_hi = None
     for j, u in enumerate(roots, 1):
-        lo, hi = Fraction(u) * (1 + _BRACKET), Fraction(u) * (1 - _BRACKET)
+        lo, hi = Fraction(u * (1 + _BRACKET)), Fraction(u * (1 - _BRACKET))
         sa, sb = even.sign_at(lo), even.sign_at(hi)
         overlap = prev_hi is not None and lo <= prev_hi
         if sa * sb >= 0 or overlap:

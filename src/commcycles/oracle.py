@@ -1,16 +1,14 @@
 """Ground-truth cycle-count laws by exhaustive enumeration of the symmetric
 group, used as the independent witness for every closed form.
 
-The sigma-space is enumerated in lexicographic order and processed in
-contiguous blocks as numpy integer arrays.  A block is one prefix of the
-first M - t positions followed by the t! orderings of the remaining points,
-read from a lexicographic table of range(t) built once per enumeration, so
-no permutation passes through a Python tuple.  A commutator or conjugate
-is one scatter per row (no inverse is formed), and cycles are counted by
-following every row's orbits at once on a flat index.  Block histograms are
-merged by addition, so results are deterministic and exact.  Every law is
-returned as a `CyclePGF` with source "oracle": the integer counts over the
-number of permutations enumerated.
+The sigma-space is enumerated in lexicographic order as int8 rows in slices
+of _BLOCK_SIZE = 7! rows: the orderings of the last min(M, 8) points, read
+from a table built once per enumeration, follow each prefix of the others,
+and successive prefixes fill one slice, so an enumeration's working set
+(about 1 MB) no longer grows with M.  Cycles are counted by following every
+row's orbits at once on a flat successor array, into which a commutator is
+scattered a column at a time.  Slice histograms add, so every law is exact:
+a `CyclePGF` with source "oracle", integer counts over the number enumerated.
 
 C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits one
 σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
@@ -47,7 +45,7 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 8
 HARD_ENUMERATION_CAP = 10
-_BLOCK_SIZE = 40320
+_BLOCK_SIZE = 5040
 
 
 def resolve_cap(cap: Optional[int]) -> int:
@@ -74,19 +72,16 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
 
 def _permutation_blocks(m: int, less=()) -> Iterator[np.ndarray]:
     """Lexicographic one-line permutations of range(m) with row[a] < row[b]
-    for each (a, b), a < b, in `less`, in blocks of at most t! rows with t
-    the largest size such that t <= m and t! <= _BLOCK_SIZE."""
-    t = 0
-    while t < m and math.factorial(t + 1) <= _BLOCK_SIZE:
-        t += 1
-    p = m - t
+    for each (a, b), a < b, in `less`, as fresh int8 arrays of exactly
+    _BLOCK_SIZE rows but the last, which is not empty."""
+    p = max(m - 8, 0)  # prefix positions: the tail table has at most 8! rows
     # Lexicographic table (int8, to stay small) of the permutations of range(k),
-    # k = 1..t, for the last k positions: each first point, then the table of
+    # k = 1..m - p, for the last k positions: each first point, then the table of
     # k - 1 with the points above it shifted up by one.  Shifting keeps the
     # order of two columns and the tail points are sorted, so a constraint in
     # the tail prunes the table as soon as its first position joins it.
     tail = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, t + 1):
+    for k in range(1, m - p + 1):
         first = np.repeat(np.arange(k, dtype=np.int8), len(tail))
         rest = np.tile(tail, (k, 1))
         rest += rest >= first[:, None]
@@ -97,43 +92,55 @@ def _permutation_blocks(m: int, less=()) -> Iterator[np.ndarray]:
     # rank at those b reaches the number of tail points below prefix[a].
     cross = [(a, b - p) for a, b in less if a < p <= b]
     low = {a: tail[:, [j for a2, j in cross if a2 == a]].min(axis=1) for a in {a for a, _ in cross}}
+    block, filled = np.empty((_BLOCK_SIZE, m), dtype=np.int8), 0
     for prefix in itertools.permutations(range(m), p):
         if any(prefix[a] > prefix[b] for a, b in less if b < p):
             continue
-        rest = np.array(sorted(set(range(m)).difference(prefix)), dtype=np.int64)
+        rest = np.array(sorted(set(range(m)).difference(prefix)), dtype=np.int8)
         keep = [least >= np.searchsorted(rest, prefix[a]) for a, least in low.items() if prefix[a] > rest[0]]
         rows = tail[np.logical_and.reduce(keep)] if keep else tail  # no mask that keeps every row
-        block = np.empty((len(rows), m), dtype=np.int64)
-        block[:, :p] = prefix
-        block[:, p:] = rest[rows]
-        yield block
+        while len(rows):  # successive prefixes fill one slice, so a pruned tail costs the kernels no call
+            part, rows = rows[: _BLOCK_SIZE - filled], rows[_BLOCK_SIZE - filled :]
+            block[filled : filled + len(part), :p] = prefix
+            block[filled : filled + len(part), p:] = rest[part]
+            filled += len(part)
+            if filled == _BLOCK_SIZE:
+                yield block
+                block, filled = np.empty_like(block), 0
+    if filled:
+        yield block[:filled]
 
 
-def _cycle_counts_rows(perms: np.ndarray) -> np.ndarray:
-    """Cycle count of each row of a (rows, m) array of one-line permutations."""
-    rows, m = perms.shape
-    # Point i of row r sits at r*m + i, so every row's orbits are followed
-    # at once on one flat array.
-    flat = (perms + np.arange(0, rows * m, m)[:, None]).ravel()
-    visited = np.zeros(rows * m, dtype=bool)
-    counts = np.zeros(rows, dtype=np.int64)
+def _orbit_counts(succ: np.ndarray, m: int) -> np.ndarray:
+    """Cycle count of each row of a flat successor array: point i of row r, at r*m + i, goes to succ[r*m + i]."""
+    visited = np.zeros(len(succ), dtype=bool)
+    counts = np.zeros(len(succ) // m, dtype=np.int64)
     for start in range(m):
         fresh = ~visited[start::m]
         counts += fresh
         cur = np.flatnonzero(fresh) * m + start
         while cur.size:
             visited[cur] = True
-            cur = flat[cur]
+            cur = succ[cur]
             cur = cur[~visited[cur]]  # an orbit closes on its start, the one visited point
     return counts
 
 
+def _cycle_counts_rows(perms: np.ndarray) -> np.ndarray:
+    """Cycle count of each row of a (rows, m) array of one-line permutations."""
+    rows, m = perms.shape
+    return _orbit_counts((perms + np.arange(0, rows * m, m)[:, None]).ravel(), m)
+
+
 def _commutator_counts(sigmas: np.ndarray, tau_arr: np.ndarray) -> np.ndarray:
     """C([σ,τ]) of each row σ of a (rows, m) array.  [σ,τ] = (στ)(τσ)⁻¹ sends
-    τ[σ[i]] to σ[τ[i]]: one scatter per row, with no inverse of σ formed."""
-    comm = np.empty_like(sigmas)
-    np.put_along_axis(comm, tau_arr[sigmas], sigmas[:, tau_arr], axis=1)
-    return _cycle_counts_rows(comm)
+    τ[σ[i]] to σ[τ[i]]: a scatter into the flat successor array, no inverse formed."""
+    rows, m = sigmas.shape
+    offsets = np.arange(0, rows * m, m)
+    succ = np.empty(rows * m, dtype=np.intp)
+    for i in range(m):  # a column at a time, so no temporary is as large as succ
+        succ[offsets + tau_arr[sigmas[:, i]]] = offsets + sigmas[:, tau_arr[i]]
+    return _orbit_counts(succ, m)
 
 
 def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
@@ -164,38 +171,41 @@ def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -
     return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
 
 
-def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permutation]:
-    """All permutations with the cycle type of tau, generated by conjugating
-    tau with every group element and deduplicating.  The result size is
-    checked against the class-size formula."""
+def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted int64 codes of tau's conjugacy class, from every σ, checked against the class-size formula,
+    and each position's bit shift: row[j] is base-16 digit m - 1 - j, so codes sort as rows do."""
     m = tau.size
     _check_cap(m, cap)
-    tau_arr = np.array(tau.map, dtype=np.int64)
-    seen: set[tuple[int, ...]] = set()
+    places = np.arange(4 * m - 4, -1, -4, dtype=np.int64)
+    codes, expected = [], tau.cycle_type().class_size()
     for block in _permutation_blocks(m):
-        conj = np.empty_like(block)
-        np.put_along_axis(conj, block, block[:, tau_arr], axis=1)  # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]
-        seen.update(map(tuple, conj.tolist()))
-    expected = tau.cycle_type().class_size()
-    if len(seen) != expected:
-        raise AssertionError(f"conjugacy class size {len(seen)} != formula value {expected}")
-    return [Permutation(t) for t in sorted(seen)]
+        # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]: digit σ[τ[i]] at the place of σ[i], a column at a time
+        codes.append(np.unique(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(m))))
+        if sum(map(len, codes)) > 2 * expected:  # merge, to hold a few class sizes of codes at most
+            codes = [np.unique(np.concatenate(codes))]
+    codes = np.unique(np.concatenate(codes))
+    if len(codes) != expected:
+        raise AssertionError(f"conjugacy class size {len(codes)} != formula value {expected}")
+    return codes, places
+
+
+def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permutation]:
+    """All permutations with the cycle type of tau, in lexicographic order, from
+    conjugating tau by every group element, checked against the class-size formula."""
+    codes, places = _class_codes(tau, cap)
+    return [Permutation(row) for row in ((codes[:, None] >> places) & 15).tolist()]
 
 
 def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
-    """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the
-    conjugacy class of the given type and τ₂ the inverse of its canonical
-    representative.  Agrees with exact_commutator_distribution of the
-    canonical representative."""
-    m = cycle_type.size
-    _check_cap(m, cap)
+    """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the conjugacy class of
+    the given type and τ₂ the inverse of its canonical representative.  Agrees with
+    exact_commutator_distribution of the canonical representative."""
     tau = from_cycle_type(cycle_type)
-    members = conjugacy_class(tau, cap=cap)
-    class_arr = np.array([p.map for p in members], dtype=np.int64)
-    tau2 = np.array(tau.inverse().map, dtype=np.int64)
-    products = class_arr[:, tau2]  # row r: τ₁[τ₂[i]]
-    hist = np.bincount(_cycle_counts_rows(products), minlength=m + 1)
-    return _law_from_hist(m, hist, len(members))
+    codes, places = _class_codes(tau, cap)
+    places = places[list(tau.inverse().map)]  # digit i of a code read at τ₂[i]: τ₁[τ₂[i]]
+    chunks = np.split(codes, range(_BLOCK_SIZE, len(codes), _BLOCK_SIZE))
+    hist = sum(np.bincount(_cycle_counts_rows((c[:, None] >> places) & 15), minlength=tau.size + 1) for c in chunks)
+    return _law_from_hist(tau.size, hist, len(codes))
 
 
 def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, CyclePGF]:

@@ -65,11 +65,12 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
         ok &= all(s(n) == sum(rising_product(k, m) ** 2 for k in range(1, n + 1)) for n in range(1, 13))
     out.append(_check("squared_rising_partial_sums", ok, "m <= 8, evaluations n <= 12"))
 
-    ok = all(
-        rising_factorial(n)(k) == n * sum(rising_product(j, n - 1) for j in range(1, k + 1))
-        for n in range(1, max_n + 1)
-        for k in range(1, max_n + 1)
-    )
+    ok = True
+    for n in range(1, max_n + 1):
+        rising, gamma_sum = rising_factorial(n), 0  # gamma_sum: rising_product(j, n - 1) over j <= k
+        for k in range(1, max_n + 1):
+            gamma_sum += rising_product(k, n - 1)
+            ok &= rising(k) == n * gamma_sum
     out.append(_check("rising_values_as_gamma_sums", ok, f"n, k <= {max_n}"))
     return out
 

@@ -528,7 +528,7 @@ class TestVerifyCommand:
         uniform = []
 
         def record(m, less=()):
-            if sys._getframe(1).f_code.co_name not in ("exact_commutator_distribution", "conjugacy_class"):
+            if sys._getframe(1).f_code.co_name not in ("exact_commutator_distribution", "_class_codes"):
                 uniform.append(m)
             return blocks(m, less)
 

@@ -4,6 +4,7 @@ closed form, the conjugacy-class reformulation, and the JSON round trip of a law
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -116,9 +117,24 @@ class TestKernel:
         assert np.array_equal(np.concatenate(blocks), expected)
 
     def test_blocks_above_block_size(self):
-        # 8! = _BLOCK_SIZE, so M = 9 and 10 come in full blocks, one per prefix.
-        assert [len(block) for block in oracle._permutation_blocks(9)] == [oracle._BLOCK_SIZE] * 9
-        assert sum(1 for _ in oracle._permutation_blocks(10)) == 90
+        # Rows of M = 9 and 10 come in int8 slices within _BLOCK_SIZE rows, none
+        # empty; each row is a permutation, and row codes rise across slices.
+        for m in (9, 10):
+            places, last, total = 16 ** np.arange(m - 1, -1, -1, dtype=np.int64), -1, 0
+            for block in oracle._permutation_blocks(m):
+                assert block.dtype == np.int8 and 0 < len(block) <= oracle._BLOCK_SIZE
+                assert (np.sort(block, axis=1) == np.arange(m)).all()
+                codes = block @ places
+                assert codes[0] > last and (np.diff(codes) > 0).all()
+                last, total = codes[-1], total + len(block)
+            assert total == math.factorial(m)
+
+    def test_pruned_rows_fill_whole_slices(self):
+        # a pruned tail is packed with the next prefix's rows: only the last slice is short
+        less = [(0, b) for b in range(1, 7)]  # the coset constraints of a 7-cycle on 0..6
+        sizes = [len(block) for block in oracle._permutation_blocks(10, less)]
+        assert sizes[:-1] == [oracle._BLOCK_SIZE] * (len(sizes) - 1) and 0 < sizes[-1] <= oracle._BLOCK_SIZE
+        assert sum(sizes) == math.factorial(10) // 7
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_cycle_counts(self, m):
@@ -126,6 +142,34 @@ class TestKernel:
         perms = [sample_uniform(m, rng) for _ in range(200)]
         rows = np.array([p.map for p in perms], dtype=np.int64)
         assert oracle._cycle_counts_rows(rows).tolist() == [len(p.cycles()) for p in perms]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_int8_and_int64_rows_count_alike(self, m):
+        # enumeration slices are int8 and `sample`'s rows int64: one kernel takes both
+        rng = random.Random(50 + m)
+        rows = np.array([sample_uniform(m, rng).map for _ in range(300)], dtype=np.int64)
+        for tau in (one_cycle(m), sample_uniform(m, rng)):
+            tau_arr = np.array(tau.map, dtype=np.int64)
+            narrow = oracle._commutator_counts(rows.astype(np.int8), tau_arr)
+            assert narrow.tolist() == oracle._commutator_counts(rows, tau_arr).tolist()
+            assert narrow.tolist() == [commutator_cycle_count(row, tau.map) for row in rows.tolist()]
+
+    @pytest.mark.parametrize(
+        "law",
+        [lambda: exact_commutator_distribution(one_cycle(9), cap=9), lambda: exact_uniform_cycle_laws(10, cap=10)],
+        ids=["one_cycle_9", "uniform_10"],
+    )
+    def test_working_set_is_bounded(self, law):
+        # numpy reports its buffers to tracemalloc.  One slice and its kernel's
+        # temporaries take about 1 MiB; a block of 8! int64 rows alone takes 2.5 MiB.
+        law()
+        tracemalloc.start()
+        try:
+            law()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 def _brute_force_law(tau):
