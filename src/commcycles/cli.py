@@ -7,9 +7,11 @@ command line.  Every parser declares all the global flags, so a flag may come
 before or after the command's name, and `_refuse_unread` refuses one that the
 command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
 variable, read on every call.  A flag wins; an unread flag or a bad value
-exits 2; an unread variable is ignored.  Exit codes: 0 pass, 1 check failure,
-2 usage error or a typed failure (enumeration cap or character-sum limit, root
-finding), each with a one-line message.
+exits 2; an unread variable is ignored.  An `mc` identity reads the options
+that `_MC` lists for it, refuses any other in the same way, and runs the rmt
+estimator that `_MC` names.  Exit codes: 0 pass, 1 check failure, 2 usage
+error or a typed failure (enumeration cap or character-sum limit, root
+finding, an exact target beyond the double range), each with a one-line message.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ _CLOSED_FORMS = {
     "transpositions": ("transpositions", genfun.transpositions_pgf, disjoint_transpositions),
     "uniform": ("uniform", genfun.uniform_cycles_pgf, None),
 }
+
+
+# Each `mc` identity: the name of its rmt estimator, looked up per call, and the
+# options it reads, in argument order.  --m and --k default to 1; the others are required.
+_MC = {
+    "trace-power": ("mc_trace_power_moment", ("n", "m", "k")),
+    "gamma": ("mc_gamma_shortcut_moment", ("n", "m", "k")),
+    "real-trace": ("mc_real_trace_law", ("n", "m")),
+    "tr-g2": ("mc_tr_g_squared_law", ("n", "m")),
+    "tr-g1g2": ("mc_tr_g1g2_law", ("n", "m")),
+    "mixed": ("mixed_trace_vanishing", ("n", "m1", "m2")),
+}
+_MC_OPTIONS = tuple(dict.fromkeys(opt for _, options in _MC.values() for opt in options))  # n, m, k, m1, m2
+_MC_DEFAULTS = {"m": 1, "k": 1}
 
 
 class UsageError(ValueError):
@@ -387,22 +403,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    plan = {"samples": args.samples, "seed": args.seed, "partitions": args.threads}
-    n, m, k = args.n, args.m, args.k
-    if args.identity == "mixed":
-        if args.m1 is None or args.m2 is None:
-            raise UsageError("mixed requires --m1 and --m2")
-        report = rmt.mixed_trace_vanishing(n, args.m1, args.m2, **plan)
-    elif args.identity == "trace-power":
-        report = rmt.mc_trace_power_moment(n, m, k, **plan)
-    elif args.identity == "gamma":
-        report = rmt.mc_gamma_shortcut_moment(n, m, k, **plan)
-    elif args.identity == "real-trace":
-        report = rmt.mc_real_trace_law(n, m, **plan)
-    elif args.identity == "tr-g2":
-        report = rmt.mc_tr_g_squared_law(n, m, **plan)
-    else:  # "tr-g1g2"; argparse restricts the choices
-        report = rmt.mc_tr_g1g2_law(n, m, **plan)
+    estimator, options = _MC[args.identity]
+    values = [getattr(args, opt, _MC_DEFAULTS.get(opt)) for opt in options]
+    if None in values:
+        raise UsageError(f"mc {args.identity} requires --{options[values.index(None)]}")
+    report = getattr(rmt, estimator)(*values, samples=args.samples, seed=args.seed, partitions=args.threads)
     payload = report.to_json()
 
     def human(p):
@@ -472,6 +477,9 @@ def _refuse_unread(args: argparse.Namespace) -> None:
     for dest in _GLOBALS:
         if dest in args and dest not in _READS[args.command]:
             raise UsageError(f"{args.command} does not take --{dest.replace('_', '-')}")
+    for opt in _MC_OPTIONS if args.command == "mc" else ():
+        if opt in args and opt not in _MC[args.identity][1]:
+            raise UsageError(f"mc {args.identity} does not take --{opt}")
 
 
 def _fill_globals(args: argparse.Namespace) -> None:
@@ -517,12 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=verify.SCOPES, default="all")
 
     p = sub.add_parser("mc", help="one Monte-Carlo identity check")
-    p.add_argument("identity", choices=("trace-power", "gamma", "real-trace", "tr-g2", "tr-g1g2", "mixed"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
+    p.add_argument("identity", choices=tuple(_MC))
+    for opt in _MC_OPTIONS:  # absent unless given, so that `_refuse_unread` sees what was given
+        p.add_argument("--" + opt, type=int, default=argparse.SUPPRESS)
 
     _add_global_options(parser)
     for command, p in sub.choices.items():

@@ -4,13 +4,13 @@ matrices to cycle counts of permutation commutators.
 Every identity is checked by simulating the matrix side and comparing
 against an exact rational target (computed from the closed forms, the
 character sum, or gamma-moment formulas — never floating-point gamma).
-Every estimate carries its target, a standard error and a z-score.  The
-target is computed before any draw, so a trace-power moment with no exact
-law (M above genfun.CHARACTER_MAX_M outside the closed forms) raises
-EnumerationCapError without sampling.
+Every estimate carries its target, a standard error and a z-score.
 
 Every estimator takes its dimension and orders, then one sampling plan
-(samples, seed, partitions), and draws through one batch driver, `_collect`.
+(samples, seed, partitions), and runs one path, `_estimate`: check the inputs
+and the plan, compute the exact target, and only then draw through one batch
+driver, `_collect`.  So a target with no exact law raises EnumerationCapError,
+and one beyond the double range a ValueError, before any draw.
 Draws are split across `partitions` independent substreams spawned from
 numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
 bit for bit, and each identity derives its own substream from its name so
@@ -83,34 +83,22 @@ class MomentReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {"identity": self.identity}
-        out.update(self.params)
-        out["estimate"] = self.estimate
-        out["std_error"] = self.std_error
-        out["target"] = f"{self.target.numerator}/{self.target.denominator}"
-        out["target_float"] = float(self.target)
-        out["z"] = self.z
-        out["samples"] = self.samples
-        out["seed"] = self.seed
-        out["partitions"] = self.partitions
-        out.update(self.extra)
-        return out
+        return {
+            "identity": self.identity, **self.params, "estimate": self.estimate, "std_error": self.std_error,
+            "target": f"{self.target.numerator}/{self.target.denominator}", "target_float": float(self.target),
+            "z": self.z, "samples": self.samples, "seed": self.seed, "partitions": self.partitions, **self.extra,
+        }
 
 
-def _check_positive(**values: int) -> None:
-    """Reject a dimension, power or moment order below 1."""
-    for name, value in values.items():
+def _check_plan(samples: int, partitions: int, **orders: int) -> None:
+    """Reject a dimension, order or partition count below 1, fewer than 2
+    samples (no standard error), and more partitions than _MAX_PARTITIONS
+    (never clamped, since the partition count fixes the substreams)."""
+    for name, value in {**orders, "partitions": partitions}.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def _check_plan(samples: int, partitions: int) -> None:
-    """Reject a sampling plan that cannot give a standard error, or that
-    asks for more partitions than _MAX_PARTITIONS (never clamped, since the
-    partition count fixes the substreams)."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
-    _check_positive(partitions=partitions)
     if partitions > _MAX_PARTITIONS:
         raise ValueError(f"partitions must be at most {_MAX_PARTITIONS}, got {partitions}")
 
@@ -180,7 +168,6 @@ def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray
     `_BATCH`, so the array depends on (seed, partitions) only.  Partitions
     run on min(partitions, cpu count) threads, the caller's included; a
     thread takes every workers-th partition in turn."""
-    _check_plan(total, partitions)
     out = np.empty(total, dtype=dtype)
     streams = _streams(seed, partitions, identity)
     bounds = list(itertools.accumulate(_partition_sizes(total, partitions), initial=0))
@@ -204,15 +191,29 @@ def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray
     return out
 
 
-def _report(identity, params, values, target, seed, partitions, extra=None) -> MomentReport:
-    n = values.size
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1)) / math.sqrt(n)
-    if std_error > 0:
-        z = (estimate - float(target)) / std_error
+def _estimate(identity, params, plan, target, values) -> MomentReport:
+    """The one path of every estimator: check the inputs and the plan, compute
+    the exact target (a thunk), refuse it if it does not fit a double, and only
+    then draw (a thunk) and report.  A complex sample (the mixed moment) reports
+    the modulus of its mean, with the combined real and imaginary standard error."""
+    samples, seed, partitions = plan
+    _check_plan(samples, partitions, **params)
+    target = target()
+    try:
+        exact = float(target)
+    except OverflowError:
+        bits = target.numerator.bit_length() - target.denominator.bit_length()
+        raise ValueError(f"the exact {identity} target, about 2^{bits}, does not fit a double") from None
+    values, extra = values(), {}
+    if np.iscomplexobj(values):
+        mean = complex(values.mean())
+        estimate, extra = abs(mean), {"estimate_re": mean.real, "estimate_im": mean.imag}
+        std_error = math.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples)
     else:
-        z = 0.0 if estimate == float(target) else float("inf")
-    return MomentReport(identity, params, estimate, std_error, target, z, n, seed, partitions, extra or {})
+        estimate = float(values.mean())
+        std_error = float(values.std(ddof=1)) / math.sqrt(samples)
+    z = (estimate - exact) / std_error if std_error > 0 else (0.0 if estimate == exact else float("inf"))
+    return MomentReport(identity, params, estimate, std_error, target, z, samples, seed, partitions, extra)
 
 
 # -- exact targets ---------------------------------------------------------------
@@ -242,15 +243,16 @@ def gamma_shortcut_target(n_dim: int, m: int, factors: int) -> Fraction:
     (K!)² Σ_{k_1+...+k_N=K} Π_i (i)_(m·k_i)/(k_i!)²: (K!)² times the x^K
     coefficient of Π_i Σ_{j<=K} (i)_(m·j) x^j/(j!)².  Carrying d!² times
     the x^d coefficient keeps every term an integer: each factor is then a
-    convolution weighted by C(d, j)².  O(N·K²) exact terms.
+    convolution weighted by C(d, j)², of which the last factor needs the x^K
+    term alone.  O(N·K²) exact terms.
     """
     coeffs = [1] + [0] * factors
+    moments = [math.factorial(m * j) for j in range(factors + 1)]  # (i)_(mj) at i = 1
     for i in range(1, n_dim + 1):
-        moments = [math.factorial(i - 1 + m * j) // math.factorial(i - 1) for j in range(factors + 1)]
-        coeffs = [
-            sum(math.comb(d, j) ** 2 * moments[j] * coeffs[d - j] for j in range(d + 1)) for d in range(factors + 1)
-        ]
-    return Fraction(coeffs[factors])
+        degrees = range(factors + 1) if i < n_dim else [factors]
+        coeffs = [sum(math.comb(d, j) ** 2 * moments[j] * coeffs[d - j] for j in range(d + 1)) for d in degrees]
+        moments = [x * (i + m * j) // i for j, x in enumerate(moments)]  # (i+1)_(mj) = (i)_(mj)·(i+mj)/i
+    return Fraction(coeffs[-1])
 
 
 def real_trace_target(n_dim: int, m: int) -> Fraction:
@@ -277,17 +279,16 @@ def mc_trace_power_moment(
     """Estimate E |tr G^power|^(2*factors) for an n_dim×n_dim complex
     Gaussian matrix G by direct simulation, from `samples` draws split over
     `partitions` substreams of `seed`, and compare with the exact
-    permutation-side target.  The target comes first: a type with no exact
-    law raises EnumerationCapError before any draw."""
-    _check_positive(N=n_dim, M=power, K=factors)
-    target = trace_power_target(n_dim, power, factors)
+    permutation-side target."""
 
     def draw(rng, values):
         _ginibre(rng, n_dim, values, lambda g: np.abs(_power_traces(g, power)[0]) ** (2 * factors))
 
-    values = _collect("trace_power", seed, partitions, samples, draw)
-    params = {"N": n_dim, "M": power, "K": factors}
-    return _report("trace_power", params, values, target, seed, partitions)
+    return _estimate(
+        "trace_power", {"N": n_dim, "M": power, "K": factors}, (samples, seed, partitions),
+        lambda: trace_power_target(n_dim, power, factors),
+        lambda: _collect("trace_power", seed, partitions, samples, draw),
+    )
 
 
 def mc_gamma_shortcut_moment(
@@ -297,7 +298,6 @@ def mc_gamma_shortcut_moment(
     for m >= N the eigenvalue powers decorrelate, |λ_i|^(2m) =d γ_i^m with
     independent Gamma(i) variables and independent uniform phases, so we
     sample λ_i^m = γ_i^(m/2) e^{iθ_i} directly."""
-    _check_positive(N=n_dim, M=m, K=factors)
     if m < n_dim:
         raise ValueError(f"decorrelation requires m >= N (got m={m}, N={n_dim})")
     shapes = np.arange(1, n_dim + 1, dtype=float)
@@ -307,10 +307,11 @@ def mc_gamma_shortcut_moment(
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(values), n_dim))
         values[:] = np.abs((radii * np.exp(1j * phases)).sum(axis=1)) ** (2 * factors)
 
-    values = _collect("gamma_shortcut", seed, partitions, samples, draw)
-    target = gamma_shortcut_target(n_dim, m, factors)
-    params = {"N": n_dim, "M": m, "K": factors}
-    return _report("gamma_shortcut", params, values, target, seed, partitions)
+    return _estimate(
+        "gamma_shortcut", {"N": n_dim, "M": m, "K": factors}, (samples, seed, partitions),
+        lambda: gamma_shortcut_target(n_dim, m, factors),
+        lambda: _collect("gamma_shortcut", seed, partitions, samples, draw),
+    )
 
 
 def mc_real_trace_law(
@@ -318,15 +319,14 @@ def mc_real_trace_law(
 ) -> MomentReport:
     """Estimate E (tr R Rᵀ)^M for a real Gaussian matrix R; tr R Rᵀ is the
     sum of the N² squared entries, distributed as 2·Gamma(N²/2)."""
-    _check_positive(N=n_dim, M=m)
-
     def draw(rng, values):
         entries = rng.standard_normal((len(values), n_dim * n_dim))
         values[:] = np.einsum("ki,ki->k", entries, entries) ** m
 
-    values = _collect("real_trace", seed, partitions, samples, draw)
-    params = {"N": n_dim, "M": m, "K": 1}
-    return _report("real_trace", params, values, real_trace_target(n_dim, m), seed, partitions)
+    return _estimate(
+        "real_trace", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
+        lambda: real_trace_target(n_dim, m), lambda: _collect("real_trace", seed, partitions, samples, draw),
+    )
 
 
 def tr_g_squared_samples(
@@ -334,7 +334,7 @@ def tr_g_squared_samples(
 ) -> np.ndarray:
     """Raw complex samples of tr(G²), for distribution-level checks such as
     the rotational symmetry of its phase."""
-    _check_positive(N=n_dim)
+    _check_plan(samples, partitions, N=n_dim)
 
     def draw(rng, values):
         _ginibre(rng, n_dim, values, lambda g: _power_traces(g, 2)[0])
@@ -347,10 +347,11 @@ def mc_tr_g_squared_law(
 ) -> MomentReport:
     """Estimate E |tr G²|^(2M) and compare with the exact moments of
     4·γ₁·γ_{N²/2}, i.e. 4^M M! (N²/2)...(N²/2+M-1)."""
-    _check_positive(M=m)
-    values = np.abs(tr_g_squared_samples(n_dim, samples, seed, partitions)) ** (2 * m)
-    params = {"N": n_dim, "M": m, "K": 1}
-    return _report("tr_g_squared", params, values, tr_g_squared_target(n_dim, m), seed, partitions)
+    return _estimate(
+        "tr_g_squared", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
+        lambda: tr_g_squared_target(n_dim, m),
+        lambda: np.abs(tr_g_squared_samples(n_dim, samples, seed, partitions)) ** (2 * m),
+    )
 
 
 def mc_tr_g1g2_law(
@@ -362,8 +363,6 @@ def mc_tr_g1g2_law(
     G₂ is never formed: with G = (X+iY)/sqrt(2), tr G₁G₂ is
     ((tr X₁X₂ - tr Y₁Y₂) + i(tr Y₁X₂ + tr X₁Y₂))/2, accumulated while X₂
     and then Y₂ stream past the held X₁ and Y₁."""
-    _check_positive(N=n_dim, M=m)
-
     def draw(rng, values):
         b = len(values)
         # the normals of one (2, b, n, n) draw, held as two blocks the size
@@ -379,9 +378,10 @@ def mc_tr_g1g2_law(
             t.imag[rows] += np.einsum("kij,kji->k", x1[rows], y2)
         values[:] = np.abs(t / 2) ** (2 * m)
 
-    values = _collect("tr_g1_g2", seed, partitions, samples, draw)
-    params = {"N": n_dim, "M": m, "K": 1}
-    return _report("tr_g1_g2", params, values, tr_g1g2_target(n_dim, m), seed, partitions)
+    return _estimate(
+        "tr_g1_g2", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
+        lambda: tr_g1g2_target(n_dim, m), lambda: _collect("tr_g1_g2", seed, partitions, samples, draw),
+    )
 
 
 def mixed_trace_vanishing(
@@ -390,18 +390,13 @@ def mixed_trace_vanishing(
     """Estimate the mixed moment E tr(G^{M1}) conj(tr(G^{M2})), which is
     exactly 0 for M1 != M2.  The report's estimate is the modulus of the
     complex sample mean, with the combined real+imaginary standard error."""
-    _check_positive(N=n_dim, M=m1, M2=m2)
     if m1 == m2:
         raise ValueError("mixed moment vanishes only for M1 != M2")
 
     def draw(rng, values):
         _ginibre(rng, n_dim, values, lambda g: (t := _power_traces(g, m1, m2))[0] * np.conj(t[1]))
 
-    values = _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex)
-    n = values.size
-    mean = complex(values.mean())
-    se = math.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / n)
-    z = abs(mean) / se if se > 0 else float("inf")
-    params = {"N": n_dim, "M": m1, "M2": m2, "K": 1}
-    extra = {"estimate_re": mean.real, "estimate_im": mean.imag}
-    return MomentReport("mixed_trace", params, abs(mean), se, Fraction(0), z, n, seed, partitions, extra)
+    return _estimate(
+        "mixed_trace", {"N": n_dim, "M": m1, "M2": m2, "K": 1}, (samples, seed, partitions),
+        lambda: Fraction(0), lambda: _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex),
+    )

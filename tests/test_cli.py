@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -44,6 +45,27 @@ COMMAND_ARGV = {
     "verify": ["verify", "--scope", "factorials"],
     "mc": ["mc", "gamma", "--n", "1"],
 }
+
+
+# The identity options each `mc` identity reads, in its estimator's argument
+# order, and a short call of each identity with only --n and the options it needs.
+MC_READS = {
+    "trace-power": ("n", "m", "k"),
+    "gamma": ("n", "m", "k"),
+    "real-trace": ("n", "m"),
+    "tr-g2": ("n", "m"),
+    "tr-g1g2": ("n", "m"),
+    "mixed": ("n", "m1", "m2"),
+}
+MC_ARGV = {identity: ["--n", "2", *(["--m1", "1", "--m2", "3"] if identity == "mixed" else [])] for identity in MC_READS}
+MC_UNREAD = [(i, o) for i, reads in MC_READS.items() for o in ("n", "m", "k", "m1", "m2") if o not in reads]
+
+
+def stub_mc_work(monkeypatch) -> None:
+    """Make every exact Monte-Carlo target and every draw fail the test."""
+    for name in ("trace_power_target", "gamma_shortcut_target", "real_trace_target", "tr_g_squared_target",
+                 "tr_g1g2_target", "tr_g_squared_samples", "_collect"):
+        monkeypatch.setattr(rmt, name, lambda *args, name=name, **kwargs: pytest.fail(f"rmt.{name} ran"))
 
 
 def stub_commands(monkeypatch) -> list:
@@ -524,15 +546,14 @@ class TestVerifyCommand:
         }
 
     def test_uniform_laws_enumerate_once_per_m(self, monkeypatch):
-        blocks = oracle._permutation_blocks
+        laws = oracle.exact_uniform_cycle_laws
         uniform = []
 
-        def record(m, less=()):
-            if sys._getframe(1).f_code.co_name not in ("exact_commutator_distribution", "_class_codes"):
-                uniform.append(m)
-            return blocks(m, less)
+        def record(m, cap=None):
+            uniform.append(m)
+            return laws(m, cap)
 
-        monkeypatch.setattr(oracle, "_permutation_blocks", record)
+        monkeypatch.setattr(oracle, "exact_uniform_cycle_laws", record)
         checks = verify.run_genfun_oracle_checks(max_m=8)
         assert uniform == list(range(1, 9))
         # names, verdicts and details as recorded by the benchmark's digests
@@ -662,9 +683,77 @@ class TestMcCommand:
             code, _, _ = run_cli(capsys, "mc", "gamma", "--n", "2", "--m", "3", "--format", fmt)
             assert code == 1
 
-    def test_mixed_requires_orders(self, capsys):
-        code, _, err = run_cli(capsys, "mc", "mixed", "--n", "2")
-        assert code == 2
+    def test_mixed_requires_orders(self, capsys, monkeypatch):
+        # --n, --m1 and --m2 have no default
+        stub_mc_work(monkeypatch)
+        for argv, missing in (
+            (["mixed", "--n", "2"], "--m1"),
+            (["mixed", "--n", "2", "--m1", "1"], "--m2"),
+            (["gamma", "--m", "3"], "--n"),
+        ):
+            code, out, err = run_cli(capsys, "mc", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: mc {argv[0]} requires {missing}\n"
+
+    @pytest.mark.parametrize(
+        "argv, estimator, args",
+        [
+            (["trace-power", "--n", "2"], "mc_trace_power_moment", (2, 1, 1)),
+            (["trace-power", "--k", "4", "--n", "2", "--m", "3"], "mc_trace_power_moment", (2, 3, 4)),
+            (["gamma", "--n", "3"], "mc_gamma_shortcut_moment", (3, 1, 1)),
+            (["gamma", "--n", "3", "--m", "5", "--k", "2"], "mc_gamma_shortcut_moment", (3, 5, 2)),
+            (["real-trace", "--n", "4"], "mc_real_trace_law", (4, 1)),
+            (["tr-g2", "--n", "2", "--m", "3"], "mc_tr_g_squared_law", (2, 3)),
+            (["tr-g1g2", "--m", "2", "--n", "3"], "mc_tr_g1g2_law", (3, 2)),
+            (["mixed", "--m2", "4", "--n", "2", "--m1", "1"], "mixed_trace_vanishing", (2, 1, 4)),
+        ],
+    )
+    def test_read_options_reach_the_estimator(self, capsys, monkeypatch, argv, estimator, args):
+        # the estimator is looked up on rmt per call, so a patched one runs
+        calls = []
+
+        def record(*given, samples, seed, partitions):
+            calls.append((given, samples, seed, partitions))
+            return rmt.MomentReport("probe", {"N": given[0]}, 1.0, 0.5, Fraction(1), 0.0, samples, seed, partitions)
+
+        monkeypatch.setattr(rmt, estimator, record)
+        code, _, _ = run_cli(capsys, "--seed", "5", "mc", *argv, "--samples", "30", "--threads", "2")
+        assert code == 0
+        assert calls == [(args, 30, 5, 2)]
+
+    @pytest.mark.parametrize("identity, option", MC_UNREAD)
+    def test_unread_identity_option_exits_2(self, capsys, monkeypatch, identity, option):
+        stub_mc_work(monkeypatch)
+        argv = ["mc", identity, *MC_ARGV[identity]]
+        flag = [f"--{option}", "3"]
+        globals_ = ["--samples", "10", "--seed", "1"]
+        for order in ([*argv, *flag, *globals_], [*argv, *globals_, *flag], [*globals_, *argv, *flag]):
+            code, out, err = run_cli(capsys, *order)
+            assert (code, out) == (2, "")
+            assert err == f"error: mc {identity} does not take --{option}\n"
+
+    def test_fifteen_unread_identity_options(self):
+        assert len(MC_UNREAD) == 15
+        assert {identity: cli._MC[identity][1] for identity in cli._MC} == MC_READS
+
+    @pytest.mark.parametrize(
+        "argv, identity",
+        [
+            (["real-trace", "--n", "4", "--m", "200"], "real_trace"),
+            (["trace-power", "--n", "4", "--m", "1", "--k", "200"], "trace_power"),
+            (["gamma", "--n", "5", "--m", "200", "--k", "40"], "gamma_shortcut"),
+            (["tr-g2", "--n", "4", "--m", "200"], "tr_g_squared"),
+            (["tr-g1g2", "--n", "4", "--m", "300"], "tr_g1_g2"),
+        ],
+    )
+    def test_target_beyond_double_range_exits_2_before_drawing(self, capsys, monkeypatch, argv, identity):
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a target beyond the double range")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        code, out, err = run_cli(capsys, "mc", *argv, "--samples", "2000000")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: the exact {identity} target, about 2\\^\\d+, does not fit a double\n", err)
 
     def test_mixed_runs(self, capsys):
         code, out, _ = run_cli(

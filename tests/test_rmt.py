@@ -175,6 +175,27 @@ class TestEstimates:
         with pytest.raises(EnumerationCapError):
             mc_trace_power_moment(2, 3, 11, samples=2_000)
 
+    @pytest.mark.parametrize(
+        "call, identity",
+        [
+            (lambda: mc_real_trace_law(4, 200, samples=2_000_000), "real_trace"),
+            (lambda: mc_trace_power_moment(4, 1, 200, samples=2_000_000), "trace_power"),
+            (lambda: mc_gamma_shortcut_moment(5, 200, 40, samples=2_000_000), "gamma_shortcut"),
+            (lambda: mc_tr_g_squared_law(4, 200, samples=2_000_000), "tr_g_squared"),
+            (lambda: mc_tr_g1g2_law(4, 300, samples=2_000_000), "tr_g1_g2"),
+        ],
+        ids=["real_trace", "trace_power", "gamma_shortcut", "tr_g_squared", "tr_g1_g2"],
+    )
+    def test_target_beyond_double_range_raises_before_drawing(self, monkeypatch, call, identity):
+        # a ValueError naming the identity, not an OverflowError after the draws
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a target beyond the double range")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        monkeypatch.setattr(rmt, "tr_g_squared_samples", collect)
+        with pytest.raises(ValueError, match=f"^the exact {identity} target, about 2\\^\\d+, does not fit a double$"):
+            call()
+
     def test_gamma_shortcut_requires_high_power(self):
         with pytest.raises(ValueError):
             mc_gamma_shortcut_moment(3, 2, 1, samples=100)
