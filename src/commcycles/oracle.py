@@ -12,10 +12,11 @@ a `CyclePGF` with source "oracle", integer counts over the number enumerated.
 
 C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits one
 σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
-count against the class size; the uniform and class-member enumerations
-visit all M!, so the class product stays an independent full-group route.
-Each law has one entry point, and one pass gives all three uniform laws;
-`sample` counts its draws with the commutator kernel.
+count against the class size: σ is least at a base point of each cycle,
+picked so that the table is pruned as each position joins it.  The uniform
+and class-member enumerations visit all M!, so the class product stays an
+independent full-group route.  Each law has one entry point, and one pass
+gives all three uniform laws; `sample` counts its draws with the commutator kernel.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 8
 HARD_ENUMERATION_CAP = 10
 _BLOCK_SIZE = 5040
+_TAIL = 8  # positions of the table that follows each prefix: at most 8! rows
 
 
 def resolve_cap(cap: Optional[int]) -> int:
@@ -72,37 +74,40 @@ def _check_cap(m: int, cap: Optional[int]) -> None:
 
 def _permutation_blocks(m: int, less=()) -> Iterator[np.ndarray]:
     """Lexicographic one-line permutations of range(m) with row[a] < row[b]
-    for each (a, b), a < b, in `less`, as fresh int8 arrays of exactly
-    _BLOCK_SIZE rows but the last, which is not empty."""
-    p = max(m - 8, 0)  # prefix positions: the tail table has at most 8! rows
+    for each (a, b) in `less`, in either index order, as fresh int8 arrays of
+    exactly _BLOCK_SIZE rows but the last, which is not empty."""
+    p = max(m - _TAIL, 0)  # prefix positions
     # Lexicographic table (int8, to stay small) of the permutations of range(k),
     # k = 1..m - p, for the last k positions: each first point, then the table of
     # k - 1 with the points above it shifted up by one.  Shifting keeps the
     # order of two columns and the tail points are sorted, so a constraint in
-    # the tail prunes the table as soon as its first position joins it.
+    # the tail prunes the table as soon as its lower position joins it.
     tail = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, m - p + 1):
         first = np.repeat(np.arange(k, dtype=np.int8), len(tail))
         rest = np.tile(tail, (k, 1))
         rest += rest >= first[:, None]
         tail = np.column_stack([first, rest])
-        if inner := [first < tail[:, b - m + k] for a, b in less if a == m - k]:
-            tail = tail[np.logical_and.reduce(inner)]
-    # Row[b] > prefix[a] at all tail positions b paired with a iff the least
-    # rank at those b reaches the number of tail points below prefix[a].
-    cross = [(a, b - p) for a, b in less if a < p <= b]
-    low = {a: tail[:, [j for a2, j in cross if a2 == a]].min(axis=1) for a in {a for a, _ in cross}}
+        for a, b in (pair for pair in less if min(pair) == m - k):
+            tail = tail[tail[:, a - m + k] < tail[:, b - m + k]]
+    # A tail point above prefix[a] has a rank of at least the count of tail points below prefix[a], and one below
+    # it a rank from the top of at least the count above: per prefix position and side, the least such rank decides.
+    sides: dict[tuple[int, bool], list[int]] = {}  # (prefix position, tail point above it) -> tail columns
+    for a, b in (pair for pair in less if min(pair) < p <= max(pair)):
+        sides.setdefault((min(a, b), a < b), []).append(max(a, b) - p)
+    low = {(a, up): (tail[:, js] if up else m - p - 1 - tail[:, js]).min(axis=1) for (a, up), js in sides.items()}
     block, filled = np.empty((_BLOCK_SIZE, m), dtype=np.int8), 0
     for prefix in itertools.permutations(range(m), p):
-        if any(prefix[a] > prefix[b] for a, b in less if b < p):
+        if any(prefix[a] > prefix[b] for a, b in less if a < p > b):
             continue
         rest = np.array(sorted(set(range(m)).difference(prefix)), dtype=np.int8)
-        keep = [least >= np.searchsorted(rest, prefix[a]) for a, least in low.items() if prefix[a] > rest[0]]
+        below = {a: prefix[a] - sum(x < prefix[a] for x in prefix) for a, _ in low}  # tail points below prefix[a]
+        keep = [least >= need for (a, up), least in low.items() if (need := below[a] if up else m - p - below[a])]
         rows = tail[np.logical_and.reduce(keep)] if keep else tail  # no mask that keeps every row
         while len(rows):  # successive prefixes fill one slice, so a pruned tail costs the kernels no call
             part, rows = rows[: _BLOCK_SIZE - filled], rows[_BLOCK_SIZE - filled :]
             block[filled : filled + len(part), :p] = prefix
-            block[filled : filled + len(part), p:] = rest[part]
+            rest.take(part, out=block[filled : filled + len(part), p:])  # twice as fast as rest[part] on int8 indices
             filled += len(part)
             if filled == _BLOCK_SIZE:
                 yield block
@@ -139,7 +144,7 @@ def _commutator_counts(sigmas: np.ndarray, tau_arr: np.ndarray) -> np.ndarray:
     offsets = np.arange(0, rows * m, m)
     succ = np.empty(rows * m, dtype=np.intp)
     for i in range(m):  # a column at a time, so no temporary is as large as succ
-        succ[offsets + tau_arr[sigmas[:, i]]] = offsets + sigmas[:, tau_arr[i]]
+        succ[offsets + tau_arr.take(sigmas[:, i])] = offsets + sigmas[:, tau_arr[i]]
     return _orbit_counts(succ, m)
 
 
@@ -156,19 +161,26 @@ def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
 def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -> CyclePGF:
     """Exact law of the cycle count of [σ,τ], σ uniform on all M! permutations,
     from one σ per coset σZ(τ) ([σz,τ] = [σ,τ] for z in Z(τ)): σ least at each
-    cycle's first point, and rising over first points of equal-length cycles."""
+    cycle's base, rising over the bases of equal-length cycles.  A base is the cycle's
+    least point if in the prefix, else its largest, so the tail table prunes as it grows."""
     m = tau.size
     _check_cap(m, cap)
     cycles = tau.cycles()  # each starts at its least point, in that order
-    less = [(cycle[0], b) for cycle in cycles for b in cycle[1:]]
+    bases = [cycle[0] if cycle[0] < m - _TAIL else max(cycle) for cycle in cycles]
+    less = [(base, b) for base, cycle in zip(bases, cycles) for b in cycle if b != base]
     for length in {len(cycle) for cycle in cycles}:
-        firsts = [cycle[0] for cycle in cycles if len(cycle) == length]
-        less += zip(firsts, firsts[1:])
+        same = [base for base, cycle in zip(bases, cycles) if len(cycle) == length]
+        less += zip(same, same[1:])
     tau_arr = np.array(tau.map, dtype=np.int64)
     hist = np.zeros(m + 1, dtype=np.int64)
     for block in _permutation_blocks(m, less):
         hist += np.bincount(_commutator_counts(block, tau_arr), minlength=m + 1)
     return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct codes, from one sort and a neighbour mask (np.unique imports numpy.ma)."""
+    return np.concatenate([(c := np.sort(codes))[:1], c[1:][c[1:] != c[:-1]]])
 
 
 def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +192,10 @@ def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.n
     codes, expected = [], tau.cycle_type().class_size()
     for block in _permutation_blocks(m):
         # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]: digit σ[τ[i]] at the place of σ[i], a column at a time
-        codes.append(np.unique(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(m))))
+        codes.append(_distinct(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(m))))
         if sum(map(len, codes)) > 2 * expected:  # merge, to hold a few class sizes of codes at most
-            codes = [np.unique(np.concatenate(codes))]
-    codes = np.unique(np.concatenate(codes))
+            codes = [_distinct(np.concatenate(codes))]
+    codes = _distinct(np.concatenate(codes))
     if len(codes) != expected:
         raise AssertionError(f"conjugacy class size {len(codes)} != formula value {expected}")
     return codes, places

@@ -10,7 +10,8 @@ Every estimator takes its dimension and orders, then one sampling plan
 (samples, seed, partitions), and runs one path, `_estimate`: check the inputs
 and the plan, compute the exact target, and only then draw through one batch
 driver, `_collect`.  So a target with no exact law raises EnumerationCapError,
-and one beyond the double range a ValueError, before any draw.
+and one beyond the double range, or whose square is, a ValueError, before any
+draw; an estimate or standard error that overflows after the draws does too.
 Draws are split across `partitions` independent substreams spawned from
 numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
 bit for bit, and each identity derives its own substream from its name so
@@ -193,25 +194,31 @@ def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray
 
 def _estimate(identity, params, plan, target, values) -> MomentReport:
     """The one path of every estimator: check the inputs and the plan, compute
-    the exact target (a thunk), refuse it if it does not fit a double, and only
-    then draw (a thunk) and report.  A complex sample (the mixed moment) reports
+    the exact target (a thunk), refuse it if it or its square does not fit a
+    double, and only then draw (a thunk) and report, refusing an estimate or
+    standard error that overflowed.  A complex sample (the mixed moment) reports
     the modulus of its mean, with the combined real and imaginary standard error."""
     samples, seed, partitions = plan
     _check_plan(samples, partitions, **params)
     target = target()
+    bits = target.numerator.bit_length() - target.denominator.bit_length()
     try:
         exact = float(target)
     except OverflowError:
-        bits = target.numerator.bit_length() - target.denominator.bit_length()
         raise ValueError(f"the exact {identity} target, about 2^{bits}, does not fit a double") from None
+    if math.isinf(exact * exact):  # samples of the target's size square beyond a double, as would their spread
+        raise ValueError(f"the square of the exact {identity} target, about 2^{2 * bits}, does not fit a double")
     values, extra = values(), {}
-    if np.iscomplexobj(values):
-        mean = complex(values.mean())
-        estimate, extra = abs(mean), {"estimate_re": mean.real, "estimate_im": mean.imag}
-        std_error = math.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples)
-    else:
-        estimate = float(values.mean())
-        std_error = float(values.std(ddof=1)) / math.sqrt(samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
+        if np.iscomplexobj(values):
+            mean = complex(values.mean())
+            estimate, extra = abs(mean), {"estimate_re": mean.real, "estimate_im": mean.imag}
+            std_error = math.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples)
+        else:
+            estimate = float(values.mean())
+            std_error = float(values.std(ddof=1)) / math.sqrt(samples)
+    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+        raise ValueError(f"the {identity} samples overflow a double: estimate {estimate}, standard error {std_error}")
     z = (estimate - exact) / std_error if std_error > 0 else (0.0 if estimate == exact else float("inf"))
     return MomentReport(identity, params, estimate, std_error, target, z, samples, seed, partitions, extra)
 

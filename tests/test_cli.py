@@ -755,6 +755,15 @@ class TestMcCommand:
         assert (code, out) == (2, "")
         assert re.fullmatch(f"error: the exact {identity} target, about 2\\^\\d+, does not fit a double\n", err)
 
+    def test_target_whose_square_overflows_exits_2_before_drawing(self, capsys, monkeypatch):
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a target whose square is beyond the double range")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        code, out, err = run_cli(capsys, "mc", "real-trace", "--n", "4", "--m", "120", "--samples", "20000")
+        assert (code, out) == (2, "")
+        assert re.fullmatch("error: the square of the exact real_trace target, about 2\\^\\d+, does not fit a double\n", err)
+
     def test_mixed_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "mc", "mixed", "--n", "2", "--m1", "1", "--m2", "2", "--samples", "20000"

@@ -3,9 +3,13 @@ closed form, the conjugacy-class reformulation, and the JSON round trip of a law
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,30 @@ class TestCosetQuotient:
         assert np.array_equal(got, np.concatenate(kept))
         assert len(got) == tau.cycle_type().class_size() == 50400
 
+    def test_constraints_in_either_index_order(self):
+        # M = 10, with a > b within the prefix (1, 0), within the tail (9, 4) and (7, 2),
+        # and across both (5, 1) and (8, 0), beside a < b pairs of each kind
+        less = [(1, 0), (9, 4), (7, 2), (5, 1), (8, 0), (0, 6), (3, 8), (9, 3)]
+        got = np.concatenate(list(oracle._permutation_blocks(10, less)))
+        kept = []
+        for block in oracle._permutation_blocks(10):
+            kept.append(block[np.logical_and.reduce([block[:, a] < block[:, b] for a, b in less])])
+        assert np.array_equal(got, np.concatenate(kept))
+        assert 0 < len(got) < math.factorial(10) // 2**5
+
+    def test_one_cycle_table_is_pruned_as_it_grows(self, monkeypatch):
+        # σ least at the cycle's largest point: the tail table holds 8 * 6! rows before its last pruning, not 8!
+        largest = []
+        column_stack = np.column_stack
+
+        def record(arrays):
+            largest.append(len(arrays[0]))
+            return column_stack(arrays)
+
+        monkeypatch.setattr(np, "column_stack", record)
+        assert exact_commutator_distribution(one_cycle(8)).poly == genfun.one_cycle_pgf(8).poly
+        assert max(largest) == 8 * math.factorial(6)
+
     @pytest.mark.parametrize(
         "tau", [one_cycle(6), parse_cycles("(1 3)(2 5 4)(6)(7)"), one_cycle(9), two_disjoint_cycles(5)]
     )
@@ -403,6 +431,38 @@ class TestConjugacyClassRoute:
         via_class = exact_class_product_distribution(ct)
         via_commutator = exact_commutator_distribution(from_cycle_type(ct))
         assert via_class.probabilities() == via_commutator.probabilities()
+
+
+    def test_class_codes_are_the_sorted_distinct_codes(self):
+        tau = from_cycle_type(CycleType([3, 3, 2, 2]))
+        codes, places = oracle._class_codes(tau, cap=10)
+        per_block = [
+            np.unique(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(10)))
+            for block in oracle._permutation_blocks(10)
+        ]
+        assert np.array_equal(codes, np.unique(np.concatenate(per_block)))
+        assert (np.diff(codes) > 0).all() and len(codes) == tau.cycle_type().class_size()
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000])
+    def test_distinct_is_unique(self, size):
+        codes = np.random.default_rng(size).integers(0, max(size // 3, 1), size, dtype=np.int64)
+        assert np.array_equal(oracle._distinct(codes), np.unique(codes))
+
+    def test_witness_queries_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call in a process (numpy 2.4), some 10 ms of a witness query
+        code = (
+            "import contextlib, io, sys\n"
+            "from commcycles import cli\n"
+            "from commcycles.oracle import exact_class_product_distribution\n"
+            "from commcycles.perm import CycleType\n"
+            "exact_class_product_distribution(CycleType([2, 2]))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--scope', 'genfun_vs_oracle', '--max-m', '6']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(commcycles.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHultman:

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -195,6 +196,28 @@ class TestEstimates:
         monkeypatch.setattr(rmt, "tr_g_squared_samples", collect)
         with pytest.raises(ValueError, match=f"^the exact {identity} target, about 2\\^\\d+, does not fit a double$"):
             call()
+
+    def test_target_whose_square_overflows_raises_before_drawing(self, monkeypatch):
+        # the target (about 7.9e245) fits a double, but its square, and the samples' squares, do not
+        def collect(*args, **kwargs):
+            raise AssertionError("drew samples for a target whose square is beyond the double range")
+
+        monkeypatch.setattr(rmt, "_collect", collect)
+        assert math.isfinite(float(rmt.real_trace_target(4, 120)))
+        message = "^the square of the exact real_trace target, about 2\\^\\d+, does not fit a double$"
+        with pytest.raises(ValueError, match=message):
+            mc_real_trace_law(4, 120, samples=20_000)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1e200, -1e200, 3e200]), np.array([1e308, 1e308]), np.array([1e200 + 0j, 1e200j, -1e200 + 0j])],
+        ids=["std_error", "estimate", "complex"],
+    )
+    def test_overflowed_estimate_or_standard_error_is_refused(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned of
+            with pytest.raises(ValueError, match="^the probe samples overflow a double: estimate"):
+                rmt._estimate("probe", {"N": 1}, (len(values), 0, 1), lambda: Fraction(1), lambda: values)
 
     def test_gamma_shortcut_requires_high_power(self):
         with pytest.raises(ValueError):
