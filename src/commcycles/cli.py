@@ -26,9 +26,8 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import genfun, oracle, rmt, verify
+from ._lazy import np
 from .perm import (
     CycleType,
     Permutation,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
-import numpy as np
-
+from ._lazy import np
 from .perm import CycleType
 from .polys import (
     RationalPoly,

@@ -25,8 +25,7 @@ import itertools
 import math
 from typing import Iterator, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .genfun import CHARACTER_MAX_M, CyclePGF, EnumerationCapError, one_cycle_pgf
 from .perm import CycleType, Permutation, from_cycle_type, one_cycle
 from .polys import RationalPoly
@@ -39,7 +38,6 @@ __all__ = [
     "exact_commutator_distribution",
     "exact_class_product_distribution",
     "exact_uniform_cycle_laws",
-    "conjugacy_class",
     "hultman_row",
     "hultman_table_rows",
 ]
@@ -192,20 +190,14 @@ def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.n
     codes, expected = [], tau.cycle_type().class_size()
     for block in _permutation_blocks(m):
         # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]: digit σ[τ[i]] at the place of σ[i], a column at a time
-        codes.append(_distinct(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(m))))
+        digits = (block[:, tau.map[i]].astype(np.int64) << places.take(block[:, i]) for i in range(m))
+        codes.append(_distinct(sum(digits)))
         if sum(map(len, codes)) > 2 * expected:  # merge, to hold a few class sizes of codes at most
             codes = [_distinct(np.concatenate(codes))]
     codes = _distinct(np.concatenate(codes))
     if len(codes) != expected:
         raise AssertionError(f"conjugacy class size {len(codes)} != formula value {expected}")
     return codes, places
-
-
-def conjugacy_class(tau: Permutation, cap: Optional[int] = None) -> list[Permutation]:
-    """All permutations with the cycle type of tau, in lexicographic order, from
-    conjugating tau by every group element, checked against the class-size formula."""
-    codes, places = _class_codes(tau, cap)
-    return [Permutation(row) for row in ((codes[:, None] >> places) & 15).tolist()]
 
 
 def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:

@@ -38,8 +38,7 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .genfun import commutator_law
 from .perm import CycleType
 from .polys import rising_product
@@ -64,7 +63,7 @@ __all__ = [
 _BATCH = 1 << 15
 _MAX_PARTITIONS = 1024  # each partition has its own Generator and its own draw calls
 _CHUNK = 1 << 15  # matrix entries per streamed chunk (0.5 MB as complex)
-_SCALE = np.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
+_SCALE = math.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
 Z_MAX = 5.0  # an estimate passes when |z| <= Z_MAX (`mc`'s exit code, `verify`'s checks)
 
 

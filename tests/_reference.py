@@ -1,8 +1,9 @@
 """Plain-Python references the tests hold the package's fast paths against.
 
 Permutation algebra on one-line maps, the independent reference for the
-numpy commutator kernel `oracle._commutator_counts`.  A one-line map is a
-sequence m of range(M) with m[i] the image of i, such as `Permutation.map`.
+numpy commutator kernel `oracle._commutator_counts` and the class codes of
+`oracle._class_codes`.  A one-line map is a sequence m of range(M) with
+m[i] the image of i, such as `Permutation.map`.
 
 Exact-law readers on coefficient lists of `fractions.Fraction` (index =
 degree), one Fraction per coefficient, as `RationalPoly.coeffs` gives them:
@@ -35,6 +36,11 @@ def conjugate(s, t):
     for i, ti in enumerate(t):
         out[s[i]] = s[ti]
     return tuple(out)
+
+
+def conjugacy_class(t):
+    """Every conjugate s∘t∘s⁻¹ of a one-line map t, once each, in lexicographic order."""
+    return sorted({conjugate(s, t) for s in itertools.permutations(range(len(t)))})
 
 
 def orbit_count(mapping):

@@ -1039,3 +1039,58 @@ class TestGlobalBehavior:
         monkeypatch.setenv("COMMCYCLES_FORMAT", "json")
         code, out, _ = run_cli(capsys, "--format", "json", "pgf", "one-cycle:3", "--format", "human")
         assert code == 0 and "PGF:" in out
+
+
+# A CLI call in a fresh interpreter; its last line of stderr lists the numpy submodules then loaded.
+FRESH_CALL = (
+    "import sys\n"
+    "from commcycles import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestLazyNumpy:
+    """numpy is imported on first use: the closed forms never load it, and the
+    commands that do compute with it answer as they do with numpy imported."""
+
+    def fresh_call(self, capsys, *argv) -> str:
+        """The fresh interpreter's numpy submodules, after checking its stdout
+        byte for byte against the same call here, where numpy is imported."""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "numpy" in sys.modules
+        env = {**python_env(), "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run([sys.executable, "-c", FRESH_CALL, *argv], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.encode("utf-8")
+        return proc.stderr.decode().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pgf", "one-cycle:40"],
+            ["pgf", "type:[3,3,2]"],
+            ["bernoulli", "transpositions:40"],
+            ["bernoulli", "uniform:40"],
+            ["verify", "--scope", "factorials", "--max-m", "16"],
+        ],
+    )
+    def test_closed_forms_never_load_numpy(self, capsys, argv):
+        assert self.fresh_call(capsys, *argv) == "[]"
+
+    def test_import_loads_no_numpy(self):
+        code = "import sys, commcycles; sys.exit(any(m.startswith('numpy.') for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "trace-power", "--n", "3", "--m", "2", "--samples", "20000", "--threads", "2"],
+            ["sample", "one-cycle:7", "--draws", "2000", "--seed", "3"],
+            ["dist", "type:[4,4]"],
+        ],
+    )
+    def test_numpy_loaded_on_first_use(self, capsys, argv):
+        assert self.fresh_call(capsys, *argv) != "[]"

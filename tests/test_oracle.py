@@ -16,11 +16,10 @@ import pytest
 import numpy as np
 
 import commcycles
-from _reference import commutator_cycle_count, conjugate
+from _reference import commutator_cycle_count, conjugacy_class, conjugate
 from commcycles import genfun, oracle
 from commcycles.oracle import (
     EnumerationCapError,
-    conjugacy_class,
     exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_laws,
@@ -407,9 +406,12 @@ class TestOnePassUniformLaws:
 
 class TestConjugacyClassRoute:
     def test_class_size_checked(self):
-        members = conjugacy_class(one_cycle(4))
+        tau = one_cycle(4)
+        members = conjugacy_class(tau.map)
         assert len(members) == CycleType([4]).class_size() == 6
-        assert all(p.cycle_type() == CycleType([4]) for p in members)
+        assert all(Permutation(p).cycle_type() == CycleType([4]) for p in members)
+        codes, places = oracle._class_codes(tau, cap=None)
+        assert ((codes[:, None] >> places) & 15).tolist() == [list(p) for p in members]
 
     def test_single_cycle_m3(self):
         dist = exact_class_product_distribution(CycleType([3]))
