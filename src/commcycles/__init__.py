@@ -34,13 +34,10 @@ from .oracle import (
 from .perm import (
     CycleType,
     Permutation,
-    disjoint_transpositions,
     format_cycles,
     from_cycle_type,
-    one_cycle,
     parse_cycles,
     sample_uniform,
-    two_disjoint_cycles,
 )
 from .polys import (
     RationalPoly,

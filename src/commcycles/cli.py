@@ -28,15 +28,7 @@ from fractions import Fraction
 
 from . import genfun, oracle, rmt, verify
 from ._lazy import np
-from .perm import (
-    CycleType,
-    Permutation,
-    disjoint_transpositions,
-    from_cycle_type,
-    one_cycle,
-    parse_cycles,
-    two_disjoint_cycles,
-)
+from .perm import CycleType, Permutation, from_cycle_type, parse_cycles
 from .polys import _pretty_strings
 
 FORMATS = ("json", "human", "csv")
@@ -52,12 +44,15 @@ SAMPLE_BLOCK = 1024
 # What `sample` reports for a type with no exact law to test against.
 NO_REFERENCE = f"no exact reference above the character-sum limit M = {genfun.CHARACTER_MAX_M}"
 
-_CLOSED_FORMS = {
-    "one-cycle": ("one_cycle", genfun.one_cycle_pgf, one_cycle),
-    "two-cycles": ("two_cycles", genfun.two_cycles_pgf, two_disjoint_cycles),
-    "transpositions": ("transpositions", genfun.transpositions_pgf, disjoint_transpositions),
-    "uniform": ("uniform", genfun.uniform_cycles_pgf, None),
+# The named families of τ, as the cycle types they stand for.
+_FAMILIES = {
+    "one-cycle": lambda m: CycleType([m]),
+    "two-cycles": lambda m: CycleType([m, m]),
+    "transpositions": lambda m: CycleType([2] * m),
 }
+
+# Named laws that are not commutator laws, as the (source, builder, ctor) triples perfbench/tracer.py wraps.
+_CLOSED_FORMS = {"uniform": ("uniform", genfun.uniform_cycles_pgf, None)}
 
 
 # Each `mc` identity: the name of its rmt estimator, looked up per call, and the
@@ -80,7 +75,8 @@ class UsageError(ValueError):
 
 def parse_tau_spec(text: str):
     """Parse a τ selector: "one-cycle:M", "two-cycles:M", "transpositions:M",
-    "uniform:M", "type:[c1,c2,...]", or explicit cycle notation "(1 2 3)(4 5)"."""
+    "uniform:M", "type:[c1,c2,...]", or explicit cycle notation "(1 2 3)(4 5)".
+    A named family parses to ("type", its cycle type)."""
     text = text.strip()
     if text.startswith("("):
         return ("explicit", parse_cycles(text))
@@ -88,14 +84,14 @@ def parse_tau_spec(text: str):
         raise UsageError(f"cannot parse tau selector {text!r}")
     head, _, tail = text.partition(":")
     head = head.strip().lower()
-    if head in _CLOSED_FORMS:
+    if head in _FAMILIES or head in _CLOSED_FORMS:
         try:
             m = int(tail)
         except ValueError:
             raise UsageError(f"expected an integer after {head!r}, got {tail!r}") from None
         if m < 1:
             raise UsageError("the size parameter must be positive")
-        return (head, m)
+        return ("type", _FAMILIES[head](m)) if head in _FAMILIES else (head, m)
     if head == "type":
         try:
             parts = json.loads(tail)
@@ -111,13 +107,9 @@ def parse_tau_spec(text: str):
 
 
 def _tau_permutation(kind, value) -> Permutation:
-    if kind == "explicit":
-        return value
-    if kind == "type":
-        return from_cycle_type(value)
-    if kind == "uniform":
-        raise UsageError("'uniform' selects a law, not a permutation")
-    return _CLOSED_FORMS[kind][2](value)
+    if kind in _CLOSED_FORMS:
+        raise UsageError(f"{kind!r} selects a law, not a permutation")
+    return value if kind == "explicit" else from_cycle_type(value)
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -141,8 +133,8 @@ def _emit(payload: dict, fmt: str, human_lines, csv_rows=None) -> None:
 
 def _route(kind, value):
     """(source, build) of the exact law for a τ selector, without building
-    it.  A named family uses its own builder; a type or an explicit τ goes
-    through genfun.commutator_route."""
+    it.  A named law uses its own builder; every τ goes through
+    genfun.commutator_route by its cycle type."""
     if kind in _CLOSED_FORMS:
         source, builder, _ = _CLOSED_FORMS[kind]
         return source, lambda: builder(value)

@@ -95,7 +95,7 @@ class CyclePGF:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclePGF":
-        return cls(RationalPoly.from_coeff_strings(data["coeffs"]), int(data["M"]), data["source"])
+        return cls(RationalPoly(data["coeffs"]), int(data["M"]), data["source"])
 
 
 def uniform_cycles_pgf(m: int) -> CyclePGF:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 from ._lazy import np
 from .genfun import CHARACTER_MAX_M, CyclePGF, EnumerationCapError, one_cycle_pgf
-from .perm import CycleType, Permutation, from_cycle_type, one_cycle
+from .perm import CycleType, Permutation, from_cycle_type
 from .polys import RationalPoly
 
 __all__ = [
@@ -244,7 +244,7 @@ def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tup
     for m in range(1, max_m + 1):
         enumerated: dict[int, int] = {}
         if m <= cap:
-            law = exact_commutator_distribution(one_cycle(m), cap=cap).poly * math.factorial(m)
+            law = exact_commutator_distribution(from_cycle_type(CycleType([m])), cap=cap).poly * math.factorial(m)
             enumerated = {k: c for k, c in enumerate(law.numerators) if c}  # counts: class size divides m!
         for k, count in enumerate(hultman_row(m)):
             if count:

@@ -18,9 +18,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "Permutation",
     "CycleType",
-    "one_cycle",
-    "two_disjoint_cycles",
-    "disjoint_transpositions",
     "from_cycle_type",
     "sample_uniform",
     "parse_cycles",
@@ -139,27 +136,6 @@ def _perm_from_cycles0(cycles: Sequence[Sequence[int]], size: int) -> Permutatio
         if cyc:
             out[cyc[-1]] = cyc[0]
     return Permutation(out)
-
-
-def one_cycle(m: int) -> Permutation:
-    """The canonical m-cycle (0 1 ... m-1) on a ground set of size m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _perm_from_cycles0([list(range(m))], m)
-
-
-def two_disjoint_cycles(m: int) -> Permutation:
-    """Two disjoint m-cycles on a ground set of size 2m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _perm_from_cycles0([list(range(m)), list(range(m, 2 * m))], 2 * m)
-
-
-def disjoint_transpositions(m: int) -> Permutation:
-    """m disjoint transpositions (0 1)(2 3)... on a ground set of size 2m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _perm_from_cycles0([[2 * k, 2 * k + 1] for k in range(m)], 2 * m)
 
 
 def from_cycle_type(ct: CycleType) -> Permutation:

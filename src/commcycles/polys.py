@@ -246,10 +246,6 @@ class RationalPoly:
         """Coefficients as reduced "num/den" strings, index = degree."""
         return [f"{n}/{d}" for n, d in (_reduced(c, self._den) for c in self._num)]
 
-    @classmethod
-    def from_coeff_strings(cls, strings: Sequence[str]) -> "RationalPoly":
-        return cls([Fraction(s) for s in strings])
-
     def pretty(self, var: str = "t") -> str:
         """Human-readable rendering, highest degree first."""
         return _pretty_strings(self.coeff_strings(), var)

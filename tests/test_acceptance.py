@@ -14,13 +14,7 @@ from pathlib import Path
 import pytest
 
 from commcycles import genfun, oracle, rmt
-from commcycles.perm import (
-    CycleType,
-    disjoint_transpositions,
-    from_cycle_type,
-    one_cycle,
-    two_disjoint_cycles,
-)
+from commcycles.perm import CycleType, from_cycle_type
 from commcycles.polys import (
     connection_expand,
     discrete_difference,
@@ -43,7 +37,7 @@ def test_criterion_1_one_cycle_vs_oracle():
     start = time.monotonic()
     ok = True
     for m in range(1, 7):
-        dist = oracle.exact_commutator_distribution(one_cycle(m))
+        dist = oracle.exact_commutator_distribution(from_cycle_type(CycleType([m])))
         ok &= dist.poly == genfun.one_cycle_pgf(m).poly
     elapsed = time.monotonic() - start
     ok &= elapsed < 5.0
@@ -54,7 +48,7 @@ def test_criterion_2_two_cycles_vs_oracle():
     start = time.monotonic()
     ok = True
     for m in range(1, 4):
-        dist = oracle.exact_commutator_distribution(two_disjoint_cycles(m))
+        dist = oracle.exact_commutator_distribution(from_cycle_type(CycleType([m, m])))
         ok &= dist.poly == genfun.two_cycles_pgf(m).poly
     elapsed = time.monotonic() - start
     ok &= elapsed < 30.0
@@ -64,7 +58,7 @@ def test_criterion_2_two_cycles_vs_oracle():
 def test_criterion_3_transpositions_vs_oracle_and_prefactor_witness():
     ok = True
     for m in range(1, 4):
-        dist = oracle.exact_commutator_distribution(disjoint_transpositions(m))
+        dist = oracle.exact_commutator_distribution(from_cycle_type(CycleType([2] * m)))
         ok &= dist.poly == genfun.transpositions_pgf(m).poly
     # the 2^M-prefactor variant of the closed form must fail normalization:
     # total mass 1/2 at M=1 (the product form, mass 1, is what enumeration

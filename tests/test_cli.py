@@ -20,7 +20,7 @@ import pytest
 import commcycles
 from _reference import commutator_cycle_count
 from commcycles import cli, genfun, oracle, rmt, verify
-from commcycles.perm import CycleType, from_cycle_type, one_cycle, sample_uniform
+from commcycles.perm import CycleType, from_cycle_type, sample_uniform
 from commcycles.polys import RationalPoly
 
 
@@ -78,9 +78,10 @@ def stub_commands(monkeypatch) -> list:
 
 class TestTauSpecParsing:
     def test_named_selectors(self):
-        assert cli.parse_tau_spec("one-cycle:5") == ("one-cycle", 5)
-        assert cli.parse_tau_spec("two-cycles:3") == ("two-cycles", 3)
-        assert cli.parse_tau_spec("transpositions:2") == ("transpositions", 2)
+        # a named family is shorthand for its cycle type
+        assert cli.parse_tau_spec("one-cycle:5") == ("type", CycleType([5]))
+        assert cli.parse_tau_spec("two-cycles:3") == ("type", CycleType([3, 3]))
+        assert cli.parse_tau_spec("transpositions:2") == ("type", CycleType([2, 2]))
         assert cli.parse_tau_spec("uniform:4") == ("uniform", 4)
 
     def test_type_selector(self):
@@ -101,6 +102,28 @@ class TestTauSpecParsing:
     def test_rejects_garbage(self, bad):
         with pytest.raises(cli.UsageError):
             cli.parse_tau_spec(bad)
+
+
+# Each named family and the cycle type it is shorthand for.
+FAMILY_TYPES = {
+    "one-cycle": lambda m: [m],
+    "two-cycles": lambda m: [m, m],
+    "transpositions": lambda m: [2] * m,
+}
+
+
+class TestNamedFamilies:
+    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("family", FAMILY_TYPES)
+    def test_answers_as_its_type(self, capsys, family, m):
+        # one route decider: a family and its type get the same answer, or the same refusal
+        def answer(*argv):
+            code, out, err = run_cli(capsys, *argv)
+            return code, out and {k: v for k, v in json.loads(out).items() if k != "tau"}, err
+
+        type_spec = "type:" + json.dumps(FAMILY_TYPES[family](m))
+        for command, *flags in (["pgf"], ["bernoulli"], ["dist"], ["sample", "--draws", "200", "--seed", "3"]):
+            assert answer(command, f"{family}:{m}", *flags) == answer(command, type_spec, *flags), command
 
 
 class TestPgfCommand:
@@ -240,7 +263,7 @@ class TestBernoulliCommand:
         assert [t["p"] for t in data["decomposition"]["terms"]] == ["1/1", "1/2", "1/3"]
 
     def test_unsupported_family(self, capsys):
-        code, _, err = run_cli(capsys, "bernoulli", "two-cycles:2")
+        code, _, err = run_cli(capsys, "bernoulli", "two-cycles:3")
         assert code == 2
         assert "Bernoulli" in err
 
@@ -265,7 +288,7 @@ class TestBernoulliCommand:
         def built(*args, **kwargs):
             raise AssertionError("the law was built")
 
-        monkeypatch.setitem(cli._CLOSED_FORMS, "two-cycles", ("two_cycles", built, None))
+        monkeypatch.setattr(genfun, "two_cycles_pgf", built)
         monkeypatch.setattr(genfun, "character_law", built)
         for tau in ("two-cycles:200", "type:[3,3,2]"):
             code, _, err = run_cli(capsys, "bernoulli", tau)
@@ -283,7 +306,6 @@ class TestBernoulliCommand:
             return real(m)
 
         monkeypatch.setattr(genfun, "one_cycle_pgf", counted)
-        monkeypatch.setitem(cli._CLOSED_FORMS, "one-cycle", ("one_cycle", counted, cli._CLOSED_FORMS["one-cycle"][2]))
         for tau in ("one-cycle:12", "type:[13]"):
             code, _, err = run_cli(capsys, "bernoulli", tau)
             assert (code, err) == (0, "")
@@ -517,7 +539,7 @@ class TestVerifyCommand:
         assert all(c.ok for c in checks)
         # one_cycle_vs_oracle, the Hultman check and (for M <= 3) the
         # class-product check share one enumeration of each one-cycle.
-        assert [calls.count(one_cycle(m)) for m in range(1, 8)] == [1] * 7
+        assert [calls.count(from_cycle_type(CycleType([m]))) for m in range(1, 8)] == [1] * 7
 
     def test_hultman_check_builds_one_row_per_m(self, monkeypatch):
         real = oracle.one_cycle_pgf
