@@ -151,6 +151,20 @@ class TestAlgebraProperties:
 
 
 class TestCanonicalConstructors:
+    def test_one_cycle_map(self):
+        assert from_cycle_type(CycleType([3])).map == (1, 2, 0)
+        assert from_cycle_type(CycleType([1])).map == (0,)
+
+    def test_two_disjoint_cycles(self):
+        assert from_cycle_type(CycleType([1, 1])) == Permutation.identity(2)
+        p = from_cycle_type(CycleType([3, 3]))
+        assert p.size == 6
+        assert p.cycle_type() == CycleType([3, 3])
+
+    def test_disjoint_transpositions(self):
+        assert from_cycle_type(CycleType([2, 2])) == parse_cycles("(1 2)(3 4)")
+        assert from_cycle_type(CycleType([2, 2, 2])).cycle_type() == CycleType([2, 2, 2])
+
     def test_named_family_maps_are_pinned(self):
         # `sample` draws against these maps, so its pinned histograms and
         # recorded digests hold only while the maps stay exactly these
