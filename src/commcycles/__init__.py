@@ -48,14 +48,26 @@ from .polys import (
     rising_product,
     rising_square_sum,
 )
-from .rmt import (
-    MomentReport,
-    mc_gamma_shortcut_moment,
-    mc_real_trace_law,
-    mc_tr_g1g2_law,
-    mc_tr_g_squared_law,
-    mc_trace_power_moment,
-    mixed_trace_vanishing,
+
+# Served on first access (PEP 562): only `mc` and `verify --scope rmt|all` need `rmt` compiled.
+_RMT_NAMES = (
+    "MomentReport",
+    "mc_gamma_shortcut_moment",
+    "mc_real_trace_law",
+    "mc_tr_g1g2_law",
+    "mc_tr_g_squared_law",
+    "mc_trace_power_moment",
+    "mixed_trace_vanishing",
 )
 
+
+def __getattr__(name):
+    if name in _RMT_NAMES:
+        from . import rmt
+
+        return getattr(rmt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_RMT_NAMES)
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ finding, an exact target beyond the double range), each with a one-line message.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -26,7 +25,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import genfun, oracle, rmt, verify
+from . import genfun, oracle, verify
 from ._lazy import np
 from .perm import CycleType, Permutation, from_cycle_type, parse_cycles
 from .polys import _pretty_strings
@@ -120,6 +119,8 @@ def _emit(payload: dict, fmt: str, human_lines, csv_rows=None) -> None:
     """Write the payload as JSON, its human lines, or the CSV rows (a header
     first; None is written as an empty field)."""
     if fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     elif fmt == "human":
         for line in human_lines(payload):
@@ -394,6 +395,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import rmt  # compiled on first use: no other command needs it
+
     estimator, options = _MC[args.identity]
     values = [getattr(args, opt, _MC_DEFAULTS.get(opt)) for opt in options]
     if None in values:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterator, Union
 
 from ._lazy import np
-from .perm import CycleType
+from .perm import CycleType, Frozen
 from .polys import (
     RationalPoly,
     _poly,
@@ -65,14 +64,11 @@ class EnumerationCapError(ValueError):
     """Ground set too large for exhaustive enumeration or the character sum."""
 
 
-@dataclass(frozen=True)
-class CyclePGF:
+class CyclePGF(Frozen):
     """The exact law of a cycle count C on a ground set of size M, as its PGF
     E t^C = sum_k P(C = k) t^k with exact rational coefficients, from any route."""
 
-    poly: RationalPoly
-    M: int
-    source: str
+    __slots__ = ("poly", "M", "source")
 
     def coefficient(self, k: int) -> Fraction:
         return self.poly.coefficient(k)
@@ -309,16 +305,11 @@ def commutator_law(cycle_type: CycleType) -> CyclePGF:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PgfValidation:
-    """Structured result of checking the CyclePGF invariants."""
+class PgfValidation(Frozen):
+    """Structured result of checking the CyclePGF invariants; `parity_ok` is
+    None when the source has no parity law."""
 
-    source: str
-    M: int
-    normalized: bool
-    nonnegative: bool
-    zero_constant: bool
-    parity_ok: Union[bool, None]  # None when the source has no parity law
+    __slots__ = ("source", "M", "normalized", "nonnegative", "zero_constant", "parity_ok")
 
     @property
     def ok(self) -> bool:
@@ -363,7 +354,7 @@ def validate_pgf(pgf: CyclePGF) -> PgfValidation:
     else:
         want = None
     if want is None:
-        parity_ok: Union[bool, None] = None
+        parity_ok: bool | None = None
     else:
         parity_ok = all(k % 2 == want for k, c in enumerate(num) if c)
     return PgfValidation(pgf.source, pgf.M, normalized, nonnegative, zero_constant, parity_ok)
@@ -372,25 +363,21 @@ def validate_pgf(pgf: CyclePGF) -> PgfValidation:
 # -- Bernoulli decompositions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BernoulliTerm:
+class BernoulliTerm(Frozen):
     """One independent Bernoulli(p) summand, contributing multiplier * B."""
 
-    p: Union[Fraction, float]
-    multiplier: int
+    __slots__ = ("p", "multiplier")
 
     @property
     def is_exact(self) -> bool:
         return isinstance(self.p, Fraction)
 
 
-@dataclass(frozen=True)
-class BernoulliDecomposition:
+class BernoulliDecomposition(Frozen):
     """A cycle-count law written as offset + sum_j multiplier_j * B_j with
     independent Bernoulli B_j; the PGF is t^offset * prod_j (1 - p_j + p_j t^{m_j})."""
 
-    terms: tuple[BernoulliTerm, ...]
-    offset: int
+    __slots__ = ("terms", "offset")
 
     @property
     def is_exact(self) -> bool:
@@ -399,7 +386,7 @@ class BernoulliDecomposition:
     def mean(self):
         return self.offset + sum(t.multiplier * t.p for t in self.terms)
 
-    def reconstruct(self) -> Union[RationalPoly, list[float]]:
+    def reconstruct(self) -> RationalPoly | list[float]:
         """Expand the product of term PGFs times t^offset.  Exact
         decompositions return a RationalPoly; numeric ones a float
         coefficient list (index = degree)."""

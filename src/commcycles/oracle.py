@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from ._lazy import np
 from .genfun import CHARACTER_MAX_M, CyclePGF, EnumerationCapError, one_cycle_pgf
@@ -48,7 +48,7 @@ _BLOCK_SIZE = 5040
 _TAIL = 8  # positions of the table that follows each prefix: at most 8! rows
 
 
-def resolve_cap(cap: Optional[int]) -> int:
+def resolve_cap(cap: int | None) -> int:
     """The enumeration cap in force: the default for None; a cap below 1 or
     above the hard cap raises ValueError."""
     effective = DEFAULT_ENUMERATION_CAP if cap is None else cap
@@ -59,7 +59,7 @@ def resolve_cap(cap: Optional[int]) -> int:
     return effective
 
 
-def _check_cap(m: int, cap: Optional[int]) -> None:
+def _check_cap(m: int, cap: int | None) -> None:
     effective = resolve_cap(cap)
     if m > effective:
         raise_cap = f"raise the cap (hard cap {HARD_ENUMERATION_CAP}); " if effective < HARD_ENUMERATION_CAP else ""
@@ -156,7 +156,7 @@ def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
     return CyclePGF(RationalPoly(counts) / total, m, "oracle")
 
 
-def exact_commutator_distribution(tau: Permutation, cap: Optional[int] = None) -> CyclePGF:
+def exact_commutator_distribution(tau: Permutation, cap: int | None = None) -> CyclePGF:
     """Exact law of the cycle count of [σ,τ], σ uniform on all M! permutations,
     from one σ per coset σZ(τ) ([σz,τ] = [σ,τ] for z in Z(τ)): σ least at each
     cycle's base, rising over the bases of equal-length cycles.  A base is the cycle's
@@ -181,7 +181,7 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return np.concatenate([(c := np.sort(codes))[:1], c[1:][c[1:] != c[:-1]]])
 
 
-def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+def _class_codes(tau: Permutation, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted int64 codes of tau's conjugacy class, from every σ, checked against the class-size formula,
     and each position's bit shift: row[j] is base-16 digit m - 1 - j, so codes sort as rows do."""
     m = tau.size
@@ -200,7 +200,7 @@ def _class_codes(tau: Permutation, cap: Optional[int]) -> tuple[np.ndarray, np.n
     return codes, places
 
 
-def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] = None) -> CyclePGF:
+def exact_class_product_distribution(cycle_type: CycleType, cap: int | None = None) -> CyclePGF:
     """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the conjugacy class of
     the given type and τ₂ the inverse of its canonical representative.  Agrees with
     exact_commutator_distribution of the canonical representative."""
@@ -212,7 +212,7 @@ def exact_class_product_distribution(cycle_type: CycleType, cap: Optional[int] =
     return _law_from_hist(tau.size, hist, len(codes))
 
 
-def exact_uniform_cycle_laws(m: int, cap: Optional[int] = None) -> dict[str, CyclePGF]:
+def exact_uniform_cycle_laws(m: int, cap: int | None = None) -> dict[str, CyclePGF]:
     """Exact cycle-count laws of a uniform permutation of m points ("all"), a
     uniform even one ("alternating") and, for m >= 2, a uniform odd one
     ("co_alternating"), from one enumeration: a permutation is odd iff m - C is."""
@@ -236,7 +236,7 @@ def hultman_row(m: int) -> list[int]:
     return list(counts.numerators)
 
 
-def hultman_table_rows(max_m: int, oracle_cap: Optional[int] = None) -> list[tuple]:
+def hultman_table_rows(max_m: int, oracle_cap: int | None = None) -> list[tuple]:
     """Rows (m, k, count) for all nonzero counts up to max_m, with an
     enumerated cross-check column for m within the cap (None above it)."""
     cap = resolve_cap(oracle_cap)

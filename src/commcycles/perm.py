@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Permutation",
@@ -23,6 +22,38 @@ __all__ = [
     "parse_cycles",
     "format_cycles",
 ]
+
+
+class Frozen:
+    """Base of the immutable value classes: the `__slots__` are the fields, set once by
+    position, compared (within one class) and hashed as a tuple, shown as `Class(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of a {type(self).__qualname__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class Permutation:
@@ -99,17 +130,16 @@ class Permutation:
         return format_cycles(self)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """A multiset of cycle lengths, stored sorted in decreasing order."""
+class CycleType(Frozen):
+    """A multiset of cycle lengths, stored sorted in decreasing order as `parts`."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
         ps = tuple(parts)
         if not ps or any(type(p) is not int or p < 1 for p in ps):  # True and 2.0 are refused too
             raise ValueError(f"cycle type needs positive integer parts, got {list(ps)}")
-        object.__setattr__(self, "parts", tuple(sorted(ps, reverse=True)))
+        super().__init__(tuple(sorted(ps, reverse=True)))
 
     @property
     def size(self) -> int:

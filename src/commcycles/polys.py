@@ -16,10 +16,10 @@ polynomial is *evaluated* at a float or complex point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 __all__ = [
     "RationalPoly",

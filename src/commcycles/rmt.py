@@ -35,12 +35,11 @@ import itertools
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._lazy import np
 from .genfun import commutator_law
-from .perm import CycleType
+from .perm import CycleType, Frozen
 from .polys import rising_product
 
 __all__ = [
@@ -67,20 +66,14 @@ _SCALE = math.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
 Z_MAX = 5.0  # an estimate passes when |z| <= Z_MAX (`mc`'s exit code, `verify`'s checks)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """A Monte-Carlo estimate next to its exact target."""
+class MomentReport(Frozen):
+    """A Monte-Carlo estimate next to its exact target (a Fraction)."""
 
-    identity: str
-    params: dict
-    estimate: float
-    std_error: float
-    target: Fraction
-    z: float
-    samples: int
-    seed: int
-    partitions: int
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("identity", "params", "estimate", "std_error", "target", "z", "samples", "seed", "partitions", "extra")
+
+    def __init__(self, identity, params, estimate, std_error, target, z, samples, seed, partitions, extra=None):
+        extra = {} if extra is None else extra
+        super().__init__(identity, params, estimate, std_error, target, z, samples, seed, partitions, extra)
 
     def to_json(self) -> dict:
         return {

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import genfun, oracle, rmt
-from .perm import CycleType, from_cycle_type
+from . import genfun, oracle
+from .perm import CycleType, Frozen, from_cycle_type
 from .polys import (
     RationalPoly,
     connection_expand,
@@ -28,11 +27,11 @@ __all__ = ["CheckResult", "run_scope", "SCOPES"]
 SCOPES = ("factorials", "genfun_vs_oracle", "bernoulli", "rmt", "all")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        super().__init__(name, ok, detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -169,11 +168,15 @@ def run_bernoulli_checks(max_m: int = 30) -> list[CheckResult]:
 
 
 def _z_check(name: str, report: rmt.MomentReport) -> CheckResult:
+    from . import rmt
+
     detail = f"estimate {report.estimate:.6g}, target {float(report.target):.6g}, z {report.z:+.2f}"
     return _check(name, abs(report.z) <= rmt.Z_MAX, detail)
 
 
 def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) -> list[CheckResult]:
+    from . import rmt  # compiled on first use: the other scopes never need it
+
     plan = {"samples": samples, "seed": seed, "partitions": partitions}
     out = []
     trace_power = {}  # (N, m, K) -> report; the shortcut checks reuse the K=1 runs

@@ -1112,7 +1112,58 @@ class TestLazyNumpy:
             ["mc", "trace-power", "--n", "3", "--m", "2", "--samples", "20000", "--threads", "2"],
             ["sample", "one-cycle:7", "--draws", "2000", "--seed", "3"],
             ["dist", "type:[4,4]"],
+            ["verify", "--scope", "rmt", "--samples", "4000", "--threads", "2"],
         ],
     )
     def test_numpy_loaded_on_first_use(self, capsys, argv):
         assert self.fresh_call(capsys, *argv) != "[]"
+
+
+# Imports and builds the CLI, then prints the modules it should not have loaded.
+BARE_START = (
+    "import sys\n"
+    "import commcycles.cli\n"
+    "commcycles.cli.build_parser()\n"
+    "unwanted = {'dataclasses', 'inspect', 'typing', 'csv', 'commcycles.rmt'}\n"
+    "print(sorted(m for m in sys.modules if m in unwanted or m.startswith('numpy.')))\n"
+)
+
+# The Monte-Carlo names the package serves on first access, then by `import *`.
+RMT_NAMES_SERVED = (
+    "import sys, commcycles\n"
+    "assert 'commcycles.rmt' not in sys.modules\n"
+    "served = [getattr(commcycles, n) for n in sys.argv[1:]]\n"
+    "from commcycles import rmt\n"
+    "assert served == [getattr(rmt, n) for n in sys.argv[1:]]\n"
+    "names = {}\n"
+    "exec('from commcycles import *', names)\n"
+    "assert [names[n] for n in sys.argv[1:]] == served and names['CyclePGF'] is commcycles.CyclePGF\n"
+    "try:\n"
+    "    commcycles.no_such_name\n"
+    "except AttributeError as exc:\n"
+    "    print(exc)\n"
+)
+
+
+class TestBareStart:
+    """Starting the CLI loads only what every command needs: not dataclasses
+    (which imports inspect), typing, csv, the Monte-Carlo module or numpy."""
+
+    @staticmethod
+    def bare_python(*argv) -> str:
+        """Stdout of an interpreter without `site`, so that no .pth file preloads a
+        module, which finds only the package under test and numpy."""
+        path = [Path(commcycles.__file__).resolve().parents[1], Path(np.__file__).resolve().parents[1]]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+        proc = subprocess.run([sys.executable, "-S", "-c", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_start_loads_none_of_them(self):
+        assert self.bare_python(BARE_START) == "[]\n"
+
+    def test_monte_carlo_names_served_on_first_access(self):
+        names = ["MomentReport", "mc_trace_power_moment", "mc_gamma_shortcut_moment", "mc_real_trace_law"]
+        names += ["mc_tr_g_squared_law", "mc_tr_g1g2_law", "mixed_trace_vanishing"]
+        out = self.bare_python(RMT_NAMES_SERVED, *names)
+        assert out == "module 'commcycles' has no attribute 'no_such_name'\n"

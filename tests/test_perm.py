@@ -3,6 +3,7 @@ reference algebra, canonical representatives, the cycle-notation parser, and
 seeded sampling checks."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import commutator_cycle_count, compose, conjugate, orbit_count
-from commcycles import oracle
+from commcycles import oracle, rmt, verify
+from commcycles.genfun import BernoulliDecomposition, BernoulliTerm, CyclePGF, PgfValidation
 from commcycles.perm import (
     CycleType,
     Permutation,
@@ -21,6 +23,7 @@ from commcycles.perm import (
     parse_cycles,
     sample_uniform,
 )
+from commcycles.polys import RationalPoly
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -266,3 +269,99 @@ class TestSampling:
         variance = sum(Fraction(1, k) * (1 - Fraction(1, k)) for k in range(1, 6))
         se = math.sqrt(float(variance) / draws)
         assert abs(mean - expected) < 3 * se
+
+
+# One value of each immutable value class: (class, positional arguments, the
+# field names in order, the fields it holds, its repr).
+_TERM = BernoulliTerm(Fraction(1, 3), 2)
+VALUES = [
+    (CycleType, ([2, 3],), ("parts",), ((3, 2),), "CycleType(parts=(3, 2))"),
+    (
+        CyclePGF,
+        (RationalPoly([0, 1]), 1, "uniform"),
+        ("poly", "M", "source"),
+        (RationalPoly([0, 1]), 1, "uniform"),
+        "CyclePGF(poly=RationalPoly('X'), M=1, source='uniform')",
+    ),
+    (
+        PgfValidation,
+        ("uniform", 3, True, True, False, None),
+        ("source", "M", "normalized", "nonnegative", "zero_constant", "parity_ok"),
+        ("uniform", 3, True, True, False, None),
+        "PgfValidation(source='uniform', M=3, normalized=True, nonnegative=True, zero_constant=False, parity_ok=None)",
+    ),
+    (
+        BernoulliTerm,
+        (Fraction(1, 3), 2),
+        ("p", "multiplier"),
+        (Fraction(1, 3), 2),
+        "BernoulliTerm(p=Fraction(1, 3), multiplier=2)",
+    ),
+    (
+        BernoulliDecomposition,
+        ((_TERM,), 1),
+        ("terms", "offset"),
+        ((_TERM,), 1),
+        "BernoulliDecomposition(terms=(BernoulliTerm(p=Fraction(1, 3), multiplier=2),), offset=1)",
+    ),
+    (
+        rmt.MomentReport,
+        ("probe", {"N": 2}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1),
+        ("identity", "params", "estimate", "std_error", "target", "z", "samples", "seed", "partitions", "extra"),
+        ("probe", {"N": 2}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1, {}),
+        "MomentReport(identity='probe', params={'N': 2}, estimate=1.0, std_error=0.5, target=Fraction(1, 1),"
+        " z=0.0, samples=10, seed=3, partitions=1, extra={})",
+    ),
+    (
+        verify.CheckResult,
+        ("factorials", True),
+        ("name", "ok", "detail"),
+        ("factorials", True, ""),
+        "CheckResult(name='factorials', ok=True, detail='')",
+    ),
+]
+VALUE_IDS = [cls.__name__ for cls, *_ in VALUES]
+
+
+class TestValueClasses:
+    """The immutable values every layer returns: built by position, equal and
+    hashed field by field, printed as `Class(field=value, ...)`, and frozen."""
+
+    @pytest.mark.parametrize("cls, args, names, fields, text", VALUES, ids=VALUE_IDS)
+    def test_fields_equality_repr(self, cls, args, names, fields, text):
+        value = cls(*args)
+        assert tuple(getattr(value, n) for n in names) == fields
+        assert value == cls(*args) and not value != cls(*args)
+        assert repr(value) == text
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert value != cls(*args[:-1], [4] if cls is CycleType else "other")  # the last field differs
+
+    def test_no_equality_across_classes(self):
+        values = [cls(*args) for cls, args, *_ in VALUES]
+        for i, a in enumerate(values):
+            assert [a == b for b in values] == [j == i for j in range(len(values))]
+            assert a != tuple(getattr(a, n) for n in VALUES[i][2])
+
+    def test_defaults_are_fresh(self):
+        assert verify.CheckResult("x", False).detail == ""
+        reports = [rmt.MomentReport("probe", {}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1) for _ in range(2)]
+        assert reports[0].extra == {} and reports[0].extra is not reports[1].extra
+
+    def test_equal_values_hash_equal(self):
+        assert hash(CycleType([3, 2, 2])) == hash(CycleType([2, 3, 2]))
+        assert len({CycleType([1, 4]), CycleType((4, 1)), CycleType([5])}) == 2
+        a, b = (CyclePGF(RationalPoly([0, 1, 1]) / 2, 2, "uniform") for _ in range(2))
+        assert a.poly is not b.poly and hash(a) == hash(b)
+        copy = BernoulliDecomposition((BernoulliTerm(Fraction(1, 3), 2),), 1)
+        assert hash(BernoulliDecomposition((_TERM,), 1)) == hash(copy)
+
+    @pytest.mark.parametrize("cls, args, names, fields, text", VALUES, ids=VALUE_IDS)
+    def test_frozen(self, cls, args, names, fields, text):
+        value = cls(*args)
+        with pytest.raises(AttributeError):
+            setattr(value, names[0], fields[0])
+        with pytest.raises(AttributeError):
+            value.unknown = 1
+        with pytest.raises(AttributeError):
+            delattr(value, names[-1])
+        assert tuple(getattr(value, n) for n in names) == fields
