@@ -37,7 +37,6 @@ from .perm import (
     format_cycles,
     from_cycle_type,
     parse_cycles,
-    sample_uniform,
 )
 from .polys import (
     RationalPoly,

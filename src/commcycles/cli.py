@@ -312,9 +312,9 @@ def _shuffle_rows(rows: np.ndarray, rng: random.Random) -> None:
 
 
 def _cmd_sample(args) -> int:
-    """Histogram of C([σ,τ]) over --draws σ.  The σ are exactly perm.sample_uniform's
-    draws on random.Random(seed), same words and same end state: _shuffle_rows follows
-    CPython's _randbelow rejection rule, which the tests pin against rng.shuffle.  They
+    """Histogram of C([σ,τ]) over --draws σ.  The σ are exactly what random.Random.shuffle
+    of list(range(M)) draws on random.Random(seed), same words and same end state: _shuffle_rows
+    follows CPython's _randbelow rejection rule, which the tests pin against rng.shuffle.  They
     fill a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
     if args.draws < 1:
         raise UsageError("draws must be at least 1")

@@ -73,25 +73,13 @@ class CyclePGF(Frozen):
     def coefficient(self, k: int) -> Fraction:
         return self.poly.coefficient(k)
 
-    def probabilities(self) -> dict[int, Fraction]:
-        """Nonzero probabilities keyed by cycle count."""
-        return {k: c for k, c in enumerate(self.poly.coeffs) if c}
-
     def reduced_probabilities(self) -> dict[int, tuple[int, int]]:
         """Nonzero probabilities keyed by cycle count, as (numerator, denominator) in lowest terms."""
         den = self.poly.denominator
         return {k: _reduced(c, den) for k, c in enumerate(self.poly.numerators) if c}
 
-    def mean(self) -> Fraction:
-        """Expected cycle count (derivative of the PGF at 1)."""
-        return self.poly.derivative()(1)
-
     def to_json(self) -> dict:
         return {"M": self.M, "source": self.source, "coeffs": self.poly.coeff_strings()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CyclePGF":
-        return cls(RationalPoly(data["coeffs"]), int(data["M"]), data["source"])
 
 
 def uniform_cycles_pgf(m: int) -> CyclePGF:
@@ -315,18 +303,6 @@ class PgfValidation(Frozen):
     def ok(self) -> bool:
         return self.normalized and self.nonnegative and self.zero_constant and self.parity_ok is not False
 
-    def failures(self) -> list[str]:
-        out = []
-        if not self.normalized:
-            out.append("total probability != 1")
-        if not self.nonnegative:
-            out.append("negative coefficient")
-        if not self.zero_constant:
-            out.append("nonzero constant term")
-        if self.parity_ok is False:
-            out.append("support violates cycle-count parity")
-        return out
-
     def to_json(self) -> dict:
         return {
             "source": self.source,
@@ -383,9 +359,6 @@ class BernoulliDecomposition(Frozen):
     def is_exact(self) -> bool:
         return all(t.is_exact for t in self.terms)
 
-    def mean(self):
-        return self.offset + sum(t.multiplier * t.p for t in self.terms)
-
     def reconstruct(self) -> RationalPoly | list[float]:
         """Expand the product of term PGFs times t^offset.  Exact
         decompositions return a RationalPoly; numeric ones a float
@@ -425,14 +398,6 @@ class BernoulliDecomposition(Frozen):
             p = f"{t.p.numerator}/{t.p.denominator}" if isinstance(t.p, Fraction) else float(t.p)
             terms.append({"p": p, "multiplier": t.multiplier})
         return {"offset": self.offset, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BernoulliDecomposition":
-        terms = tuple(
-            BernoulliTerm(Fraction(e["p"]) if isinstance(e["p"], str) else float(e["p"]), int(e["multiplier"]))
-            for e in data["terms"]
-        )
-        return cls(terms, int(data["offset"]))
 
 
 class RootFindError(RuntimeError):

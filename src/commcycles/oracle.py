@@ -237,17 +237,20 @@ def hultman_row(m: int) -> list[int]:
 
 
 def hultman_table_rows(max_m: int, oracle_cap: int | None = None) -> list[tuple]:
-    """Rows (m, k, count) for all nonzero counts up to max_m, with an
-    enumerated cross-check column for m within the cap (None above it)."""
+    """Rows (m, k, count, oracle_count) up to max_m.  Within the cap the rows
+    run over every k where either count is nonzero, and oracle_count is the
+    enumerated count (0 where it has none); above the cap it is None."""
     cap = resolve_cap(oracle_cap)
     rows = []
     for m in range(1, max_m + 1):
-        enumerated: dict[int, int] = {}
-        if m <= cap:
-            law = exact_commutator_distribution(from_cycle_type(CycleType([m])), cap=cap).poly * math.factorial(m)
-            enumerated = {k: c for k, c in enumerate(law.numerators) if c}  # counts: class size divides m!
-        for k, count in enumerate(hultman_row(m)):
-            if count:
-                rows.append((m, k, count, enumerated.get(k) if m <= cap else None))
+        counts = hultman_row(m)
+        if m > cap:
+            rows.extend((m, k, count, None) for k, count in enumerate(counts) if count)
+            continue
+        law = exact_commutator_distribution(from_cycle_type(CycleType([m])), cap=cap).poly * math.factorial(m)
+        # law.numerators are the counts: the class size divides m!
+        for k, (count, oracle_count) in enumerate(itertools.zip_longest(counts, law.numerators, fillvalue=0)):
+            if count or oracle_count:
+                rows.append((m, k, count, oracle_count))
     return rows
 

@@ -1,6 +1,6 @@
 """Permutations of {0, ..., M-1} in one-line notation, their cycles and
-cycle types, canonical representatives of cycle types, and uniform sampling.
-Commutator cycle counts are computed in bulk by `oracle`.
+cycle types, and canonical representatives of cycle types.  Commutator
+cycle counts are computed in bulk by `oracle`.
 
 Internally everything is 0-based one-line notation (map[i] = image of i);
 the 1-based cycle notation of the group-theory literature appears only in
@@ -10,7 +10,6 @@ the text parser/printer.
 from __future__ import annotations
 
 import math
-import random
 import re
 from collections.abc import Iterable, Sequence
 
@@ -18,7 +17,6 @@ __all__ = [
     "Permutation",
     "CycleType",
     "from_cycle_type",
-    "sample_uniform",
     "parse_cycles",
     "format_cycles",
 ]
@@ -73,10 +71,6 @@ class Permutation:
             seen[v] = True
         self._map = m
 
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(range(size))
-
     @property
     def map(self) -> tuple[int, ...]:
         return self._map
@@ -84,9 +78,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return len(self._map)
-
-    def __getitem__(self, i: int) -> int:
-        return self._map[i]
 
     def inverse(self) -> "Permutation":
         out = [0] * self.size
@@ -176,18 +167,6 @@ def from_cycle_type(ct: CycleType) -> Permutation:
         cycles.append(list(range(start, start + length)))
         start += length
     return _perm_from_cycles0(cycles, ct.size)
-
-
-def sample_uniform(size: int, rng: random.Random) -> Permutation:
-    """Uniformly random permutation via the rng's Fisher-Yates shuffle.
-
-    This stays the per-draw reference for `commcycles sample`, whose block
-    sampler (cli._shuffle_rows) must give the same permutations."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    vals = list(range(size))
-    rng.shuffle(vals)
-    return Permutation(vals)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

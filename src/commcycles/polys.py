@@ -9,8 +9,7 @@ factor with all the numerators, so equal polynomials have equal
 representations.  Ring operations, composition, exact evaluation and
 rendering work on these integers and reduce once per result; `numerators`
 and `denominator` hand them out, `coeffs` and `coefficient` one
-`fractions.Fraction` per coefficient.  Floating point only enters when a
-polynomial is *evaluated* at a float or complex point.
+`fractions.Fraction` per coefficient.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ Rational = int | Fraction
 
 __all__ = [
     "RationalPoly",
-    "X",
-    "ONE",
     "ZERO",
     "rising_factorial",
     "falling_factorial",
@@ -39,8 +36,6 @@ __all__ = [
 def _exact(value) -> Rational:
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -109,10 +104,6 @@ class RationalPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._num) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of X^k (zero beyond the degree)."""
         if 0 <= k < len(self._num):
@@ -143,9 +134,6 @@ class RationalPoly:
     def __sub__(self, other):
         return self + (-other if isinstance(other, RationalPoly) else RationalPoly([-_exact(other)]))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _poly([c * other.numerator for c in self._num], self._den * other.denominator)
@@ -160,18 +148,6 @@ class RationalPoly:
         if not s:
             raise ZeroDivisionError("polynomial division by zero")
         return _poly([c * s.denominator for c in self._num], self._den * s.numerator)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
@@ -205,17 +181,9 @@ class RationalPoly:
         # scale ends at b^(n+1), one factor of b past the denominator's b^n.
         return acc * b, self._den * scale
 
-    def __call__(self, x):
-        """Horner evaluation.  Exact for int/Fraction arguments; float or
-        complex arguments evaluate in floating point, from each
-        coefficient's correctly rounded float value."""
-        if isinstance(x, (int, Fraction)):
-            return Fraction(*self._horner(x))
-        den = self._den
-        acc = 0.0
-        for c in reversed(self._num):
-            acc = acc * x + c / den
-        return acc
+    def __call__(self, x: Rational) -> Fraction:
+        """The exact value at the int or Fraction x, by Horner."""
+        return Fraction(*self._horner(x))
 
     def sign_at(self, x: Rational) -> int:
         """Sign (-1, 0 or 1) of the value at the exact rational x, read off
@@ -236,9 +204,6 @@ class RationalPoly:
     def reflect(self) -> "RationalPoly":
         """The polynomial P(-X)."""
         return _poly([-c if k & 1 else c for k, c in enumerate(self._num)], self._den)
-
-    def derivative(self) -> "RationalPoly":
-        return _poly([k * c for k, c in enumerate(self._num)][1:], self._den)
 
     # -- rendering ------------------------------------------------------------
 
@@ -269,8 +234,6 @@ def _pretty_strings(strings: Sequence[str], var: str = "t") -> str:
 
 
 ZERO = RationalPoly()
-ONE = RationalPoly([1])
-X = RationalPoly([0, 1])
 
 
 def _times_x_plus(row: list[int], i: int) -> list[int]:

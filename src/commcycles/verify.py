@@ -31,30 +31,26 @@ class CheckResult(Frozen):
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        super().__init__(name, ok, detail)
+        super().__init__(name, bool(ok), detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(ok), detail)
-
-
 def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
     out = []
     ok = all(discrete_difference(rising_factorial(n)) == n * rising_factorial(n - 1) for n in range(1, max_n + 1))
-    out.append(_check("difference_of_rising", ok, f"n <= {max_n}"))
+    out.append(CheckResult("difference_of_rising", ok, f"n <= {max_n}"))
 
     ok = all(rising_factorial(n).reflect() == (-1) ** n * falling_factorial(n) for n in range(max_n + 1))
-    out.append(_check("reflection", ok, f"n <= {max_n}"))
+    out.append(CheckResult("reflection", ok, f"n <= {max_n}"))
 
     ok = all(
         connection_expand(m, n) == falling_factorial(m) * falling_factorial(n)
         for n in range(9)
         for m in range(n + 1)
     )
-    out.append(_check("connection_coefficients", ok, "m <= n <= 8"))
+    out.append(CheckResult("connection_coefficients", ok, "m <= n <= 8"))
 
     ok = True
     for m in range(1, 9):
@@ -62,7 +58,7 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
         ok &= s(0) == 0
         ok &= discrete_difference(s) == rising_factorial(m) * rising_factorial(m)
         ok &= all(s(n) == sum(rising_product(k, m) ** 2 for k in range(1, n + 1)) for n in range(1, 13))
-    out.append(_check("squared_rising_partial_sums", ok, "m <= 8, evaluations n <= 12"))
+    out.append(CheckResult("squared_rising_partial_sums", ok, "m <= 8, evaluations n <= 12"))
 
     ok = True
     for n in range(1, max_n + 1):
@@ -70,7 +66,7 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
         for k in range(1, max_n + 1):
             gamma_sum += rising_product(k, n - 1)
             ok &= rising(k) == n * gamma_sum
-    out.append(_check("rising_values_as_gamma_sums", ok, f"n, k <= {max_n}"))
+    out.append(CheckResult("rising_values_as_gamma_sums", ok, f"n, k <= {max_n}"))
     return out
 
 
@@ -81,13 +77,13 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
 
     out = []
     ok = all(enumerated(m) == genfun.one_cycle_pgf(m).poly for m in range(1, max_m + 1))
-    out.append(_check("one_cycle_vs_oracle", ok, f"M <= {max_m}"))
+    out.append(CheckResult("one_cycle_vs_oracle", ok, f"M <= {max_m}"))
 
     ok = all(enumerated(m, m) == genfun.two_cycles_pgf(m).poly for m in range(1, max_m // 2 + 1))
-    out.append(_check("two_cycles_vs_oracle", ok, f"ground sets <= {max_m}"))
+    out.append(CheckResult("two_cycles_vs_oracle", ok, f"ground sets <= {max_m}"))
 
     ok = all(enumerated(*[2] * m) == genfun.transpositions_pgf(m).poly for m in range(1, max_m // 2 + 1))
-    out.append(_check("transpositions_vs_oracle", ok, f"ground sets <= {max_m}"))
+    out.append(CheckResult("transpositions_vs_oracle", ok, f"ground sets <= {max_m}"))
 
     ok = all(  # one enumeration per M gives all three laws
         law.poly == genfun.uniform_cycles_pgf(m).poly
@@ -96,26 +92,26 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
         for m in range(1, max_m + 1)
         for subset, law in oracle.exact_uniform_cycle_laws(m, cap=cap).items()
     )
-    out.append(_check("subset_laws_vs_oracle", ok, f"M <= {max_m}"))
+    out.append(CheckResult("subset_laws_vs_oracle", ok, f"M <= {max_m}"))
 
     ok = all(
         genfun.one_cycle_pgf(m).poly == genfun.alternating_pgf(m + 1, complement=True).poly
         for m in range(1, 10)
     )
-    out.append(_check("one_cycle_equals_odd_law", ok, "M <= 9"))
+    out.append(CheckResult("one_cycle_equals_odd_law", ok, "M <= 9"))
 
     types = [t for t in ([1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2]) if sum(t) <= max_m]
     ok = all(oracle.exact_class_product_distribution(CycleType(t), cap=cap).poly == enumerated(*t) for t in types)
-    out.append(_check("class_product_reformulation", ok, f"types with M <= {max_m}"))
+    out.append(CheckResult("class_product_reformulation", ok, f"types with M <= {max_m}"))
 
     ok = all(  # one Hultman row per M
         oracle.hultman_row(m) == [enumerated(m).coefficient(k) * math.factorial(m) for k in range(m + 1)]
         for m in range(1, max_m + 1)
     )
-    out.append(_check("hultman_formula_vs_enumeration", ok, f"M <= {max_m}"))
+    out.append(CheckResult("hultman_formula_vs_enumeration", ok, f"M <= {max_m}"))
 
     ok = genfun.two_cycles_pgf(2).poly == genfun.transpositions_pgf(2).poly
-    out.append(_check("two_cycles_meets_transpositions", ok, "cycle type [2,2]"))
+    out.append(CheckResult("two_cycles_meets_transpositions", ok, "cycle type [2,2]"))
 
     ok = all(
         genfun.validate_pgf(pgf).ok
@@ -127,11 +123,11 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
             genfun.transpositions_pgf(m),
         )
     )
-    out.append(_check("pgf_invariants", ok, f"M <= {max_m}"))
+    out.append(CheckResult("pgf_invariants", ok, f"M <= {max_m}"))
 
     mass = genfun.transpositions_rising_form(1, base=2)(1)
     out.append(
-        _check(
+        CheckResult(
             "prefactor_witness_detected",
             mass == Fraction(1, 2),
             "the 2^M-prefactor closed form has total mass 1/2 at M=1 (product form is the law)",
@@ -146,13 +142,13 @@ def run_bernoulli_checks(max_m: int = 30) -> list[CheckResult]:
     ok = [t.p for t in dec.terms] == [Fraction(1, k) for k in range(1, 13)]
     ok &= all(t.multiplier == 1 for t in dec.terms) and dec.offset == 0
     ok &= dec.reconstruct() == genfun.uniform_cycles_pgf(12).poly
-    out.append(_check("uniform_parameters", ok, "1/k for k <= 12, exact reconstruction"))
+    out.append(CheckResult("uniform_parameters", ok, "1/k for k <= 12, exact reconstruction"))
 
     dec = genfun.bernoulli_decomposition(genfun.transpositions_pgf(12))
     ok = [t.p for t in dec.terms] == [Fraction(1, 2 * k - 1) for k in range(1, 13)]
     ok &= all(t.multiplier == 2 for t in dec.terms) and dec.offset == 0
     ok &= dec.reconstruct() == genfun.transpositions_pgf(12).poly
-    out.append(_check("transpositions_parameters", ok, "1/(2k-1) for k <= 12, exact reconstruction"))
+    out.append(CheckResult("transpositions_parameters", ok, "1/(2k-1) for k <= 12, exact reconstruction"))
 
     worst_res = 0.0
     ok = True
@@ -163,7 +159,7 @@ def run_bernoulli_checks(max_m: int = 30) -> list[CheckResult]:
         ok &= 2 * len(d.terms) == m - d.offset
     ok &= worst_res < 1e-10
     detail = f"M <= {max_m}: residual {worst_res:.2e} < 1e-10, 2*terms == M - offset"
-    out.append(_check("one_cycle_decomposition", ok, detail))
+    out.append(CheckResult("one_cycle_decomposition", ok, detail))
     return out
 
 
@@ -171,7 +167,7 @@ def _z_check(name: str, report: rmt.MomentReport) -> CheckResult:
     from . import rmt
 
     detail = f"estimate {report.estimate:.6g}, target {float(report.target):.6g}, z {report.z:+.2f}"
-    return _check(name, abs(report.z) <= rmt.Z_MAX, detail)
+    return CheckResult(name, abs(report.z) <= rmt.Z_MAX, detail)
 
 
 def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) -> list[CheckResult]:
@@ -192,7 +188,7 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) 
         direct = trace_power[n_dim, m, 1]
         combined = abs(rep.estimate - direct.estimate) / math.hypot(rep.std_error, direct.std_error)
         out.append(
-            _check(
+            CheckResult(
                 f"shortcut_vs_direct[N={n_dim},M={m}]",
                 combined <= rmt.Z_MAX,
                 f"combined z {combined:.2f}",
@@ -210,7 +206,7 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) 
     for n_dim, m1, m2 in [(2, 1, 2), (1, 1, 3), (3, 2, 4)]:
         rep = rmt.mixed_trace_vanishing(n_dim, m1, m2, **plan)
         out.append(
-            _check(
+            CheckResult(
                 f"mixed_trace_zero[N={n_dim},M1={m1},M2={m2}]",
                 rep.z <= rmt.Z_MAX,
                 f"|mean| {rep.estimate:.4g}, z {rep.z:.2f}",

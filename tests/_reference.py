@@ -3,7 +3,9 @@
 Permutation algebra on one-line maps, the independent reference for the
 numpy commutator kernel `oracle._commutator_counts` and the class codes of
 `oracle._class_codes`.  A one-line map is a sequence m of range(M) with
-m[i] the image of i, such as `Permutation.map`.
+m[i] the image of i, such as `Permutation.map`.  `sample_uniform` draws one
+permutation per rng.shuffle, the per-draw reference for the block sampler
+of `commcycles sample`.
 
 Exact-law readers on coefficient lists of `fractions.Fraction` (index =
 degree), one Fraction per coefficient, as `RationalPoly.coeffs` gives them:
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from commcycles.perm import Permutation
 from commcycles.polys import RationalPoly, rising_falling_sum, rising_square_sum
 
 
@@ -67,6 +70,16 @@ def commutator_cycle_count(s, t):
     return orbit_count(comm)
 
 
+def sample_uniform(size, rng):
+    """Uniformly random permutation of range(size) by rng.shuffle (Fisher-Yates).
+    `cli._shuffle_rows` must give the same permutations from the same rng."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    vals = list(range(size))
+    rng.shuffle(vals)
+    return Permutation(vals)
+
+
 # -- exact laws, one Fraction per coefficient ----------------------------------
 
 
@@ -83,6 +96,16 @@ def _times(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def probabilities(pgf):
+    """Nonzero probabilities of a CyclePGF as Fractions, keyed by cycle count."""
+    return {k: c for k, c in enumerate(pgf.poly.coeffs) if c}
+
+
+def mean(pgf):
+    """Expected cycle count of a CyclePGF, sum_k k P(C = k), as a Fraction."""
+    return sum(k * c for k, c in enumerate(pgf.poly.coeffs))
 
 
 def coeff_strings(coeffs):

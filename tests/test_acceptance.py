@@ -164,7 +164,7 @@ def test_criterion_7_rmt_statistical():
         report = bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
         tau = from_cycle_type(CycleType([m] * k))
         dist = oracle.exact_commutator_distribution(tau)
-        oracle_target = math.factorial(m * k) * sum(p * n**c for c, p in dist.probabilities().items())
+        oracle_target = math.factorial(m * k) * dist.poly(n)
         if report.target != oracle_target:
             failures.append(f"bridge[N={n},m={m},K={k}]: target {report.target} != oracle {oracle_target}")
         gate(f"bridge[N={n},m={m},K={k}]", report)

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import commcycles
-from _reference import commutator_cycle_count
+from _reference import commutator_cycle_count, sample_uniform
 from commcycles import cli, genfun, oracle, rmt, verify
-from commcycles.perm import CycleType, from_cycle_type, sample_uniform
+from commcycles.perm import CycleType, from_cycle_type
 from commcycles.polys import RationalPoly
 
 

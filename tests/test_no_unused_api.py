@@ -1,0 +1,77 @@
+"""Every public name defined in `src/commcycles` is read outside its own
+definition: by package code, by a python block of the README or by
+`perfbench/`.  A name that only the tests reach is dead weight.
+
+The scan is by `ast`.  A name counts as read where it appears as a `Name`
+in `Load` context or as the attribute of an `Attribute` node.  An import
+binds a name without reading it, so a re-export in `__init__.py` does not
+count, nor does a string in `__all__` or one passed to `getattr`.  The
+scan matches names, not objects: a method that shares its name with
+something else that is read (numpy's `.mean()`, a local variable
+`identity`) looks used even when it is not, so such a name can hide an
+unused method.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "commcycles").glob("*.py"))
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+def _trees() -> list[ast.AST]:
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))]
+    return [ast.parse(s) for s in sources + _readme_blocks()]
+
+
+def _definitions() -> dict[str, list[str]]:
+    """Public module-level functions, classes and constants, and public
+    methods, of every package module: name -> where it is defined."""
+    found: dict[str, list[str]] = {}
+
+    def add(name, where):
+        if not name.startswith("_"):
+            found.setdefault(name, []).append(where)
+
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                add(node.name, f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        add(item.name, f"{path.stem}.{node.name}.{item.name}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name):
+                        add(target.id, f"{path.stem}.{target.id}")
+    return found
+
+
+def _reads() -> set[str]:
+    out = set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    reads = _reads()
+    unused = sorted(where for name, places in _definitions().items() if name not in reads for where in places)
+    assert not unused, f"defined in src/ but read only from tests, if at all: {unused}"
+
+
+def test_the_scan_sees_the_package():
+    definitions = _definitions()
+    assert {"CyclePGF", "coefficient", "RationalPoly", "main", "CHARACTER_MAX_M"} <= definitions.keys()
+    assert {"_poly", "__call__", "__all__"}.isdisjoint(definitions)
+    assert {"one_cycle_pgf", "coeffs", "hultman_row"} <= _reads()

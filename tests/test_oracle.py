@@ -16,7 +16,7 @@ import pytest
 import numpy as np
 
 import commcycles
-from _reference import commutator_cycle_count, conjugacy_class, conjugate
+from _reference import commutator_cycle_count, conjugacy_class, conjugate, mean, probabilities, sample_uniform
 from commcycles import genfun, oracle
 from commcycles.oracle import (
     EnumerationCapError,
@@ -31,7 +31,6 @@ from commcycles.perm import (
     Permutation,
     from_cycle_type,
     parse_cycles,
-    sample_uniform,
 )
 from commcycles.polys import RationalPoly
 
@@ -40,25 +39,25 @@ F = Fraction
 
 class TestCommutatorDistribution:
     def test_identity_tau_point_mass(self):
-        dist = exact_commutator_distribution(Permutation.identity(3))
-        assert dist.probabilities() == {3: F(1)}
+        dist = exact_commutator_distribution(Permutation(range(3)))
+        assert probabilities(dist) == {3: F(1)}
 
     def test_three_cycle(self):
         dist = exact_commutator_distribution(from_cycle_type(CycleType([3])))
-        assert dist.probabilities() == {3: F(1, 2), 1: F(1, 2)}
+        assert probabilities(dist) == {3: F(1, 2), 1: F(1, 2)}
 
     def test_double_transposition(self):
         dist = exact_commutator_distribution(parse_cycles("(1 2)(3 4)"))
-        assert dist.probabilities() == {4: F(1, 3), 2: F(2, 3)}
+        assert probabilities(dist) == {4: F(1, 3), 2: F(2, 3)}
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
-            exact_commutator_distribution(Permutation.identity(9))
+            exact_commutator_distribution(Permutation(range(9)))
         # explicit cap raise works up to the hard cap
-        dist = exact_commutator_distribution(Permutation.identity(9), cap=9)
-        assert dist.probabilities() == {9: F(1)}
+        dist = exact_commutator_distribution(Permutation(range(9)), cap=9)
+        assert probabilities(dist) == {9: F(1)}
         with pytest.raises(ValueError):
-            exact_commutator_distribution(Permutation.identity(11), cap=11)
+            exact_commutator_distribution(Permutation(range(11)), cap=11)
 
     def test_cap_error_has_one_home(self):
         assert EnumerationCapError is genfun.EnumerationCapError is commcycles.EnumerationCapError
@@ -85,7 +84,7 @@ class TestCommutatorDistribution:
     def test_parity_of_support(self):
         for tau in (from_cycle_type(CycleType([4])), from_cycle_type(CycleType([5])), parse_cycles("(1 2 3)(4 5)")):
             dist = exact_commutator_distribution(tau)
-            assert {k % 2 for k in dist.probabilities()} == {tau.size % 2}
+            assert {k % 2 for k in probabilities(dist)} == {tau.size % 2}
 
     def test_distribution_validates(self):
         # the histogram must hold all of the enumerated total ...
@@ -96,7 +95,7 @@ class TestCommutatorDistribution:
             oracle._law_from_hist(2, np.array([0, 0, 0, 1]), 1)
         with pytest.raises(AssertionError, match="outside 1..2"):
             oracle._law_from_hist(2, np.array([1, 0, 0]), 1)
-        assert oracle._law_from_hist(2, np.array([0, 1, 1]), 2).probabilities() == {1: F(1, 2), 2: F(1, 2)}
+        assert probabilities(oracle._law_from_hist(2, np.array([0, 1, 1]), 2)) == {1: F(1, 2), 2: F(1, 2)}
 
     def test_conjugation_invariance(self):
         rng = random.Random(7)
@@ -105,7 +104,7 @@ class TestCommutatorDistribution:
             for _ in range(20):
                 s = sample_uniform(tau.size, rng)
                 conj = Permutation(conjugate(s.map, tau.map))
-                assert exact_commutator_distribution(conj).probabilities() == reference.probabilities()
+                assert probabilities(exact_commutator_distribution(conj)) == probabilities(reference)
 
 
 class TestKernel:
@@ -338,27 +337,27 @@ class TestCommutatorLaw:
         assert genfun.commutator_law(CycleType([6, 6])) == genfun.two_cycles_pgf(6)
         assert genfun.commutator_law(CycleType([2] * 7)) == genfun.transpositions_pgf(7)
         identity = genfun.commutator_law(CycleType([1] * 12))
-        assert (identity.source, identity.M, identity.probabilities()) == ("identity", 12, {12: F(1)})
+        assert (identity.source, identity.M, probabilities(identity)) == ("identity", 12, {12: F(1)})
 
 
 class TestUniformSubsetLaws:
     def test_all_m3(self):
         dist = exact_uniform_cycle_laws(3)["all"]
-        assert dist.probabilities() == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
+        assert probabilities(dist) == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
 
     def test_alternating_m3(self):
         dist = exact_uniform_cycle_laws(3)["alternating"]
-        assert dist.probabilities() == {3: F(1, 3), 1: F(2, 3)}
+        assert probabilities(dist) == {3: F(1, 3), 1: F(2, 3)}
 
     def test_co_alternating_m2(self):
         dist = exact_uniform_cycle_laws(2)["co_alternating"]
-        assert dist.probabilities() == {1: F(1)}
+        assert probabilities(dist) == {1: F(1)}
 
     def test_co_alternating_m1_rejected(self):
         # no odd permutations on a single point: the law is absent
         laws = exact_uniform_cycle_laws(1)
         assert "co_alternating" not in laws
-        assert laws["alternating"].probabilities() == {1: F(1)}
+        assert probabilities(laws["alternating"]) == {1: F(1)}
 
     def test_unknown_subset_rejected(self):
         laws = exact_uniform_cycle_laws(3)
@@ -421,15 +420,15 @@ class TestConjugacyClassRoute:
 
     def test_single_cycle_m3(self):
         dist = exact_class_product_distribution(CycleType([3]))
-        assert dist.probabilities() == {3: F(1, 2), 1: F(1, 2)}
+        assert probabilities(dist) == {3: F(1, 2), 1: F(1, 2)}
 
     def test_identity_type(self):
         dist = exact_class_product_distribution(CycleType([1, 1, 1, 1]))
-        assert dist.probabilities() == {4: F(1)}
+        assert probabilities(dist) == {4: F(1)}
 
     def test_two_two_type(self):
         dist = exact_class_product_distribution(CycleType([2, 2]))
-        assert dist.probabilities() == {4: F(1, 3), 2: F(2, 3)}
+        assert probabilities(dist) == {4: F(1, 3), 2: F(2, 3)}
 
     @pytest.mark.parametrize(
         "parts", [[1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2], [3, 3]]
@@ -438,7 +437,7 @@ class TestConjugacyClassRoute:
         ct = CycleType(parts)
         via_class = exact_class_product_distribution(ct)
         via_commutator = exact_commutator_distribution(from_cycle_type(ct))
-        assert via_class.probabilities() == via_commutator.probabilities()
+        assert probabilities(via_class) == probabilities(via_commutator)
 
 
     def test_class_codes_are_the_sorted_distinct_codes(self):
@@ -499,17 +498,34 @@ class TestHultman:
         below = [r for r in rows if r[0] <= 4]
         assert all(r[2] == r[3] for r in below)
 
+    def test_table_shows_a_wrong_enumeration(self, monkeypatch):
+        # an enumeration that moves the C = 1 mass of M = 3 to C = 2: the table
+        # lists both supports and writes 0, never None, where one count is missing
+        real = oracle.exact_commutator_distribution
+
+        def moved(tau, cap=None):
+            law = real(tau, cap=cap)
+            if tau.size != 3:
+                return law
+            return genfun.CyclePGF(RationalPoly([0, 0, law.poly.coefficient(1), law.poly.coefficient(3)]), 3, law.source)
+
+        monkeypatch.setattr(oracle, "exact_commutator_distribution", moved)
+        rows = hultman_table_rows(4)
+        assert [r for r in rows if r[0] == 3] == [(3, 1, 3, 0), (3, 2, 0, 3), (3, 3, 3, 3)]
+        assert all(r[3] is not None for r in rows)
+        assert [r for r in rows if r[2] != r[3]] == [(3, 1, 3, 0), (3, 2, 0, 3)]
+
 
 class TestEmitters:
     def test_distribution_round_trip_through_pgf(self):
         dist = exact_commutator_distribution(from_cycle_type(CycleType([4])))
         assert dist.source == "oracle"
         assert dist.poly(1) == 1
-        assert genfun.CyclePGF.from_json(dist.to_json()) == dist
+        assert RationalPoly(map(F, dist.to_json()["coeffs"])) == dist.poly
 
     def test_point_mass_pgf(self):
-        assert exact_commutator_distribution(Permutation.identity(3)).poly == RationalPoly([0, 0, 0, 1])
+        assert exact_commutator_distribution(Permutation(range(3))).poly == RationalPoly([0, 0, 0, 1])
 
     def test_mean(self):
         dist = exact_commutator_distribution(from_cycle_type(CycleType([3])))
-        assert dist.mean() == F(2)
+        assert mean(dist) == 2

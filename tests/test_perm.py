@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import commutator_cycle_count, compose, conjugate, orbit_count
+from _reference import commutator_cycle_count, compose, conjugate, orbit_count, sample_uniform
 from commcycles import oracle, rmt, verify
 from commcycles.genfun import BernoulliDecomposition, BernoulliTerm, CyclePGF, PgfValidation
 from commcycles.perm import (
@@ -21,7 +21,6 @@ from commcycles.perm import (
     format_cycles,
     from_cycle_type,
     parse_cycles,
-    sample_uniform,
 )
 from commcycles.polys import RationalPoly
 
@@ -73,11 +72,11 @@ class TestBasics:
         assert compose(c, c) == (2, 0, 1)  # (0 2 1)
 
     def test_inverse_examples(self):
-        assert Permutation.identity(4).inverse() == Permutation.identity(4)
+        assert Permutation(range(4)).inverse() == Permutation(range(4))
         assert Permutation([1, 2, 0]).inverse() == Permutation([2, 0, 1])
 
     def test_cycle_count_examples(self):
-        assert len(Permutation.identity(5).cycles()) == 5
+        assert len(Permutation(range(5)).cycles()) == 5
         assert len(from_cycle_type(CycleType([6])).cycles()) == 1
         assert len(Permutation([1, 0, 3, 2]).cycles()) == 2
 
@@ -93,8 +92,8 @@ class TestCommutator:
     def test_with_identity(self):
         # the commutator is the identity, with M cycles
         p = Permutation([2, 0, 1])
-        assert kernel_count(p, Permutation.identity(3)) == 3
-        assert kernel_count(Permutation.identity(3), p) == 3
+        assert kernel_count(p, Permutation(range(3))) == 3
+        assert kernel_count(Permutation(range(3)), p) == 3
 
     def test_with_itself(self):
         p = Permutation([3, 1, 0, 2])
@@ -159,7 +158,7 @@ class TestCanonicalConstructors:
         assert from_cycle_type(CycleType([1])).map == (0,)
 
     def test_two_disjoint_cycles(self):
-        assert from_cycle_type(CycleType([1, 1])) == Permutation.identity(2)
+        assert from_cycle_type(CycleType([1, 1])) == Permutation(range(2))
         p = from_cycle_type(CycleType([3, 3]))
         assert p.size == 6
         assert p.cycle_type() == CycleType([3, 3])
@@ -214,7 +213,7 @@ class TestCycleNotation:
         assert p.map == (1, 0, 2, 3)
 
     def test_identity_needs_size(self):
-        assert parse_cycles("()", size=3) == Permutation.identity(3)
+        assert parse_cycles("()", size=3) == Permutation(range(3))
         with pytest.raises(ValueError):
             parse_cycles("()")
 
@@ -237,7 +236,7 @@ class TestCycleNotation:
         assert parse_cycles(format_cycles(p), size=6) == p
 
     def test_format_examples(self):
-        assert format_cycles(Permutation.identity(3)) == "()"
+        assert format_cycles(Permutation(range(3))) == "()"
         assert format_cycles(parse_cycles("(1 2)", size=4)) == "(1 2)"
         assert format_cycles(parse_cycles("(1 2)", size=4), include_fixed=True) == "(1 2)(3)(4)"
 
@@ -314,7 +313,7 @@ VALUES = [
     ),
     (
         verify.CheckResult,
-        ("factorials", True),
+        ("factorials", True, ""),
         ("name", "ok", "detail"),
         ("factorials", True, ""),
         "CheckResult(name='factorials', ok=True, detail='')",

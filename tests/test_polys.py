@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import _reference as reference
 from commcycles.polys import (
-    ONE,
     RationalPoly,
-    X,
     ZERO,
+    _poly,
     connection_expand,
     discrete_difference,
     falling_factorial,
@@ -30,10 +29,14 @@ def poly(*coeffs):
     return RationalPoly(coeffs)
 
 
+ONE = poly(1)
+X = poly(0, 1)
+
+
 class TestRationalPolyBasics:
     def test_normalization_strips_trailing_zeros(self):
         assert poly(1, 2, 0, 0).coeffs == (F(1), F(2))
-        assert poly(0, 0).is_zero
+        assert poly(0, 0) == ZERO
         assert ZERO.degree == -1
 
     def test_fractions_kept_in_lowest_terms(self):
@@ -49,20 +52,11 @@ class TestRationalPolyBasics:
         # (X^2+X)(X^2-X) = X^4 - X^2
         assert rising_factorial(2) * falling_factorial(2) == poly(0, 0, -1, 0, 1)
 
-    def test_power(self):
-        assert (X + 1) ** 2 == poly(1, 2, 1)
-        assert (X**0) == ONE
-
     def test_scalar_division(self):
         assert poly(2, 4) / 2 == poly(1, 2)
 
     def test_eval_constant_term(self):
         assert poly(7, 1, 3)(0) == 7
-
-    def test_eval_float_and_complex(self):
-        p = poly(1, 0, 1)  # 1 + X^2
-        assert p(2.0) == pytest.approx(5.0)
-        assert p(1j) == pytest.approx(0.0)
 
     def test_compose(self):
         # (X^2)(X - 1) = (X-1)^2
@@ -72,13 +66,10 @@ class TestRationalPolyBasics:
         assert poly(0, 0, 5).reflect() == poly(0, 0, 5)
         assert poly(0, 0, 0, 1).reflect() == poly(0, 0, 0, -1)
 
-    def test_derivative(self):
-        assert poly(3, 2, 1).derivative() == poly(2, 2)
-
     def test_coeff_strings_round_trip(self):
         p = poly(F(1, 2), 0, 3)
         assert p.coeff_strings() == ["1/2", "0/1", "3/1"]
-        assert RationalPoly(p.coeff_strings()) == p
+        assert RationalPoly(map(F, p.coeff_strings())) == p
 
     def test_pretty(self):
         assert poly(2, F(-1, 2), 1).pretty("t") == "t^2 - 1/2*t + 2"
@@ -155,14 +146,15 @@ class TestRingProperties:
         # the same coefficients reached over different denominators
         scaled = (p * Fraction(k, j)) / Fraction(k, j)
         split = p * Fraction(1, k + 1) + p * Fraction(k, k + 1)
-        unreduced = RationalPoly([f"{c.numerator * k}/{c.denominator * k}" for c in p.coeffs])
+        den = math.lcm(*(c.denominator for c in p.coeffs)) * k  # every numerator and den share k
+        unreduced = _poly([c.numerator * (den // c.denominator) for c in p.coeffs], den)
         for q in (scaled, split, unreduced):
             assert q == p
             assert hash(q) == hash(p)
 
     @given(small_polys, small_polys)
     def test_coeffs_in_lowest_terms(self, p, q):
-        for r in (p * q, p + q, p - q, (p * q).derivative()):
+        for r in (p * q, p + q, p - q, (p * q).compose(p)):
             for s in r.coeff_strings():
                 num, den = map(int, s.split("/"))
                 assert den > 0 and math.gcd(num, den) == 1
