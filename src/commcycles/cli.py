@@ -23,7 +23,6 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import genfun, oracle, verify
 from ._lazy import np
@@ -39,6 +38,9 @@ HULTMAN_MAX_M = 100
 
 # Rows of σ that `sample` draws, then counts at once; a bounded block keeps peak RSS flat.
 SAMPLE_BLOCK = 1024
+
+# Draws that each pooled bin of `sample`'s chi-square test expects at least.
+_MIN_EXPECTED = 5.0
 
 # What `sample` reports for a type with no exact law to test against.
 NO_REFERENCE = f"no exact reference above the character-sum limit M = {genfun.CHARACTER_MAX_M}"
@@ -109,10 +111,6 @@ def _tau_permutation(kind, value) -> Permutation:
     if kind in _CLOSED_FORMS:
         raise UsageError(f"{kind!r} selects a law, not a permutation")
     return value if kind == "explicit" else from_cycle_type(value)
-
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _emit(payload: dict, fmt: str, human_lines, csv_rows=None) -> None:
@@ -206,9 +204,9 @@ def _cmd_bernoulli(args) -> int:
     def human(p):
         yield f"tau: {p['tau']}   ({p['provenance']} parameters)"
         yield f"offset: {dec.offset}"
-        for t in dec.terms:
-            pval = _fraction_str(t.p) if isinstance(t.p, Fraction) else f"{t.p:.12g}"
-            yield f"  + {t.multiplier} * Bernoulli({pval})"
+        for t in p["decomposition"]["terms"]:  # an exact p is a "n/d" string, a root-found one a float
+            pval = t["p"] if isinstance(t["p"], str) else f"{t['p']:.12g}"
+            yield f"  + {t['multiplier']} * Bernoulli({pval})"
         yield f"reconstruction residual: {p['reconstruction_residual']:.3g}"
 
     _emit(payload, args.format, human)
@@ -233,16 +231,16 @@ def _cmd_hultman(args) -> int:
     return 0
 
 
-def _pool_bins(probs: dict[int, float], draws: int, min_expected: float = 5.0):
+def _pool_bins(probs: dict[int, float], draws: int):
     """Pool adjacent support bins until each pooled bin expects at least
-    min_expected draws; returns [(ks, expected)]."""
+    _MIN_EXPECTED draws; returns [(ks, expected)]."""
     pooled = []
     current_ks: list[int] = []
     current_expected = 0.0
     for k, p in sorted(probs.items()):
         current_ks.append(k)
         current_expected += p * draws
-        if current_expected >= min_expected:
+        if current_expected >= _MIN_EXPECTED:
             pooled.append((tuple(current_ks), current_expected))
             current_ks, current_expected = [], 0.0
     if current_ks:
@@ -409,7 +407,7 @@ def _cmd_mc(args) -> int:
             f"{key}={p[key]}" for key in ("N", "M", "M2", "K") if key in p
         )
         yield f"estimate: {report.estimate:.8g}  std error: {report.std_error:.4g}"
-        yield f"target: {_fraction_str(report.target)} = {float(report.target):.8g}  z: {report.z:+.3f}"
+        yield f"target: {p['target']} = {p['target_float']:.8g}  z: {report.z:+.3f}"
         yield f"samples: {report.samples}  seed: {report.seed}  partitions: {report.partitions}"
 
     _emit(payload, args.format, human)

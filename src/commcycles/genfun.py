@@ -70,9 +70,6 @@ class CyclePGF(Frozen):
 
     __slots__ = ("poly", "M", "source")
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.poly.coefficient(k)
-
     def reduced_probabilities(self) -> dict[int, tuple[int, int]]:
         """Nonzero probabilities keyed by cycle count, as (numerator, denominator) in lowest terms."""
         den = self.poly.denominator
@@ -199,8 +196,7 @@ def _content_products(m: int) -> Iterator[tuple[int, list[int]]]:
             yield beads >> (m - row), poly
             return
         for r in range(1, min(rest, largest) + 1):
-            content = r - 1 - row
-            poly = [content * a + b for a, b in zip(poly + [0], [0] + poly)]
+            poly = _times_x_plus(poly, r - 1 - row)
             yield from grow(beads | 1 << (r + m - 1 - row), poly, row + 1, rest - r, r)
 
     return grow(0, [1], 0, m, m)
@@ -369,17 +365,11 @@ class BernoulliDecomposition(Frozen):
                 r, q, pad = t.p.numerator, t.p.denominator, [0] * t.multiplier
                 row = [(q - r) * a + r * b for a, b in zip(row + pad, pad + row)]
             return _poly([0] * self.offset + row, math.prod(t.p.denominator for t in self.terms))
-        coeffs = [0.0] * self.offset + [1.0]
+        coeffs = np.array([0.0] * self.offset + [1.0])
         for t in self.terms:
             p = float(t.p)
-            factor = [1.0 - p] + [0.0] * (t.multiplier - 1) + [p]
-            out = [0.0] * (len(coeffs) + len(factor) - 1)
-            for i, a in enumerate(coeffs):
-                if a:
-                    for j, b in enumerate(factor):
-                        out[i + j] += a * b
-            coeffs = out
-        return coeffs
+            coeffs = np.convolve(coeffs, [1.0 - p] + [0.0] * (t.multiplier - 1) + [p])
+        return coeffs.tolist()
 
     def residual_against(self, pgf: CyclePGF) -> float:
         """Largest absolute coefficient difference between the expanded

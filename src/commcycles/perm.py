@@ -154,8 +154,7 @@ def _perm_from_cycles0(cycles: Sequence[Sequence[int]], size: int) -> Permutatio
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:]):
             out[a] = b
-        if cyc:
-            out[cyc[-1]] = cyc[0]
+        out[cyc[-1]] = cyc[0]
     return Permutation(out)
 
 
@@ -172,12 +171,12 @@ def from_cycle_type(ct: CycleType) -> Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, size: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation like "(1 2 3)(4 5)" or "(1, 2, 3)".
+def parse_cycles(text: str) -> Permutation:
+    """Parse 1-based cycle notation like "(1 2 3)(4 5)(6)" or "(1, 2, 3)".
 
-    Whitespace-insensitive; commas optional.  Fixed points may be omitted
-    when `size` is given; otherwise the ground-set size is the largest label
-    mentioned.  "()" is the identity (requires `size`).
+    Whitespace-insensitive; commas optional.  The ground-set size is the
+    largest label, so a trailing fixed point is written as a 1-cycle, as
+    `format_cycles` writes every fixed point.
     """
     stripped = text.strip()
     if not stripped:
@@ -189,7 +188,7 @@ def parse_cycles(text: str, size: int | None = None) -> Permutation:
     for body in _CYCLE_RE.findall(stripped):
         labels = [tok for tok in re.split(r"[\s,]+", body.strip()) if tok]
         if not labels:
-            continue
+            raise ValueError(f"empty cycle '()' in {text!r}: write a fixed point as a 1-cycle, e.g. (3)")
         cyc = []
         for tok in labels:
             if not tok.isdigit() or int(tok) < 1:
@@ -200,22 +199,10 @@ def parse_cycles(text: str, size: int | None = None) -> Permutation:
             labels_seen.add(lab)
             cyc.append(lab - 1)
         cycles0.append(cyc)
-    max_label = max(labels_seen) if labels_seen else 0
-    if size is None:
-        size = max_label
-        if size == 0:
-            raise ValueError("identity '()' needs an explicit size")
-    elif size < max_label:
-        raise ValueError(f"size {size} smaller than largest label {max_label}")
-    return _perm_from_cycles0(cycles0, size)
+    return _perm_from_cycles0(cycles0, max(labels_seen))
 
 
-def format_cycles(p: Permutation, include_fixed: bool = False) -> str:
-    """Render in 1-based cycle notation; fixed points omitted by default.
-    The identity renders as "()"."""
-    parts = []
-    for cyc in p.cycles():
-        if len(cyc) == 1 and not include_fixed:
-            continue
-        parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-    return "".join(parts) if parts else "()"
+def format_cycles(p: Permutation) -> str:
+    """Render in 1-based cycle notation, every cycle written, fixed points
+    as 1-cycles: parse_cycles(format_cycles(p)) == p."""
+    return "".join("(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in p.cycles())

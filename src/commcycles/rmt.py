@@ -71,10 +71,6 @@ class MomentReport(Frozen):
 
     __slots__ = ("identity", "params", "estimate", "std_error", "target", "z", "samples", "seed", "partitions", "extra")
 
-    def __init__(self, identity, params, estimate, std_error, target, z, samples, seed, partitions, extra=None):
-        extra = {} if extra is None else extra
-        super().__init__(identity, params, estimate, std_error, target, z, samples, seed, partitions, extra)
-
     def to_json(self) -> dict:
         return {
             "identity": self.identity, **self.params, "estimate": self.estimate, "std_error": self.std_error,

@@ -30,7 +30,7 @@ SCOPES = ("factorials", "genfun_vs_oracle", "bernoulli", "rmt", "all")
 class CheckResult(Frozen):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
+    def __init__(self, name: str, ok: bool, detail: str):
         super().__init__(name, bool(ok), detail)
 
     def to_json(self) -> dict:
@@ -94,8 +94,8 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
     )
     out.append(CheckResult("subset_laws_vs_oracle", ok, f"M <= {max_m}"))
 
-    ok = all(
-        genfun.one_cycle_pgf(m).poly == genfun.alternating_pgf(m + 1, complement=True).poly
+    ok = all(  # the character sum, not the closed form, against the odd law at M + 1
+        genfun.character_law(CycleType([m])).poly == genfun.alternating_pgf(m + 1, complement=True).poly
         for m in range(1, 10)
     )
     out.append(CheckResult("one_cycle_equals_odd_law", ok, "M <= 9"))
@@ -175,25 +175,16 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) 
 
     plan = {"samples": samples, "seed": seed, "partitions": partitions}
     out = []
-    trace_power = {}  # (N, m, K) -> report; the shortcut checks reuse the K=1 runs
     for n_dim, power, factors in [(1, 1, 1), (2, 2, 1), (3, 2, 1), (2, 4, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3)]:
-        rep = trace_power[n_dim, power, factors] = rmt.mc_trace_power_moment(n_dim, power, factors, **plan)
+        rep = rmt.mc_trace_power_moment(n_dim, power, factors, **plan)
         out.append(_z_check(f"trace_power[N={n_dim},m={power},K={factors}]", rep))
 
     for n_dim, m in [(1, 1), (2, 2), (2, 3), (3, 4), (2, 5)]:
         rep = rmt.mc_gamma_shortcut_moment(n_dim, m, 1, **plan)
         out.append(_z_check(f"gamma_shortcut[N={n_dim},M={m},K=1]", rep))
-        if (n_dim, m, 1) not in trace_power:
-            trace_power[n_dim, m, 1] = rmt.mc_trace_power_moment(n_dim, m, 1, **plan)
-        direct = trace_power[n_dim, m, 1]
-        combined = abs(rep.estimate - direct.estimate) / math.hypot(rep.std_error, direct.std_error)
-        out.append(
-            CheckResult(
-                f"shortcut_vs_direct[N={n_dim},M={m}]",
-                combined <= rmt.Z_MAX,
-                f"combined z {combined:.2f}",
-            )
-        )
+        target = rmt.trace_power_target(n_dim, m, 1)  # Kostlan's shortcut is exact for m >= N
+        detail = f"gamma sum {rep.target}, trace-power target {target}"
+        out.append(CheckResult(f"shortcut_target_exact[N={n_dim},M={m}]", rep.target == target, detail))
 
     for n_dim, m in [(1, 1), (2, 1), (2, 3), (3, 2), (4, 3)]:
         rep = rmt.mc_real_trace_law(n_dim, m, **plan)

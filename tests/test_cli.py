@@ -613,18 +613,17 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(rmt, "mc_trace_power_moment", counted)
         checks = verify.run_rmt_checks(samples=2000)
-        # 7 trace-power checks; the shortcut-vs-direct checks reuse the
-        # (N=1, m=1) and (N=2, m=2) runs and draw the other three
-        assert len(calls) == 10 and len(set(calls)) == 10
+        # one run per trace-power check; the Kostlan checks compare exact targets and draw nothing
+        assert len(calls) == 7 and len(set(calls)) == 7
         assert [c.name for c in checks] == [
             "trace_power[N=1,m=1,K=1]", "trace_power[N=2,m=2,K=1]", "trace_power[N=3,m=2,K=1]",
             "trace_power[N=2,m=4,K=1]", "trace_power[N=2,m=2,K=2]", "trace_power[N=3,m=2,K=2]",
             "trace_power[N=2,m=2,K=3]",
-            "gamma_shortcut[N=1,M=1,K=1]", "shortcut_vs_direct[N=1,M=1]",
-            "gamma_shortcut[N=2,M=2,K=1]", "shortcut_vs_direct[N=2,M=2]",
-            "gamma_shortcut[N=2,M=3,K=1]", "shortcut_vs_direct[N=2,M=3]",
-            "gamma_shortcut[N=3,M=4,K=1]", "shortcut_vs_direct[N=3,M=4]",
-            "gamma_shortcut[N=2,M=5,K=1]", "shortcut_vs_direct[N=2,M=5]",
+            "gamma_shortcut[N=1,M=1,K=1]", "shortcut_target_exact[N=1,M=1]",
+            "gamma_shortcut[N=2,M=2,K=1]", "shortcut_target_exact[N=2,M=2]",
+            "gamma_shortcut[N=2,M=3,K=1]", "shortcut_target_exact[N=2,M=3]",
+            "gamma_shortcut[N=3,M=4,K=1]", "shortcut_target_exact[N=3,M=4]",
+            "gamma_shortcut[N=2,M=5,K=1]", "shortcut_target_exact[N=2,M=5]",
             "real_trace[N=1,M=1]", "real_trace[N=2,M=1]", "real_trace[N=2,M=3]",
             "real_trace[N=3,M=2]", "real_trace[N=4,M=3]",
             "tr_g_squared[N=1,M=1]", "tr_g_squared[N=2,M=1]", "tr_g_squared[N=2,M=2]",
@@ -639,6 +638,25 @@ class TestVerifyCommand:
             verify.run_genfun_oracle_checks(max_m=5, cap=4)
         code, _, err = run_cli(capsys, "verify", "--scope", "genfun_vs_oracle", "--max-m", "9")
         assert code == 2 and "enumeration cap 8" in err
+
+    def test_odd_law_check_reads_the_character_sum(self, monkeypatch):
+        # a character sum that moves 1/1000 of the one-cycle mass at M = 5 fails
+        # the odd-law check, and only it: the closed forms and the oracle are untouched
+        real = genfun.character_law
+
+        def perturbed(cycle_type):
+            law = real(cycle_type)
+            if cycle_type != CycleType([5]):
+                return law
+            coeffs = list(law.poly.coeffs)
+            coeffs[1] += Fraction(1, 1000)
+            coeffs[3] -= Fraction(1, 1000)
+            return genfun.CyclePGF(RationalPoly(coeffs), law.M, law.source)
+
+        monkeypatch.setattr(genfun, "character_law", perturbed)
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=3)}
+        assert checks["one_cycle_equals_odd_law"] == verify.CheckResult("one_cycle_equals_odd_law", False, "M <= 9")
+        assert [name for name, c in checks.items() if not c.ok] == ["one_cycle_equals_odd_law"]
 
     def test_mutated_closed_form_detected(self, capsys, monkeypatch):
         # seeded mutation of a single closed-form coefficient must flip the
@@ -698,7 +716,7 @@ class TestMcCommand:
     def test_z_outside_the_gate_exits_1(self, capsys, monkeypatch, z):
         def estimate(n_dim, m, factors=1, samples=2, seed=42, partitions=1):
             params = {"N": n_dim, "M": m, "K": factors}
-            return rmt.MomentReport("gamma_shortcut", params, 31.0, 0.0, Fraction(30), z, samples, seed, partitions)
+            return rmt.MomentReport("gamma_shortcut", params, 31.0, 0.0, Fraction(30), z, samples, seed, partitions, {})
 
         monkeypatch.setattr(rmt, "mc_gamma_shortcut_moment", estimate)
         for fmt in ("json", "human"):
@@ -736,7 +754,7 @@ class TestMcCommand:
 
         def record(*given, samples, seed, partitions):
             calls.append((given, samples, seed, partitions))
-            return rmt.MomentReport("probe", {"N": given[0]}, 1.0, 0.5, Fraction(1), 0.0, samples, seed, partitions)
+            return rmt.MomentReport("probe", {"N": given[0]}, 1.0, 0.5, Fraction(1), 0.0, samples, seed, partitions, {})
 
         monkeypatch.setattr(rmt, estimator, record)
         code, _, _ = run_cli(capsys, "--seed", "5", "mc", *argv, "--samples", "30", "--threads", "2")

@@ -10,6 +10,10 @@ scan matches names, not objects: a method that shares its name with
 something else that is read (numpy's `.mean()`, a local variable
 `identity`) looks used even when it is not, so such a name can hide an
 unused method.
+
+Likewise every default of a parameter is overridden by some call outside
+the tests: a default that no caller changes is an option that only tests
+reach.  Calls are matched by the name called, so they too can hide one.
 """
 
 import ast
@@ -75,3 +79,54 @@ def test_the_scan_sees_the_package():
     assert {"CyclePGF", "coefficient", "RationalPoly", "main", "CHARACTER_MAX_M"} <= definitions.keys()
     assert {"_poly", "__call__", "__all__"}.isdisjoint(definitions)
     assert {"one_cycle_pgf", "coeffs", "hultman_row"} <= _reads()
+
+
+def _defaulted_parameters() -> list[tuple[str, int | None, str]]:
+    """(function, positional index or None if keyword-only, parameter) for every
+    parameter with a default of every non-dunder function or method in the
+    package, nested ones included.  A method's index does not count `self`."""
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            shift = 1 if id(node) in methods and not static else 0
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            found += [(node.name, i - shift, a.arg) for i, a in enumerate(positional) if i >= first]
+            found += [(node.name, None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+    return found
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether the call may set the parameter: by position, by keyword, or through * or **."""
+    keywords = {k.arg for k in call.keywords}
+    if name in keywords or None in keywords:
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return index is not None and (starred or len(call.args) > index)
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    never = sorted(
+        f"{fn}({param})"
+        for fn, index, param in _defaulted_parameters()
+        if not any(_passes(call, index, param) for call in calls.get(fn, ()))
+    )
+    assert not never, f"defaults that no call in src/, perfbench/ or the README overrides: {never}"
+
+
+def test_the_parameter_scan_sees_defaults():
+    params = {(fn, param) for fn, _, param in _defaulted_parameters()}
+    assert {("alternating_pgf", "complement"), ("pretty", "var"), ("run_scope", "cap")} <= params
+    assert ("__init__", "mapping") not in params and ("pretty", "self") not in params

@@ -81,7 +81,7 @@ class TestBasics:
         assert len(Permutation([1, 0, 3, 2]).cycles()) == 2
 
     def test_cycles_listing(self):
-        p = parse_cycles("(1 2 3)(4 5)", size=6)
+        p = parse_cycles("(1 2 3)(4 5)(6)")
         assert p.cycles() == [(0, 1, 2), (3, 4), (5,)]
         assert p.cycle_type() == CycleType([3, 2, 1])
 
@@ -100,7 +100,7 @@ class TestCommutator:
         assert kernel_count(p, p) == 4
 
     def test_known_three_cycle(self):
-        s = parse_cycles("(1 2)", size=3)
+        s = parse_cycles("(1 2)(3)")
         t = parse_cycles("(1 2 3)")
         assert kernel_count(s, t) == 1  # a 3-cycle
 
@@ -208,14 +208,18 @@ class TestCycleNotation:
     def test_parse_with_commas_and_spaces(self):
         assert parse_cycles("( 1, 2,3 )( 4 5 )") == parse_cycles("(1 2 3)(4 5)")
 
-    def test_fixed_points_omitted_with_size(self):
-        p = parse_cycles("(1 2)", size=4)
-        assert p.map == (1, 0, 2, 3)
+    def test_fixed_points_as_one_cycles(self):
+        # a trailing fixed point is a 1-cycle; one below the largest label may be left out
+        assert parse_cycles("(1 2)(3)(4)").map == (1, 0, 2, 3)
+        assert parse_cycles("(1 2)(4)") == parse_cycles("(1 2)(3)(4)")
+        assert parse_cycles("(1 2)").size == 2
 
     def test_identity_needs_size(self):
-        assert parse_cycles("()", size=3) == Permutation(range(3))
-        with pytest.raises(ValueError):
-            parse_cycles("()")
+        # the identity is written by its fixed points: "()" has no size and no cycle
+        assert parse_cycles("(1)(2)(3)") == Permutation(range(3))
+        for text in ("()", "(1 2)()", "( )(1)"):
+            with pytest.raises(ValueError, match="empty cycle"):
+                parse_cycles(text)
 
     def test_rejects_duplicates_and_bad_labels(self):
         with pytest.raises(ValueError):
@@ -225,24 +229,21 @@ class TestCycleNotation:
         with pytest.raises(ValueError):
             parse_cycles("1 2 3")
         with pytest.raises(ValueError):
-            parse_cycles("(1 2", size=2)
-
-    def test_rejects_size_below_largest_label(self):
-        with pytest.raises(ValueError):
-            parse_cycles("(1 5)", size=3)
+            parse_cycles("(1 2")
 
     def test_format_round_trip(self):
-        p = parse_cycles("(1 3 5)(2 4)", size=6)
-        assert parse_cycles(format_cycles(p), size=6) == p
+        p = parse_cycles("(1 3 5)(2 4)(6)")
+        assert format_cycles(p) == "(1 3 5)(2 4)(6)"
+        assert parse_cycles(format_cycles(p)) == p
 
     def test_format_examples(self):
-        assert format_cycles(Permutation(range(3))) == "()"
-        assert format_cycles(parse_cycles("(1 2)", size=4)) == "(1 2)"
-        assert format_cycles(parse_cycles("(1 2)", size=4), include_fixed=True) == "(1 2)(3)(4)"
+        assert format_cycles(Permutation(range(3))) == "(1)(2)(3)"
+        assert format_cycles(parse_cycles("(1 2)(4)")) == "(1 2)(3)(4)"
+        assert str(from_cycle_type(CycleType([2, 1]))) == "(1 2)(3)"
 
     @given(perms)
     def test_round_trip_any(self, p):
-        assert parse_cycles(format_cycles(p), size=p.size) == p
+        assert parse_cycles(format_cycles(p)) == p
 
 
 class TestSampling:
@@ -305,7 +306,7 @@ VALUES = [
     ),
     (
         rmt.MomentReport,
-        ("probe", {"N": 2}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1),
+        ("probe", {"N": 2}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1, {}),
         ("identity", "params", "estimate", "std_error", "target", "z", "samples", "seed", "partitions", "extra"),
         ("probe", {"N": 2}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1, {}),
         "MomentReport(identity='probe', params={'N': 2}, estimate=1.0, std_error=0.5, target=Fraction(1, 1),"
@@ -313,10 +314,10 @@ VALUES = [
     ),
     (
         verify.CheckResult,
-        ("factorials", True, ""),
+        ("reflection", 1, "n <= 12"),  # ok is kept as a bool
         ("name", "ok", "detail"),
-        ("factorials", True, ""),
-        "CheckResult(name='factorials', ok=True, detail='')",
+        ("reflection", True, "n <= 12"),
+        "CheckResult(name='reflection', ok=True, detail='n <= 12')",
     ),
 ]
 VALUE_IDS = [cls.__name__ for cls, *_ in VALUES]
@@ -340,11 +341,6 @@ class TestValueClasses:
         for i, a in enumerate(values):
             assert [a == b for b in values] == [j == i for j in range(len(values))]
             assert a != tuple(getattr(a, n) for n in VALUES[i][2])
-
-    def test_defaults_are_fresh(self):
-        assert verify.CheckResult("x", False).detail == ""
-        reports = [rmt.MomentReport("probe", {}, 1.0, 0.5, Fraction(1), 0.0, 10, 3, 1) for _ in range(2)]
-        assert reports[0].extra == {} and reports[0].extra is not reports[1].extra
 
     def test_equal_values_hash_equal(self):
         assert hash(CycleType([3, 2, 2])) == hash(CycleType([2, 3, 2]))
