@@ -8,6 +8,7 @@ from .genfun import (
     BernoulliDecomposition,
     BernoulliTerm,
     CyclePGF,
+    EnumerationCapError,
     PgfValidation,
     RootFindError,
     alternating_pgf,
@@ -20,16 +21,6 @@ from .genfun import (
     two_cycles_pgf,
     uniform_cycles_pgf,
     validate_pgf,
-)
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    HARD_ENUMERATION_CAP,
-    EnumerationCapError,
-    exact_class_product_distribution,
-    exact_commutator_distribution,
-    exact_uniform_cycle_laws,
-    hultman_row,
-    hultman_table_rows,
 )
 from .perm import (
     CycleType,
@@ -48,25 +39,27 @@ from .polys import (
     rising_square_sum,
 )
 
-# Served on first access (PEP 562): only `mc` and `verify --scope rmt|all` need `rmt` compiled.
-_RMT_NAMES = (
-    "MomentReport",
-    "mc_gamma_shortcut_moment",
-    "mc_real_trace_law",
-    "mc_tr_g1g2_law",
-    "mc_tr_g_squared_law",
-    "mc_trace_power_moment",
-    "mixed_trace_vanishing",
-)
+# Served on first access (PEP 562), by the module that defines them: only `dist`,
+# `hultman`, `sample` and `verify` need `oracle` compiled, and only `mc` and
+# `verify --scope rmt|all` need `rmt`.
+_SERVED = {
+    "oracle": ("DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "exact_class_product_distribution",
+               "exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"),
+    "rmt": ("MomentReport", "mc_gamma_shortcut_moment", "mc_real_trace_law", "mc_tr_g1g2_law",
+            "mc_tr_g_squared_law", "mc_trace_power_moment", "mixed_trace_vanishing"),
+}
 
 
 def __getattr__(name):
-    if name in _RMT_NAMES:
-        from . import rmt
+    for module, names in _SERVED.items():
+        if name in names:
+            from importlib import import_module
 
-        return getattr(rmt, name)
+            return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [name for name in globals() if not name.startswith("_")] + list(_RMT_NAMES)
+# `oracle` stays exported as a submodule: `import *` imports it.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["oracle", *(name for names in _SERVED.values() for name in names)]
 __version__ = "0.1.0"

@@ -9,8 +9,11 @@ command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
 variable, read on every call.  A flag wins; an unread flag or a bad value
 exits 2; an unread variable is ignored.  An `mc` identity reads the options
 that `_MC` lists for it, refuses any other in the same way, and runs the rmt
-estimator that `_MC` names.  Exit codes: 0 pass, 1 check failure, 2 usage
-error or a typed failure (enumeration cap or character-sum limit, root
+estimator that `_MC` names.  Starting the CLI compiles neither the
+enumeration oracle, the verify suites nor rmt: `dist`, `hultman` and `sample`
+import `oracle`, `verify` imports `verify` (which alone checks --scope), and
+`mc` imports `rmt`, each on first use.  Exit codes: 0 pass, 1 check failure,
+2 usage error or a typed failure (enumeration cap or character-sum limit, root
 finding, an exact target beyond the double range), each with a one-line message.
 """
 
@@ -24,7 +27,7 @@ import os
 import random
 import sys
 
-from . import genfun, oracle, verify
+from . import genfun
 from ._lazy import np
 from .perm import CycleType, Permutation, from_cycle_type, parse_cycles
 from .polys import _pretty_strings
@@ -175,6 +178,8 @@ def _cmd_pgf(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from . import oracle
+
     dist = oracle.exact_commutator_distribution(_tau_permutation(*parse_tau_spec(args.tau)), cap=args.cap)
     probs = dist.reduced_probabilities()
     payload = {"tau": args.tau, "M": dist.M, "probs": {str(k): f"{n}/{d}" for k, (n, d) in probs.items()}}
@@ -219,6 +224,8 @@ def _cmd_hultman(args) -> int:
         raise UsageError(f"--max-m must be at least 1, got {max_m}")
     if max_m > HULTMAN_MAX_M:
         raise UsageError(f"the formula path is tabulated up to M = {HULTMAN_MAX_M}")
+    from . import oracle
+
     rows = oracle.hultman_table_rows(max_m, oracle_cap=args.cap)
     payload = {"rows": [{"M": m, "k": k, "count": c, "oracle_count": oc} for m, k, c, oc in rows]}
 
@@ -316,6 +323,8 @@ def _cmd_sample(args) -> int:
     fill a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
     if args.draws < 1:
         raise UsageError("draws must be at least 1")
+    from . import oracle
+
     kind, value = parse_tau_spec(args.tau)
     tau = _tau_permutation(kind, value)
     m = tau.size
@@ -330,7 +339,7 @@ def _cmd_sample(args) -> int:
     histogram = {k: int(v) for k, v in enumerate(counts) if v}
     try:
         reference, provenance = _law(kind, value)
-    except oracle.EnumerationCapError:
+    except genfun.EnumerationCapError:
         reference = None
     payload = {
         "tau": args.tau,
@@ -366,6 +375,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # refuses an unknown --scope before any check runs
+
     checks = verify.run_scope(
         args.scope,
         max_m=args.max_m,
@@ -514,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=10_000)
 
     p = sub.add_parser("verify", help="run consistency suites")
-    p.add_argument("--scope", choices=verify.SCOPES, default="all")
+    p.add_argument("--scope", default="all")
 
     p = sub.add_parser("mc", help="one Monte-Carlo identity check")
     p.add_argument("identity", choices=tuple(_MC))
@@ -528,12 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # absent before CPython 3.10.7
     try:
         args = build_parser().parse_args(argv)
         _refuse_unread(args)
         _fill_globals(args)
         if args.format == "csv" and args.command not in ("dist", "hultman"):
             raise UsageError(f"--format csv is for dist and hultman; {args.command} speaks json or human")
+        if limit is not None:
+            sys.set_int_max_str_digits(0)  # the limit guards parsing input, not printing an exact law
         code = globals()[f"_cmd_{args.command}"](args)  # per call: the parser outlives a patched _cmd_*
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
@@ -545,6 +559,9 @@ def main(argv=None) -> int:
         # that the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)  # an in-process caller keeps its own
 
 
 if __name__ == "__main__":

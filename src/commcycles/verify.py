@@ -219,7 +219,7 @@ def run_scope(
     cap: int | None = None,
 ) -> list[CheckResult]:
     if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
+        raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(SCOPES)}")
     if max_m is not None and max_m < 1:
         raise ValueError(f"--max-m must be at least 1, got {max_m}")
     oracle.resolve_cap(cap)  # refuse a cap the oracle cannot honour before any check runs

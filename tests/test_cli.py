@@ -147,6 +147,28 @@ class TestPgfCommand:
         enumerated = oracle.exact_commutator_distribution(from_cycle_type(CycleType([3, 2])))
         assert data["pgf"]["coeffs"] == enumerated.poly.coeff_strings()
 
+    def test_law_longer_than_the_int_string_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default; one-cycle:1600 has longer reduced coefficients
+        try:
+            code, out, _ = run_cli(capsys, "pgf", "one-cycle:1600")
+            assert code == 0 and sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert sum(map(Fraction, json.loads(out)["pgf"]["coeffs"])) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_int_string_limit_restored_when_a_command_raises(self, monkeypatch):
+        def command(args):
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError("raised")
+
+        monkeypatch.setattr(cli, "_cmd_pgf", command)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(RuntimeError):
+            cli.main(["pgf", "one-cycle:3"])
+        assert sys.get_int_max_str_digits() == limit
+
     def test_above_cap_suggests_sample(self, capsys):
         # M = 31 is above the character-sum limit; `mc` refuses the same τ,
         # so the advice names `sample` only
@@ -517,6 +539,13 @@ class TestVerifyCommand:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True and data["failed"] == 0
+
+    def test_unknown_scope_exits_2_before_any_check(self, capsys, monkeypatch):
+        for suite in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
+            monkeypatch.setattr(verify, suite, lambda *args, suite=suite, **kwargs: pytest.fail(f"{suite} ran"))
+        code, out, err = run_cli(capsys, "verify", "--scope", "nope")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown scope 'nope'; choose from factorials, genfun_vs_oracle, bernoulli, rmt, all\n"
 
     def test_bernoulli_scope_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scope", "bernoulli", "--max-m", "12")
@@ -1142,30 +1171,52 @@ BARE_START = (
     "import sys\n"
     "import commcycles.cli\n"
     "commcycles.cli.build_parser()\n"
-    "unwanted = {'dataclasses', 'inspect', 'typing', 'csv', 'commcycles.rmt'}\n"
+    "unwanted = {'dataclasses', 'inspect', 'typing', 'csv', 'commcycles.rmt', 'commcycles.oracle', 'commcycles.verify'}\n"
     "print(sorted(m for m in sys.modules if m in unwanted or m.startswith('numpy.')))\n"
 )
 
-# The Monte-Carlo names the package serves on first access, then by `import *`.
-RMT_NAMES_SERVED = (
-    "import sys, commcycles\n"
-    "assert 'commcycles.rmt' not in sys.modules\n"
-    "served = [getattr(commcycles, n) for n in sys.argv[1:]]\n"
-    "from commcycles import rmt\n"
-    "assert served == [getattr(rmt, n) for n in sys.argv[1:]]\n"
-    "names = {}\n"
-    "exec('from commcycles import *', names)\n"
-    "assert [names[n] for n in sys.argv[1:]] == served and names['CyclePGF'] is commcycles.CyclePGF\n"
+# Runs one command, its output discarded, then prints its exit code and which of
+# the enumeration oracle and the verify suites it loaded.
+BARE_COMMAND = (
+    "import io, sys\n"
+    "import commcycles.cli\n"
+    "sys.stdout = io.StringIO()\n"
+    "code = commcycles.cli.main(sys.argv[1:])\n"
+    "sys.stdout = sys.__stdout__\n"
+    "print(code, sorted(m for m in ('commcycles.oracle', 'commcycles.verify') if m in sys.modules))\n"
+)
+
+# The names the package serves on first access from one of its modules, then by `import *`.
+NAMES_SERVED = (
+    "import importlib, sys, commcycles\n"
+    "module, names = 'commcycles.' + sys.argv[1], sys.argv[2:]\n"
+    "assert module not in sys.modules\n"
+    "served = [getattr(commcycles, n) for n in names]\n"
+    "own = importlib.import_module(module)\n"
+    "assert all(a is getattr(own, n) for a, n in zip(served, names))\n"
+    "bound = {}\n"
+    "exec('from commcycles import *', bound)\n"
+    "assert all(bound[n] is a for a, n in zip(served, names)) and bound['CyclePGF'] is commcycles.CyclePGF\n"
     "try:\n"
     "    commcycles.no_such_name\n"
     "except AttributeError as exc:\n"
     "    print(exc)\n"
 )
 
+SERVED = {
+    "rmt": ["MomentReport", "mc_trace_power_moment", "mc_gamma_shortcut_moment", "mc_real_trace_law",
+            "mc_tr_g_squared_law", "mc_tr_g1g2_law", "mixed_trace_vanishing"],
+    # EnumerationCapError is bound at import, from genfun: it is the oracle's own class too
+    "oracle": ["DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "EnumerationCapError",
+               "exact_class_product_distribution", "exact_commutator_distribution", "exact_uniform_cycle_laws",
+               "hultman_row", "hultman_table_rows"],
+}
+
 
 class TestBareStart:
     """Starting the CLI loads only what every command needs: not dataclasses
-    (which imports inspect), typing, csv, the Monte-Carlo module or numpy."""
+    (which imports inspect), typing, csv, the enumeration oracle, the verify
+    suites, the Monte-Carlo module or numpy."""
 
     @staticmethod
     def bare_python(*argv) -> str:
@@ -1180,8 +1231,22 @@ class TestBareStart:
     def test_start_loads_none_of_them(self):
         assert self.bare_python(BARE_START) == "[]\n"
 
-    def test_monte_carlo_names_served_on_first_access(self):
-        names = ["MomentReport", "mc_trace_power_moment", "mc_gamma_shortcut_moment", "mc_real_trace_law"]
-        names += ["mc_tr_g_squared_law", "mc_tr_g1g2_law", "mixed_trace_vanishing"]
-        out = self.bare_python(RMT_NAMES_SERVED, *names)
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["pgf", "one-cycle:5"], []),
+            (["bernoulli", "uniform:5"], []),
+            (["mc", "trace-power", "--n", "1", "--samples", "2"], []),
+            (["dist", "type:[3]"], ["commcycles.oracle"]),
+            # every scope reads the oracle's cap
+            (["verify", "--scope", "factorials"], ["commcycles.oracle", "commcycles.verify"]),
+        ],
+        ids=["pgf", "bernoulli", "mc", "dist", "verify"],
+    )
+    def test_command_loads_what_it_runs(self, argv, loaded):
+        assert self.bare_python(BARE_COMMAND, *argv) == f"0 {loaded}\n"
+
+    @pytest.mark.parametrize("module", SERVED)
+    def test_names_served_on_first_access(self, module):
+        out = self.bare_python(NAMES_SERVED, module, *SERVED[module])
         assert out == "module 'commcycles' has no attribute 'no_such_name'\n"
