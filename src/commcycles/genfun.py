@@ -57,7 +57,7 @@ __all__ = [
 # Source tags of the commutator laws; C has the parity of M under each.
 COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity", "characters")
 # The sources whose laws `bernoulli_decomposition` decomposes.
-BERNOULLI_SOURCES = ("uniform", "transpositions", "one_cycle")
+BERNOULLI_SOURCES = ("uniform", "transpositions", "one_cycle", "identity")
 
 
 class EnumerationCapError(ValueError):
@@ -87,7 +87,7 @@ def uniform_cycles_pgf(m: int) -> CyclePGF:
     return CyclePGF(rising_factorial(m) / math.factorial(m), m, "uniform")
 
 
-def alternating_pgf(m: int, complement: bool = False) -> CyclePGF:
+def alternating_pgf(m: int, complement: bool) -> CyclePGF:
     """PGF of the cycle count of a uniform even permutation of m points,
     or of a uniform odd permutation when complement=True.
 
@@ -158,7 +158,7 @@ def transpositions_pgf(m: int) -> CyclePGF:
     return CyclePGF(RationalPoly(num) / math.prod(range(1, 2 * m, 2)), 2 * m, "transpositions")
 
 
-def transpositions_rising_form(m: int, base: int = 4) -> RationalPoly:
+def transpositions_rising_form(m: int, base: int) -> RationalPoly:
     """The transpositions law written against the rising factorial:
     base^m * m!/(2m)! * R_m(t^2/2).
 
@@ -483,11 +483,14 @@ def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
                         t^offset * prod_j (t^2 + y_j^2)/(1 + y_j^2): a
                         doubled Bernoulli with numeric p_j = 1/(1 + y_j^2)
                         per root, smallest p_j first.
+    identity         -> no terms, offset M: the point mass t^M.
     """
     require_bernoulli_source(pgf.source)
     if pgf.source == "uniform":
         terms = tuple(BernoulliTerm(Fraction(1, k), 1) for k in range(1, pgf.M + 1))
         return BernoulliDecomposition(terms, 0)
+    if pgf.source == "identity":
+        return BernoulliDecomposition((), pgf.M)
     if pgf.source == "transpositions":
         pairs = pgf.M // 2
         terms = tuple(BernoulliTerm(Fraction(1, 2 * k - 1), 2) for k in range(1, pairs + 1))

@@ -200,7 +200,7 @@ def _class_codes(tau: Permutation, cap: int | None) -> tuple[np.ndarray, np.ndar
     return codes, places
 
 
-def exact_class_product_distribution(cycle_type: CycleType, cap: int | None = None) -> CyclePGF:
+def exact_class_product_distribution(cycle_type: CycleType, cap: int | None) -> CyclePGF:
     """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the conjugacy class of
     the given type and τ₂ the inverse of its canonical representative.  Agrees with
     exact_commutator_distribution of the canonical representative."""
@@ -212,7 +212,7 @@ def exact_class_product_distribution(cycle_type: CycleType, cap: int | None = No
     return _law_from_hist(tau.size, hist, len(codes))
 
 
-def exact_uniform_cycle_laws(m: int, cap: int | None = None) -> dict[str, CyclePGF]:
+def exact_uniform_cycle_laws(m: int, cap: int | None) -> dict[str, CyclePGF]:
     """Exact cycle-count laws of a uniform permutation of m points ("all"), a
     uniform even one ("alternating") and, for m >= 2, a uniform odd one
     ("co_alternating"), from one enumeration: a permutation is odd iff m - C is."""
@@ -236,7 +236,7 @@ def hultman_row(m: int) -> list[int]:
     return list(counts.numerators)
 
 
-def hultman_table_rows(max_m: int, oracle_cap: int | None = None) -> list[tuple]:
+def hultman_table_rows(max_m: int, oracle_cap: int | None) -> list[tuple]:
     """Rows (m, k, count, oracle_count) up to max_m.  Within the cap the rows
     run over every k where either count is nonzero, and oracle_count is the
     enumerated count (0 where it has none); above the cap it is None."""

@@ -211,12 +211,8 @@ class RationalPoly:
         """Coefficients as reduced "num/den" strings, index = degree."""
         return [f"{n}/{d}" for n, d in (_reduced(c, self._den) for c in self._num)]
 
-    def pretty(self, var: str = "t") -> str:
-        """Human-readable rendering, highest degree first."""
-        return _pretty_strings(self.coeff_strings(), var)
-
     def __repr__(self):
-        return f"RationalPoly({self.pretty(var='X')!r})"
+        return f"RationalPoly({_pretty_strings(self.coeff_strings(), 'X')!r})"
 
 
 def _pretty_strings(strings: Sequence[str], var: str = "t") -> str:

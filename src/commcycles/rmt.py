@@ -7,21 +7,22 @@ character sum, or gamma-moment formulas — never floating-point gamma).
 Every estimate carries its target, a standard error and a z-score.
 
 Every estimator takes its dimension and orders, then one sampling plan
-(samples, seed, partitions), and runs one path, `_estimate`: check the inputs
-and the plan, compute the exact target, and only then draw through one batch
-driver, `_collect`.  So a target with no exact law raises EnumerationCapError,
-and one beyond the double range, or whose square is, a ValueError, before any
-draw; an estimate or standard error that overflows after the draws does too.
-Draws are split across `partitions` independent substreams spawned from
-numpy SeedSequence; a fixed (seed, partitions) pair reproduces estimates
-bit for bit, and each identity derives its own substream from its name so
-that different identities do not share variates.  Partitions run side by
-side on min(partitions, cpu count) threads, each writing its own slice of
-one array in batches of up to `_BATCH` draws.  Side by side, every
-partition's working set counts, so each stays bounded: a complex batch
-holds its real parts (drawn first, as one (2, b, n, n) draw would) and
-streams the rest through `_normal_chunks` in chunks of `_CHUNK` entries,
-reducing each complex chunk at once; no whole complex batch is formed.
+(samples=, seed=, partitions=, all required, by keyword), and runs one path,
+`_estimate`: check the inputs and the plan, compute the exact target, and
+only then draw through one batch driver, `_collect`.  So a target with no
+exact law raises EnumerationCapError, and one beyond the double range, or
+whose square is, a ValueError, before any draw; an estimate or standard
+error that overflows after the draws does too.  Draws are split across
+`partitions` independent substreams spawned from numpy SeedSequence; a fixed
+(seed, partitions) pair reproduces estimates bit for bit, and each identity
+derives its own substream from its name so that different identities do not
+share variates.  Partitions run side by side on min(partitions, cpu count)
+threads, each writing its own slice of one array in batches of up to
+`_BATCH` draws.  Side by side, every partition's working set counts, so each
+stays bounded: a complex batch holds its real parts (drawn first, as one
+(2, b, n, n) draw would) and streams the rest through `_normal_chunks` in
+chunks of `_CHUNK` entries, reducing each complex chunk at once; no whole
+complex batch is formed.
 
 Traces of matrix powers are contracted, never formed: tr G^p sums G^ceil(p/2)
 against the transpose of G^floor(p/2), both built batch-last, as (n, n, k)
@@ -56,7 +57,6 @@ __all__ = [
     "real_trace_target",
     "tr_g_squared_target",
     "tr_g1g2_target",
-    "tr_g_squared_samples",
 ]
 
 _BATCH = 1 << 15
@@ -151,7 +151,7 @@ def _power_traces(g: np.ndarray, *powers: int) -> list[np.ndarray]:
     ]
 
 
-def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray:
+def _collect(identity, seed, partitions, total, draw, dtype) -> np.ndarray:
     """One array of `total` values, each slice filled by `draw(rng, values)`.
     Each partition substream fills its own slice in batches of at most
     `_BATCH`, so the array depends on (seed, partitions) only.  Partitions
@@ -180,11 +180,12 @@ def _collect(identity, seed, partitions, total, draw, dtype=float) -> np.ndarray
     return out
 
 
-def _estimate(identity, params, plan, target, values) -> MomentReport:
+def _estimate(identity, params, plan, target, draw, dtype=float) -> MomentReport:
     """The one path of every estimator: check the inputs and the plan, compute
     the exact target (a thunk), refuse it if it or its square does not fit a
-    double, and only then draw (a thunk) and report, refusing an estimate or
-    standard error that overflowed.  A complex sample (the mixed moment) reports
+    double, and only then draw `samples` values of `dtype`, each batch filled by
+    `draw(rng, values)` on the identity's substreams (`_collect`), and report,
+    refusing an estimate or standard error that overflowed.  A complex sample (the mixed moment) reports
     the modulus of its mean, with the combined real and imaginary standard error."""
     samples, seed, partitions = plan
     _check_plan(samples, partitions, **params)
@@ -196,7 +197,7 @@ def _estimate(identity, params, plan, target, values) -> MomentReport:
         raise ValueError(f"the exact {identity} target, about 2^{bits}, does not fit a double") from None
     if math.isinf(exact * exact):  # samples of the target's size square beyond a double, as would their spread
         raise ValueError(f"the square of the exact {identity} target, about 2^{2 * bits}, does not fit a double")
-    values, extra = values(), {}
+    values, extra = _collect(identity, seed, partitions, samples, draw, dtype), {}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
         if np.iscomplexobj(values):
             mean = complex(values.mean())
@@ -269,7 +270,7 @@ def tr_g1g2_target(n_dim: int, m: int) -> Fraction:
 
 
 def mc_trace_power_moment(
-    n_dim: int, power: int, factors: int = 1, samples: int = 100_000, seed: int = 42, partitions: int = 1
+    n_dim: int, power: int, factors: int, *, samples: int, seed: int, partitions: int
 ) -> MomentReport:
     """Estimate E |tr G^power|^(2*factors) for an n_dim×n_dim complex
     Gaussian matrix G by direct simulation, from `samples` draws split over
@@ -281,13 +282,12 @@ def mc_trace_power_moment(
 
     return _estimate(
         "trace_power", {"N": n_dim, "M": power, "K": factors}, (samples, seed, partitions),
-        lambda: trace_power_target(n_dim, power, factors),
-        lambda: _collect("trace_power", seed, partitions, samples, draw),
+        lambda: trace_power_target(n_dim, power, factors), draw,
     )
 
 
 def mc_gamma_shortcut_moment(
-    n_dim: int, m: int, factors: int = 1, samples: int = 100_000, seed: int = 42, partitions: int = 1
+    n_dim: int, m: int, factors: int, *, samples: int, seed: int, partitions: int
 ) -> MomentReport:
     """Estimate the same moment as mc_trace_power_moment without any matrix:
     for m >= N the eigenvalue powers decorrelate, |λ_i|^(2m) =d γ_i^m with
@@ -304,14 +304,11 @@ def mc_gamma_shortcut_moment(
 
     return _estimate(
         "gamma_shortcut", {"N": n_dim, "M": m, "K": factors}, (samples, seed, partitions),
-        lambda: gamma_shortcut_target(n_dim, m, factors),
-        lambda: _collect("gamma_shortcut", seed, partitions, samples, draw),
+        lambda: gamma_shortcut_target(n_dim, m, factors), draw,
     )
 
 
-def mc_real_trace_law(
-    n_dim: int, m: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
-) -> MomentReport:
+def mc_real_trace_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:
     """Estimate E (tr R Rᵀ)^M for a real Gaussian matrix R; tr R Rᵀ is the
     sum of the N² squared entries, distributed as 2·Gamma(N²/2)."""
     def draw(rng, values):
@@ -320,38 +317,23 @@ def mc_real_trace_law(
 
     return _estimate(
         "real_trace", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
-        lambda: real_trace_target(n_dim, m), lambda: _collect("real_trace", seed, partitions, samples, draw),
+        lambda: real_trace_target(n_dim, m), draw,
     )
 
 
-def tr_g_squared_samples(
-    n_dim: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
-) -> np.ndarray:
-    """Raw complex samples of tr(G²), for distribution-level checks such as
-    the rotational symmetry of its phase."""
-    _check_plan(samples, partitions, N=n_dim)
-
-    def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: _power_traces(g, 2)[0])
-
-    return _collect("tr_g_squared", seed, partitions, samples, draw, dtype=complex)
-
-
-def mc_tr_g_squared_law(
-    n_dim: int, m: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
-) -> MomentReport:
+def mc_tr_g_squared_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:
     """Estimate E |tr G²|^(2M) and compare with the exact moments of
     4·γ₁·γ_{N²/2}, i.e. 4^M M! (N²/2)...(N²/2+M-1)."""
+    def draw(rng, values):
+        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_traces(g, 2)[0]) ** (2 * m))
+
     return _estimate(
         "tr_g_squared", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
-        lambda: tr_g_squared_target(n_dim, m),
-        lambda: np.abs(tr_g_squared_samples(n_dim, samples, seed, partitions)) ** (2 * m),
+        lambda: tr_g_squared_target(n_dim, m), draw,
     )
 
 
-def mc_tr_g1g2_law(
-    n_dim: int, m: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
-) -> MomentReport:
+def mc_tr_g1g2_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:
     """Estimate E |tr G₁G₂|^(2M) for independent complex Gaussian matrices
     and compare with the exact moments of γ₁·γ_{N²}, i.e. M! N²...(N²+M-1).
 
@@ -375,12 +357,12 @@ def mc_tr_g1g2_law(
 
     return _estimate(
         "tr_g1_g2", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
-        lambda: tr_g1g2_target(n_dim, m), lambda: _collect("tr_g1_g2", seed, partitions, samples, draw),
+        lambda: tr_g1g2_target(n_dim, m), draw,
     )
 
 
 def mixed_trace_vanishing(
-    n_dim: int, m1: int, m2: int, samples: int = 100_000, seed: int = 42, partitions: int = 1
+    n_dim: int, m1: int, m2: int, *, samples: int, seed: int, partitions: int
 ) -> MomentReport:
     """Estimate the mixed moment E tr(G^{M1}) conj(tr(G^{M2})), which is
     exactly 0 for M1 != M2.  The report's estimate is the modulus of the
@@ -393,5 +375,5 @@ def mixed_trace_vanishing(
 
     return _estimate(
         "mixed_trace", {"N": n_dim, "M": m1, "M2": m2, "K": 1}, (samples, seed, partitions),
-        lambda: Fraction(0), lambda: _collect("mixed_trace", seed, partitions, samples, draw, dtype=complex),
+        lambda: Fraction(0), draw, complex,
     )

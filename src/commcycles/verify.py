@@ -37,7 +37,7 @@ class CheckResult(Frozen):
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
+def run_factorial_checks(max_n: int) -> list[CheckResult]:
     out = []
     ok = all(discrete_difference(rising_factorial(n)) == n * rising_factorial(n - 1) for n in range(1, max_n + 1))
     out.append(CheckResult("difference_of_rising", ok, f"n <= {max_n}"))
@@ -70,7 +70,7 @@ def run_factorial_checks(max_n: int = 12) -> list[CheckResult]:
     return out
 
 
-def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[CheckResult]:
+def run_genfun_oracle_checks(max_m: int, cap: int | None) -> list[CheckResult]:
     @functools.cache
     def enumerated(*parts: int) -> RationalPoly:  # one enumeration per cycle type, shared by every check
         return oracle.exact_commutator_distribution(from_cycle_type(CycleType(parts)), cap=cap).poly
@@ -136,7 +136,7 @@ def run_genfun_oracle_checks(max_m: int = 6, cap: int | None = None) -> list[Che
     return out
 
 
-def run_bernoulli_checks(max_m: int = 30) -> list[CheckResult]:
+def run_bernoulli_checks(max_m: int) -> list[CheckResult]:
     out = []
     dec = genfun.bernoulli_decomposition(genfun.uniform_cycles_pgf(12))
     ok = [t.p for t in dec.terms] == [Fraction(1, k) for k in range(1, 13)]
@@ -170,7 +170,7 @@ def _z_check(name: str, report: rmt.MomentReport) -> CheckResult:
     return CheckResult(name, abs(report.z) <= rmt.Z_MAX, detail)
 
 
-def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) -> list[CheckResult]:
+def run_rmt_checks(samples: int, seed: int, partitions: int) -> list[CheckResult]:
     from . import rmt  # compiled on first use: the other scopes never need it
 
     plan = {"samples": samples, "seed": seed, "partitions": partitions}
@@ -211,12 +211,7 @@ def run_rmt_checks(samples: int = 100_000, seed: int = 42, partitions: int = 1) 
 
 
 def run_scope(
-    scope: str,
-    max_m: int | None = None,
-    samples: int = 100_000,
-    seed: int = 42,
-    partitions: int = 1,
-    cap: int | None = None,
+    scope: str, max_m: int | None, samples: int, seed: int, partitions: int, cap: int | None
 ) -> list[CheckResult]:
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(SCOPES)}")

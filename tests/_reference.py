@@ -16,6 +16,11 @@ Earlier forms of three closed-form routines, each doing its work the long
 way: the phase equation of the one-cycle roots by plain bisection, the
 two-cycles law from three separately built rows of rising factorials, and
 an exact Bernoulli reconstruction by one `RationalPoly` product per term.
+
+The complex samples of tr(G²) on the substreams of the "tr_g_squared"
+identity, from the package's own draw driver and Ginibre kernel: the
+values whose |·|^(2M) `rmt.mc_tr_g_squared_law` averages, and whose phase
+the tests check for rotational symmetry.
 """
 
 import itertools
@@ -24,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from commcycles import rmt
 from commcycles.perm import Permutation
 from commcycles.polys import RationalPoly, rising_falling_sum, rising_square_sum
 
@@ -208,3 +214,16 @@ def bernoulli_reconstruct(terms, offset):
         poly = poly * RationalPoly([q - r] + [0] * (multiplier - 1) + [r])
         den *= q
     return poly / den
+
+
+# -- Monte-Carlo samples -------------------------------------------------------
+
+
+def tr_g_squared_samples(n_dim, samples, seed, partitions):
+    """Complex samples of tr(G²), G an n_dim×n_dim complex Gaussian matrix,
+    drawn by `rmt._collect` on the "tr_g_squared" substreams of (seed, partitions)."""
+
+    def draw(rng, values):
+        rmt._ginibre(rng, n_dim, values, lambda g: rmt._power_traces(g, 2)[0])
+
+    return rmt._collect("tr_g_squared", seed, partitions, samples, draw, complex)

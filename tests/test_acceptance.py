@@ -161,7 +161,7 @@ def test_criterion_7_rmt_statistical():
     bridge = {}  # (N, m, K) -> report; the shortcut checks reuse these runs
     for n, m, k in _bridge_cases():
         samples = trace_power_samples(m, k)
-        report = bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
+        report = bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED, partitions=1)
         tau = from_cycle_type(CycleType([m] * k))
         dist = oracle.exact_commutator_distribution(tau)
         oracle_target = math.factorial(m * k) * dist.poly(n)
@@ -178,9 +178,9 @@ def test_criterion_7_rmt_statistical():
     ]
     for n, m, k in shortcut_cases:
         samples = trace_power_samples(m, k)
-        short = rmt.mc_gamma_shortcut_moment(n, m, k, samples=samples, seed=SEED)
+        short = rmt.mc_gamma_shortcut_moment(n, m, k, samples=samples, seed=SEED, partitions=1)
         if (n, m, k) not in bridge:
-            bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED)
+            bridge[n, m, k] = rmt.mc_trace_power_moment(n, m, k, samples=samples, seed=SEED, partitions=1)
         direct = bridge[n, m, k]
         gate(f"shortcut[N={n},M={m},K={k}]", short)
         combined = abs(short.estimate - direct.estimate) / math.hypot(
@@ -195,14 +195,14 @@ def test_criterion_7_rmt_statistical():
                 failures.append(f"shortcut[N={n},M={m}]: targets {short.target}/{direct.target} != {exact}")
 
     # the displayed gamma-sum value: sum_{i<=2} Γ(3+i)/Γ(i) = 6 + 24 = 30
-    displayed = rmt.mc_gamma_shortcut_moment(2, 3, 1, samples=150_000, seed=SEED)
+    displayed = rmt.mc_gamma_shortcut_moment(2, 3, 1, samples=150_000, seed=SEED, partitions=1)
     if displayed.target != 30:
         failures.append(f"displayed value: target {displayed.target} != 30")
     gate("displayed[N=2,M=3]", displayed)
 
     # --- tr(R Rt) moments, N <= 4, M <= 6 ---------------------------------
     for n, m in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (3, 5), (4, 2), (4, 6)]:
-        report = rmt.mc_real_trace_law(n, m, samples=150_000, seed=SEED)
+        report = rmt.mc_real_trace_law(n, m, samples=150_000, seed=SEED, partitions=1)
         gate(f"real_trace[N={n},M={m}]", report)
 
     # --- tr(G^2) law and mixed-moment vanishing, N <= 4, M <= 6 -----------
@@ -210,10 +210,10 @@ def test_criterion_7_rmt_statistical():
         (1, 1, 150_000), (2, 1, 150_000), (2, 2, 150_000), (3, 2, 150_000),
         (3, 3, 400_000), (4, 2, 150_000), (4, 4, 600_000), (1, 6, 1_000_000),
     ]:
-        report = rmt.mc_tr_g_squared_law(n, m, samples=samples, seed=SEED)
+        report = rmt.mc_tr_g_squared_law(n, m, samples=samples, seed=SEED, partitions=1)
         gate(f"tr_g_squared[N={n},M={m}]", report)
     for n, m1, m2 in [(2, 1, 2), (1, 1, 3), (3, 2, 4)]:
-        report = rmt.mixed_trace_vanishing(n, m1, m2, samples=150_000, seed=SEED)
+        report = rmt.mixed_trace_vanishing(n, m1, m2, samples=150_000, seed=SEED, partitions=1)
         zs.append((f"mixed[N={n},M1={m1},M2={m2}]", report.z))
         if report.z > 5.0:
             failures.append(f"mixed[N={n},M1={m1},M2={m2}]: z={report.z:.2f}")
@@ -223,7 +223,7 @@ def test_criterion_7_rmt_statistical():
         (1, 1, 150_000), (2, 1, 150_000), (2, 2, 150_000), (3, 2, 150_000),
         (3, 4, 400_000), (4, 3, 400_000), (2, 6, 1_000_000),
     ]:
-        report = rmt.mc_tr_g1g2_law(n, m, samples=samples, seed=SEED)
+        report = rmt.mc_tr_g1g2_law(n, m, samples=samples, seed=SEED, partitions=1)
         gate(f"tr_g1_g2[N={n},M={m}]", report)
 
     elapsed = time.monotonic() - start
@@ -247,7 +247,7 @@ def test_criterion_8_documented_inconsistencies():
     # (b) pair-product constant: the M!(M+N^2)! variant is rejected by
     # simulation while M! * N^2(N^2+1)...(N^2+M-1) passes.
     n, m = 1, 1
-    report = rmt.mc_tr_g1g2_law(n, m, samples=200_000, seed=SEED)
+    report = rmt.mc_tr_g1g2_law(n, m, samples=200_000, seed=SEED, partitions=1)
     ok &= abs(report.z) <= 5
     wrong_constant = math.factorial(m) * math.factorial(m + n * n)  # = 2
     z_wrong = (report.estimate - wrong_constant) / report.std_error

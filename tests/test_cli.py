@@ -21,7 +21,7 @@ import commcycles
 from _reference import commutator_cycle_count, sample_uniform
 from commcycles import cli, genfun, oracle, rmt, verify
 from commcycles.perm import CycleType, from_cycle_type
-from commcycles.polys import RationalPoly
+from commcycles.polys import RationalPoly, _pretty_strings
 
 
 def python_env() -> dict:
@@ -64,7 +64,7 @@ MC_UNREAD = [(i, o) for i, reads in MC_READS.items() for o in ("n", "m", "k", "m
 def stub_mc_work(monkeypatch) -> None:
     """Make every exact Monte-Carlo target and every draw fail the test."""
     for name in ("trace_power_target", "gamma_shortcut_target", "real_trace_target", "tr_g_squared_target",
-                 "tr_g1g2_target", "tr_g_squared_samples", "_collect"):
+                 "tr_g1g2_target", "_collect"):
         monkeypatch.setattr(rmt, name, lambda *args, name=name, **kwargs: pytest.fail(f"rmt.{name} ran"))
 
 
@@ -221,7 +221,7 @@ class TestPgfCommand:
     )
     def test_pretty_renders_the_law(self, capsys, tau):
         # `pretty` is rendered from the coefficient strings, once reduced
-        want = cli._law(*cli.parse_tau_spec(tau))[0].poly.pretty()
+        want = _pretty_strings(cli._law(*cli.parse_tau_spec(tau))[0].poly.coeff_strings())
         _, out, _ = run_cli(capsys, "pgf", tau)
         assert json.loads(out)["pretty"] == want
         _, out, _ = run_cli(capsys, "pgf", tau, "--format", "human")
@@ -279,6 +279,16 @@ class TestBernoulliCommand:
         assert len(data["decomposition"]["terms"]) == 4
         assert data["reconstruction_residual"] < 1e-10
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_identity_is_the_empty_sum(self, capsys, m):
+        # t^M: offset M and no terms, whether [1] routes to one cycle or [1^M] to the identity
+        tau = "type:" + json.dumps([1] * m)
+        code, out, _ = run_cli(capsys, "bernoulli", tau)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["tau"], data["provenance"], data["reconstruction_residual"]) == (tau, "exact", 0.0)
+        assert data["decomposition"] == {"offset": m, "terms": []}
+
     def test_uniform_allowed(self, capsys):
         code, out, _ = run_cli(capsys, "bernoulli", "uniform:3")
         data = json.loads(out)
@@ -317,7 +327,7 @@ class TestBernoulliCommand:
             assert code == 2
             assert err == "error: no Bernoulli decomposition for source " + (
                 "'two_cycles'" if tau.startswith("two") else "'characters'"
-            ) + " (only uniform, transpositions, one_cycle)\n"
+            ) + " (only uniform, transpositions, one_cycle, identity)\n"
 
     def test_one_cycle_law_built_once(self, capsys, monkeypatch):
         real = genfun.one_cycle_pgf
@@ -564,7 +574,7 @@ class TestVerifyCommand:
             return real(tau, cap=cap)
 
         monkeypatch.setattr(oracle, "exact_commutator_distribution", counted)
-        checks = verify.run_genfun_oracle_checks(max_m=7)
+        checks = verify.run_genfun_oracle_checks(max_m=7, cap=None)
         assert all(c.ok for c in checks)
         # one_cycle_vs_oracle, the Hultman check and (for M <= 3) the
         # class-product check share one enumeration of each one-cycle.
@@ -574,7 +584,7 @@ class TestVerifyCommand:
         real = oracle.one_cycle_pgf
         built = []
         monkeypatch.setattr(oracle, "one_cycle_pgf", lambda m: built.append(m) or real(m))
-        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=8)}
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=8, cap=None)}
         assert checks["hultman_formula_vs_enumeration"] == verify.CheckResult("hultman_formula_vs_enumeration", True, "M <= 8")
         assert built == list(range(1, 9))
 
@@ -587,7 +597,7 @@ class TestVerifyCommand:
             return real(tau, cap=cap)
 
         monkeypatch.setattr(oracle, "exact_commutator_distribution", counted)
-        assert all(c.ok for c in verify.run_genfun_oracle_checks(max_m=8))
+        assert all(c.ok for c in verify.run_genfun_oracle_checks(max_m=8, cap=None))
         # [1]..[8], [m, m] for m <= 4, [2]^3, [2]^4, and [2, 1], [3, 2], [4, 2]
         assert len(calls) == len(set(calls)) == 17
         assert set(calls) == {
@@ -605,7 +615,7 @@ class TestVerifyCommand:
             return laws(m, cap)
 
         monkeypatch.setattr(oracle, "exact_uniform_cycle_laws", record)
-        checks = verify.run_genfun_oracle_checks(max_m=8)
+        checks = verify.run_genfun_oracle_checks(max_m=8, cap=None)
         assert uniform == list(range(1, 9))
         # names, verdicts and details as recorded by the benchmark's digests
         assert [(c.name, c.ok, c.detail) for c in checks[:7]] == [
@@ -628,7 +638,7 @@ class TestVerifyCommand:
             return laws
 
         monkeypatch.setattr(oracle, "exact_uniform_cycle_laws", swapped)
-        checks = {c.name: c.ok for c in verify.run_genfun_oracle_checks(max_m=5)}
+        checks = {c.name: c.ok for c in verify.run_genfun_oracle_checks(max_m=5, cap=None)}
         assert checks["subset_laws_vs_oracle"] is False
         assert checks["one_cycle_vs_oracle"] is True
 
@@ -641,7 +651,7 @@ class TestVerifyCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rmt, "mc_trace_power_moment", counted)
-        checks = verify.run_rmt_checks(samples=2000)
+        checks = verify.run_rmt_checks(samples=2000, seed=42, partitions=1)
         # one run per trace-power check; the Kostlan checks compare exact targets and draw nothing
         assert len(calls) == 7 and len(set(calls)) == 7
         assert [c.name for c in checks] == [
@@ -683,7 +693,7 @@ class TestVerifyCommand:
             return genfun.CyclePGF(RationalPoly(coeffs), law.M, law.source)
 
         monkeypatch.setattr(genfun, "character_law", perturbed)
-        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=3)}
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=3, cap=None)}
         assert checks["one_cycle_equals_odd_law"] == verify.CheckResult("one_cycle_equals_odd_law", False, "M <= 9")
         assert [name for name, c in checks.items() if not c.ok] == ["one_cycle_equals_odd_law"]
 

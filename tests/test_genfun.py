@@ -57,7 +57,7 @@ class TestUniform:
 
 class TestAlternating:
     def test_m2_even(self):
-        assert alternating_pgf(2).poly == poly(0, 0, 1)
+        assert alternating_pgf(2, complement=False).poly == poly(0, 0, 1)
 
     def test_m2_odd(self):
         assert alternating_pgf(2, complement=True).poly == poly(0, 1)
@@ -67,8 +67,8 @@ class TestAlternating:
         assert alternating_pgf(4, complement=True).poly == poly(0, F(1, 2), 0, F(1, 2))
 
     def test_m1_even_is_point_mass(self):
-        assert alternating_pgf(1).poly == poly(0, 1)
-        assert validate_pgf(alternating_pgf(1)).ok
+        assert alternating_pgf(1, complement=False).poly == poly(0, 1)
+        assert validate_pgf(alternating_pgf(1, complement=False)).ok
 
     def test_m1_odd_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestTranspositions:
     def test_rising_form_up_to_120(self):
         # the product in u = t^2 against the rising factorial composed with t^2/2
         for m in range(1, 121):
-            assert transpositions_pgf(m).poly == transpositions_rising_form(m)
+            assert transpositions_pgf(m).poly == transpositions_rising_form(m, base=4)
 
     def test_halved_prefactor_fails_normalization(self):
         # documented failing witness: the 2^M prefactor gives mass 2^-M
@@ -203,7 +203,7 @@ class TestPgfInvariants:
             one_cycle_pgf(m),
             two_cycles_pgf(m),
             transpositions_pgf(m),
-            alternating_pgf(m),
+            alternating_pgf(m, complement=False),
         ):
             assert pgf.poly(1) == 1
             assert 0 <= reference.mean(pgf) <= pgf.M
@@ -274,7 +274,7 @@ class TestBernoulliDecompositions:
         with pytest.raises(ValueError):
             bernoulli_decomposition(two_cycles_pgf(2))
         with pytest.raises(ValueError):
-            bernoulli_decomposition(alternating_pgf(3))
+            bernoulli_decomposition(alternating_pgf(3, complement=False))
 
     def test_json_round_trip_exact_and_numeric(self):
         for dec in (
@@ -323,7 +323,7 @@ class TestIntegerNumerators:
         one_cycle_pgf(10),
         two_cycles_pgf(4),
         transpositions_pgf(5),
-        alternating_pgf(6),
+        alternating_pgf(6, complement=False),
         alternating_pgf(7, complement=True),
         character_law(CycleType([3, 2, 2])),
     ]

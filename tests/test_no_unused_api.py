@@ -12,8 +12,10 @@ something else that is read (numpy's `.mean()`, a local variable
 unused method.
 
 Likewise every default of a parameter is overridden by some call outside
-the tests: a default that no caller changes is an option that only tests
-reach.  Calls are matched by the name called, so they too can hide one.
+the tests, and left in place by another.  A default that no caller changes
+is an option that only tests reach; one that every caller overrides is a
+default that only tests rely on.  Calls are matched by the name called, so
+they too can hide one either way.
 """
 
 import ast
@@ -110,7 +112,8 @@ def _passes(call: ast.Call, index: int | None, name: str) -> bool:
     return index is not None and (starred or len(call.args) > index)
 
 
-def test_every_default_is_overridden_outside_the_tests():
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call outside the tests, keyed by the name called."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in _trees():
         for node in ast.walk(tree):
@@ -118,6 +121,11 @@ def test_every_default_is_overridden_outside_the_tests():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    calls = _calls()
     never = sorted(
         f"{fn}({param})"
         for fn, index, param in _defaulted_parameters()
@@ -126,7 +134,17 @@ def test_every_default_is_overridden_outside_the_tests():
     assert not never, f"defaults that no call in src/, perfbench/ or the README overrides: {never}"
 
 
+def test_every_default_is_relied_on_outside_the_tests():
+    calls = _calls()
+    always = sorted(
+        f"{fn}({param})"
+        for fn, index, param in _defaulted_parameters()
+        if all(_passes(call, index, param) for call in calls.get(fn, ()))
+    )
+    assert not always, f"defaults that every call in src/, perfbench/ and the README overrides: {always}"
+
+
 def test_the_parameter_scan_sees_defaults():
     params = {(fn, param) for fn, _, param in _defaulted_parameters()}
-    assert {("alternating_pgf", "complement"), ("pretty", "var"), ("run_scope", "cap")} <= params
-    assert ("__init__", "mapping") not in params and ("pretty", "self") not in params
+    assert {("exact_commutator_distribution", "cap"), ("_emit", "csv_rows"), ("_estimate", "dtype")} <= params
+    assert ("__init__", "mapping") not in params and ("_estimate", "identity") not in params

@@ -342,34 +342,34 @@ class TestCommutatorLaw:
 
 class TestUniformSubsetLaws:
     def test_all_m3(self):
-        dist = exact_uniform_cycle_laws(3)["all"]
+        dist = exact_uniform_cycle_laws(3, cap=None)["all"]
         assert probabilities(dist) == {1: F(2, 6), 2: F(3, 6), 3: F(1, 6)}
 
     def test_alternating_m3(self):
-        dist = exact_uniform_cycle_laws(3)["alternating"]
+        dist = exact_uniform_cycle_laws(3, cap=None)["alternating"]
         assert probabilities(dist) == {3: F(1, 3), 1: F(2, 3)}
 
     def test_co_alternating_m2(self):
-        dist = exact_uniform_cycle_laws(2)["co_alternating"]
+        dist = exact_uniform_cycle_laws(2, cap=None)["co_alternating"]
         assert probabilities(dist) == {1: F(1)}
 
     def test_co_alternating_m1_rejected(self):
         # no odd permutations on a single point: the law is absent
-        laws = exact_uniform_cycle_laws(1)
+        laws = exact_uniform_cycle_laws(1, cap=None)
         assert "co_alternating" not in laws
         assert probabilities(laws["alternating"]) == {1: F(1)}
 
     def test_unknown_subset_rejected(self):
-        laws = exact_uniform_cycle_laws(3)
+        laws = exact_uniform_cycle_laws(3, cap=None)
         assert list(laws) == ["all", "alternating", "co_alternating"]
         with pytest.raises(KeyError):
             laws["odd"]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_against_closed_forms(self, m):
-        laws = exact_uniform_cycle_laws(m)
+        laws = exact_uniform_cycle_laws(m, cap=None)
         assert laws["all"].poly == genfun.uniform_cycles_pgf(m).poly
-        assert laws["alternating"].poly == genfun.alternating_pgf(m).poly
+        assert laws["alternating"].poly == genfun.alternating_pgf(m, complement=False).poly
         if m >= 2:
             assert laws["co_alternating"].poly == genfun.alternating_pgf(m, complement=True).poly
 
@@ -389,7 +389,7 @@ def _filtered_uniform_law(m, subset):
 class TestOnePassUniformLaws:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_equals_row_filtered_enumeration(self, m):
-        laws = oracle.exact_uniform_cycle_laws(m)
+        laws = oracle.exact_uniform_cycle_laws(m, cap=None)
         subsets = ["all", "alternating"] + (["co_alternating"] if m > 1 else [])
         assert list(laws) == subsets
         for subset in subsets:
@@ -401,12 +401,12 @@ class TestOnePassUniformLaws:
         block[1] = block[0]
         monkeypatch.setattr(oracle, "_permutation_blocks", lambda m: [block])
         with pytest.raises(AssertionError, match="sum to 13, not 12"):
-            oracle.exact_uniform_cycle_laws(4)
+            oracle.exact_uniform_cycle_laws(4, cap=None)
 
     def test_cap_checked_before_enumerating(self, monkeypatch):
         monkeypatch.setattr(oracle, "_permutation_blocks", lambda m: pytest.fail("enumerated"))
         with pytest.raises(EnumerationCapError):
-            oracle.exact_uniform_cycle_laws(9)
+            oracle.exact_uniform_cycle_laws(9, cap=None)
 
 
 class TestConjugacyClassRoute:
@@ -419,15 +419,15 @@ class TestConjugacyClassRoute:
         assert ((codes[:, None] >> places) & 15).tolist() == [list(p) for p in members]
 
     def test_single_cycle_m3(self):
-        dist = exact_class_product_distribution(CycleType([3]))
+        dist = exact_class_product_distribution(CycleType([3]), cap=None)
         assert probabilities(dist) == {3: F(1, 2), 1: F(1, 2)}
 
     def test_identity_type(self):
-        dist = exact_class_product_distribution(CycleType([1, 1, 1, 1]))
+        dist = exact_class_product_distribution(CycleType([1, 1, 1, 1]), cap=None)
         assert probabilities(dist) == {4: F(1)}
 
     def test_two_two_type(self):
-        dist = exact_class_product_distribution(CycleType([2, 2]))
+        dist = exact_class_product_distribution(CycleType([2, 2]), cap=None)
         assert probabilities(dist) == {4: F(1, 3), 2: F(2, 3)}
 
     @pytest.mark.parametrize(
@@ -435,7 +435,7 @@ class TestConjugacyClassRoute:
     )
     def test_matches_commutator_distribution(self, parts):
         ct = CycleType(parts)
-        via_class = exact_class_product_distribution(ct)
+        via_class = exact_class_product_distribution(ct, cap=None)
         via_commutator = exact_commutator_distribution(from_cycle_type(ct))
         assert probabilities(via_class) == probabilities(via_commutator)
 
@@ -462,7 +462,7 @@ class TestConjugacyClassRoute:
             "from commcycles import cli\n"
             "from commcycles.oracle import exact_class_product_distribution\n"
             "from commcycles.perm import CycleType\n"
-            "exact_class_product_distribution(CycleType([2, 2]))\n"
+            "exact_class_product_distribution(CycleType([2, 2]), cap=None)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['verify', '--scope', 'genfun_vs_oracle', '--max-m', '6']) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
@@ -488,7 +488,7 @@ class TestHultman:
         assert sum(hultman_row(m)) == math.factorial(m)
 
     def test_table_rows(self):
-        rows = hultman_table_rows(3)
+        rows = hultman_table_rows(3, oracle_cap=None)
         assert rows == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 1, 3, 3), (3, 3, 3, 3)]
 
     def test_table_above_cap_has_no_oracle_column(self):
@@ -510,7 +510,7 @@ class TestHultman:
             return genfun.CyclePGF(RationalPoly([0, 0, law.poly.coefficient(1), law.poly.coefficient(3)]), 3, law.source)
 
         monkeypatch.setattr(oracle, "exact_commutator_distribution", moved)
-        rows = hultman_table_rows(4)
+        rows = hultman_table_rows(4, oracle_cap=None)
         assert [r for r in rows if r[0] == 3] == [(3, 1, 3, 0), (3, 2, 0, 3), (3, 3, 3, 3)]
         assert all(r[3] is not None for r in rows)
         assert [r for r in rows if r[2] != r[3]] == [(3, 1, 3, 0), (3, 2, 0, 3)]
