@@ -43,8 +43,8 @@ from .polys import (
 # `hultman`, `sample` and `verify` need `oracle` compiled, and only `mc` and
 # `verify --scope rmt|all` need `rmt`.
 _SERVED = {
-    "oracle": ("DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "exact_class_product_distribution",
-               "exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"),
+    "oracle": ("DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "exact_commutator_distribution",
+               "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"),
     "rmt": ("MomentReport", "mc_gamma_shortcut_moment", "mc_real_trace_law", "mc_tr_g1g2_law",
             "mc_tr_g_squared_law", "mc_trace_power_moment", "mixed_trace_vanishing"),
 }

@@ -14,9 +14,8 @@ C([σ,τ]) depends on σ only through στσ⁻¹, so the commutator law visits 
 σ per coset σZ(τ) of τ's centralizer, M!/|Z(τ)| in all, and checks that
 count against the class size: σ is least at a base point of each cycle,
 picked so that the table is pruned as each position joins it.  The uniform
-and class-member enumerations visit all M!, so the class product stays an
-independent full-group route.  Each law has one entry point, and one pass
-gives all three uniform laws; `sample` counts its draws with the commutator kernel.
+enumeration visits all M!, and one pass gives all three uniform laws.  Each
+law has one entry point; `sample` counts its draws with the commutator kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "EnumerationCapError",
     "resolve_cap",
     "exact_commutator_distribution",
-    "exact_class_product_distribution",
     "exact_uniform_cycle_laws",
     "hultman_row",
     "hultman_table_rows",
@@ -174,42 +172,6 @@ def exact_commutator_distribution(tau: Permutation, cap: int | None = None) -> C
     for block in _permutation_blocks(m, less):
         hist += np.bincount(_commutator_counts(block, tau_arr), minlength=m + 1)
     return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The sorted distinct codes, from one sort and a neighbour mask (np.unique imports numpy.ma)."""
-    return np.concatenate([(c := np.sort(codes))[:1], c[1:][c[1:] != c[:-1]]])
-
-
-def _class_codes(tau: Permutation, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted int64 codes of tau's conjugacy class, from every σ, checked against the class-size formula,
-    and each position's bit shift: row[j] is base-16 digit m - 1 - j, so codes sort as rows do."""
-    m = tau.size
-    _check_cap(m, cap)
-    places = np.arange(4 * m - 4, -1, -4, dtype=np.int64)
-    codes, expected = [], tau.cycle_type().class_size()
-    for block in _permutation_blocks(m):
-        # σ∘τ∘σ⁻¹ sends σ[i] to σ[τ[i]]: digit σ[τ[i]] at the place of σ[i], a column at a time
-        digits = (block[:, tau.map[i]].astype(np.int64) << places.take(block[:, i]) for i in range(m))
-        codes.append(_distinct(sum(digits)))
-        if sum(map(len, codes)) > 2 * expected:  # merge, to hold a few class sizes of codes at most
-            codes = [_distinct(np.concatenate(codes))]
-    codes = _distinct(np.concatenate(codes))
-    if len(codes) != expected:
-        raise AssertionError(f"conjugacy class size {len(codes)} != formula value {expected}")
-    return codes, places
-
-
-def exact_class_product_distribution(cycle_type: CycleType, cap: int | None) -> CyclePGF:
-    """Exact law of the cycle count of τ₁∘τ₂ with τ₁ uniform on the conjugacy class of
-    the given type and τ₂ the inverse of its canonical representative.  Agrees with
-    exact_commutator_distribution of the canonical representative."""
-    tau = from_cycle_type(cycle_type)
-    codes, places = _class_codes(tau, cap)
-    places = places[list(tau.inverse().map)]  # digit i of a code read at τ₂[i]: τ₁[τ₂[i]]
-    chunks = np.split(codes, range(_BLOCK_SIZE, len(codes), _BLOCK_SIZE))
-    hist = sum(np.bincount(_cycle_counts_rows((c[:, None] >> places) & 15), minlength=tau.size + 1) for c in chunks)
-    return _law_from_hist(tau.size, hist, len(codes))
 
 
 def exact_uniform_cycle_laws(m: int, cap: int | None) -> dict[str, CyclePGF]:

@@ -79,12 +79,6 @@ class Permutation:
     def size(self) -> int:
         return len(self._map)
 
-    def inverse(self) -> "Permutation":
-        out = [0] * self.size
-        for i, v in enumerate(self._map):
-            out[v] = i
-        return Permutation(out)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Orbits as tuples, each starting at its smallest element, ordered
         by that element.  Fixed points are length-1 cycles."""

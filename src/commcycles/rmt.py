@@ -2,9 +2,11 @@
 matrices to cycle counts of permutation commutators.
 
 Every identity is checked by simulating the matrix side and comparing
-against an exact rational target (computed from the closed forms, the
-character sum, or gamma-moment formulas — never floating-point gamma).
-Every estimate carries its target, a standard error and a z-score.
+against an exact rational target, never floating-point gamma: Kostlan's
+Gamma-moment sum, or a `genfun` law at N that the check thereby witnesses,
+the law of [M]^K for trace_power, the transpositions law for real_trace and
+tr_g_squared, the uniform law for tr_g1_g2.  Every estimate carries its
+target, a standard error and a z-score.
 
 Every estimator takes its dimension and orders, then one sampling plan
 (samples=, seed=, partitions=, all required, by keyword), and runs one path,
@@ -39,9 +41,8 @@ import zlib
 from fractions import Fraction
 
 from ._lazy import np
-from .genfun import commutator_law
+from .genfun import commutator_law, transpositions_pgf, uniform_cycles_pgf
 from .perm import CycleType, Frozen
-from .polys import rising_product
 
 __all__ = [
     "MomentReport",
@@ -252,18 +253,18 @@ def gamma_shortcut_target(n_dim: int, m: int, factors: int) -> Fraction:
 
 
 def real_trace_target(n_dim: int, m: int) -> Fraction:
-    """E (tr R Rᵀ)^M = 2^M * (N²/2)(N²/2+1)...(N²/2+M-1) exactly."""
-    return 2**m * rising_product(Fraction(n_dim * n_dim, 2), m)
+    """E (tr R Rᵀ)^M exactly: (2M-1)!! times the transpositions law of [2]^M at t = N."""
+    return math.prod(range(1, 2 * m, 2)) * transpositions_pgf(m).poly(n_dim)
 
 
 def tr_g_squared_target(n_dim: int, m: int) -> Fraction:
-    """E |tr G²|^(2M) = 4^M * M! * (N²/2)(N²/2+1)...(N²/2+M-1) exactly."""
-    return 4**m * math.factorial(m) * rising_product(Fraction(n_dim * n_dim, 2), m)
+    """E |tr G²|^(2M) exactly: (2M)! times the transpositions law of [2]^M at t = N."""
+    return math.factorial(2 * m) * transpositions_pgf(m).poly(n_dim)
 
 
 def tr_g1g2_target(n_dim: int, m: int) -> Fraction:
-    """E |tr G₁G₂|^(2M) = M! * N²(N²+1)...(N²+M-1) exactly."""
-    return Fraction(math.factorial(m) * rising_product(n_dim * n_dim, m))
+    """E |tr G₁G₂|^(2M) exactly: (M!)² times the uniform cycle-count law of M points at t = N²."""
+    return math.factorial(m) ** 2 * uniform_cycles_pgf(m).poly(n_dim * n_dim)
 
 
 # -- Monte-Carlo estimators --------------------------------------------------------

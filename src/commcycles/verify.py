@@ -100,8 +100,9 @@ def run_genfun_oracle_checks(max_m: int, cap: int | None) -> list[CheckResult]:
     )
     out.append(CheckResult("one_cycle_equals_odd_law", ok, "M <= 9"))
 
+    # the character sum is Frobenius's expansion of the class product (στσ⁻¹)·τ⁻¹, closed-form types included
     types = [t for t in ([1], [2], [3], [2, 1], [2, 2], [3, 2], [4, 2], [2, 2, 2]) if sum(t) <= max_m]
-    ok = all(oracle.exact_class_product_distribution(CycleType(t), cap=cap).poly == enumerated(*t) for t in types)
+    ok = all(genfun.character_law(CycleType(t)).poly == enumerated(*t) for t in types)
     out.append(CheckResult("class_product_reformulation", ok, f"types with M <= {max_m}"))
 
     ok = all(  # one Hultman row per M
@@ -218,11 +219,18 @@ def run_scope(
     if max_m is not None and max_m < 1:
         raise ValueError(f"--max-m must be at least 1, got {max_m}")
     oracle.resolve_cap(cap)  # refuse a cap the oracle cannot honour before any check runs
+    oracle_max_m = 6 if max_m is None else max_m
+    if scope in ("genfun_vs_oracle", "all"):
+        oracle._check_cap(oracle_max_m, cap)  # the oracle suite enumerates up to M = oracle_max_m
+    if scope in ("rmt", "all"):
+        from . import rmt
+
+        rmt._check_plan(samples, partitions)
     out = []
     if scope in ("factorials", "all"):
         out.extend(run_factorial_checks(max_n=12 if max_m is None else max_m))
     if scope in ("genfun_vs_oracle", "all"):
-        out.extend(run_genfun_oracle_checks(max_m=6 if max_m is None else max_m, cap=cap))
+        out.extend(run_genfun_oracle_checks(max_m=oracle_max_m, cap=cap))
     if scope in ("bernoulli", "all"):
         out.extend(run_bernoulli_checks(max_m=30 if max_m is None else max_m))
     if scope in ("rmt", "all"):

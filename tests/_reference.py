@@ -1,9 +1,8 @@
 """Plain-Python references the tests hold the package's fast paths against.
 
 Permutation algebra on one-line maps, the independent reference for the
-numpy commutator kernel `oracle._commutator_counts` and the class codes of
-`oracle._class_codes`.  A one-line map is a sequence m of range(M) with
-m[i] the image of i, such as `Permutation.map`.  `sample_uniform` draws one
+numpy commutator kernel `oracle._commutator_counts`.  A one-line map is a
+sequence m of range(M) with m[i] the image of i, such as `Permutation.map`.  `sample_uniform` draws one
 permutation per rng.shuffle, the per-draw reference for the block sampler
 of `commcycles sample`.
 
@@ -37,6 +36,14 @@ from commcycles.polys import RationalPoly, rising_falling_sum, rising_square_sum
 def compose(a, b):
     """a∘b, i.e. apply b first: result[i] = a[b[i]]."""
     return tuple(a[j] for j in b)
+
+
+def inverse(a):
+    """a⁻¹, which sends a[i] to i."""
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
 
 
 def conjugate(s, t):

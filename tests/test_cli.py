@@ -678,24 +678,67 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--scope", "genfun_vs_oracle", "--max-m", "9")
         assert code == 2 and "enumeration cap 8" in err
 
+    @staticmethod
+    def moved(law):
+        """The law with 1/1000 of the mass at C = 1 moved to C = 3."""
+        coeffs = list(law.poly.coeffs)
+        coeffs[1] += Fraction(1, 1000)
+        coeffs[3] -= Fraction(1, 1000)
+        return genfun.CyclePGF(RationalPoly(coeffs), law.M, law.source)
+
     def test_odd_law_check_reads_the_character_sum(self, monkeypatch):
         # a character sum that moves 1/1000 of the one-cycle mass at M = 5 fails
         # the odd-law check, and only it: the closed forms and the oracle are untouched
-        real = genfun.character_law
-
-        def perturbed(cycle_type):
-            law = real(cycle_type)
-            if cycle_type != CycleType([5]):
-                return law
-            coeffs = list(law.poly.coeffs)
-            coeffs[1] += Fraction(1, 1000)
-            coeffs[3] -= Fraction(1, 1000)
-            return genfun.CyclePGF(RationalPoly(coeffs), law.M, law.source)
-
-        monkeypatch.setattr(genfun, "character_law", perturbed)
+        real, moved = genfun.character_law, CycleType([5])
+        monkeypatch.setattr(genfun, "character_law", lambda ct: self.moved(real(ct)) if ct == moved else real(ct))
         checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=3, cap=None)}
         assert checks["one_cycle_equals_odd_law"] == verify.CheckResult("one_cycle_equals_odd_law", False, "M <= 9")
         assert [name for name, c in checks.items() if not c.ok] == ["one_cycle_equals_odd_law"]
+
+    def test_class_product_check_reads_the_character_sum(self, monkeypatch):
+        real, moved = genfun.character_law, CycleType([3, 2])
+        monkeypatch.setattr(genfun, "character_law", lambda ct: self.moved(real(ct)) if ct == moved else real(ct))
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=5, cap=None)}
+        failed = verify.CheckResult("class_product_reformulation", False, "types with M <= 5")
+        assert checks["class_product_reformulation"] == failed
+        assert [name for name, c in checks.items() if not c.ok] == ["class_product_reformulation"]
+
+    def test_class_product_check_reads_the_oracle(self, monkeypatch):
+        real = oracle.exact_commutator_distribution
+
+        def perturbed(tau, cap=None):
+            law = real(tau, cap=cap)
+            return self.moved(law) if tau.cycle_type() == CycleType([3, 2]) else law
+
+        monkeypatch.setattr(oracle, "exact_commutator_distribution", perturbed)
+        checks = {c.name: c for c in verify.run_genfun_oracle_checks(max_m=5, cap=None)}
+        assert [name for name, c in checks.items() if not c.ok] == ["class_product_reformulation"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scope", "all", "--threads", "0"], "partitions must be at least 1, got 0"),
+            (["--scope", "rmt", "--samples", "1"], "samples must be at least 2 for a standard error, got 1"),
+            (["--scope", "all", "--threads", "2000"], "partitions must be at most 1024, got 2000"),
+            (
+                ["--scope", "genfun_vs_oracle", "--max-m", "11", "--cap", "10"],
+                "ground set of size 11 exceeds the enumeration cap 10; `commcycles pgf` gives the law of any "
+                "cycle type up to M = 30, and `commcycles sample` draws a Monte-Carlo histogram above that",
+            ),
+            (
+                ["--scope", "all", "--max-m", "9"],
+                "ground set of size 9 exceeds the enumeration cap 8; raise the cap (hard cap 10); `commcycles pgf` "
+                "gives the law of any cycle type up to M = 30, and `commcycles sample` draws a Monte-Carlo "
+                "histogram above that",
+            ),
+        ],
+        ids=["threads_0", "samples_1", "threads_2000", "max_m_above_cap", "max_m_above_default_cap"],
+    )
+    def test_bad_plan_or_size_exits_2_before_any_suite(self, capsys, monkeypatch, argv, message):
+        for suite in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
+            monkeypatch.setattr(verify, suite, lambda *args, suite=suite, **kwargs: pytest.fail(f"{suite} ran"))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_mutated_closed_form_detected(self, capsys, monkeypatch):
         # seeded mutation of a single closed-form coefficient must flip the
@@ -1218,8 +1261,7 @@ SERVED = {
             "mc_tr_g_squared_law", "mc_tr_g1g2_law", "mixed_trace_vanishing"],
     # EnumerationCapError is bound at import, from genfun: it is the oracle's own class too
     "oracle": ["DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "EnumerationCapError",
-               "exact_class_product_distribution", "exact_commutator_distribution", "exact_uniform_cycle_laws",
-               "hultman_row", "hultman_table_rows"],
+               "exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"],
 }
 
 

@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle: frozen small cases, agreement with every
-closed form, the conjugacy-class reformulation, and the JSON round trip of a law."""
+closed form, the conjugacy-class reformulation by its character sum, and the JSON
+round trip of a law."""
 
 import itertools
 import math
@@ -20,7 +21,6 @@ from _reference import commutator_cycle_count, conjugacy_class, conjugate, mean,
 from commcycles import genfun, oracle
 from commcycles.oracle import (
     EnumerationCapError,
-    exact_class_product_distribution,
     exact_commutator_distribution,
     exact_uniform_cycle_laws,
     hultman_row,
@@ -410,24 +410,26 @@ class TestOnePassUniformLaws:
 
 
 class TestConjugacyClassRoute:
+    """The class product (στσ⁻¹)·τ⁻¹, στσ⁻¹ uniform on the class of τ, by its
+    Frobenius expansion, the character sum, held against the coset enumeration."""
+
     def test_class_size_checked(self):
-        tau = from_cycle_type(CycleType([4]))
-        members = conjugacy_class(tau.map)
+        # [σ,τ] = 1 exactly when σ commutes with τ: P(C = M) = |Z(τ)|/M! = 1/|class(τ)|
+        members = conjugacy_class(from_cycle_type(CycleType([4])).map)
         assert len(members) == CycleType([4]).class_size() == 6
         assert all(Permutation(p).cycle_type() == CycleType([4]) for p in members)
-        codes, places = oracle._class_codes(tau, cap=None)
-        assert ((codes[:, None] >> places) & 15).tolist() == [list(p) for p in members]
+        assert genfun.character_law(CycleType([4])).poly.coefficient(4) == F(1, len(members))
 
     def test_single_cycle_m3(self):
-        dist = exact_class_product_distribution(CycleType([3]), cap=None)
+        dist = genfun.character_law(CycleType([3]))
         assert probabilities(dist) == {3: F(1, 2), 1: F(1, 2)}
 
     def test_identity_type(self):
-        dist = exact_class_product_distribution(CycleType([1, 1, 1, 1]), cap=None)
+        dist = genfun.character_law(CycleType([1, 1, 1, 1]))
         assert probabilities(dist) == {4: F(1)}
 
     def test_two_two_type(self):
-        dist = exact_class_product_distribution(CycleType([2, 2]), cap=None)
+        dist = genfun.character_law(CycleType([2, 2]))
         assert probabilities(dist) == {4: F(1, 3), 2: F(2, 3)}
 
     @pytest.mark.parametrize(
@@ -435,34 +437,19 @@ class TestConjugacyClassRoute:
     )
     def test_matches_commutator_distribution(self, parts):
         ct = CycleType(parts)
-        via_class = exact_class_product_distribution(ct, cap=None)
+        via_class = genfun.character_law(ct)
         via_commutator = exact_commutator_distribution(from_cycle_type(ct))
         assert probabilities(via_class) == probabilities(via_commutator)
-
-
-    def test_class_codes_are_the_sorted_distinct_codes(self):
-        tau = from_cycle_type(CycleType([3, 3, 2, 2]))
-        codes, places = oracle._class_codes(tau, cap=10)
-        per_block = [
-            np.unique(sum(block[:, tau.map[i]].astype(np.int64) << places[block[:, i]] for i in range(10)))
-            for block in oracle._permutation_blocks(10)
-        ]
-        assert np.array_equal(codes, np.unique(np.concatenate(per_block)))
-        assert (np.diff(codes) > 0).all() and len(codes) == tau.cycle_type().class_size()
-
-    @pytest.mark.parametrize("size", [0, 1, 2, 1000])
-    def test_distinct_is_unique(self, size):
-        codes = np.random.default_rng(size).integers(0, max(size // 3, 1), size, dtype=np.int64)
-        assert np.array_equal(oracle._distinct(codes), np.unique(codes))
 
     def test_witness_queries_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call in a process (numpy 2.4), some 10 ms of a witness query
         code = (
             "import contextlib, io, sys\n"
             "from commcycles import cli\n"
-            "from commcycles.oracle import exact_class_product_distribution\n"
-            "from commcycles.perm import CycleType\n"
-            "exact_class_product_distribution(CycleType([2, 2]), cap=None)\n"
+            "from commcycles.oracle import exact_commutator_distribution, exact_uniform_cycle_laws\n"
+            "from commcycles.perm import CycleType, from_cycle_type\n"
+            "exact_commutator_distribution(from_cycle_type(CycleType([2, 2])), cap=None)\n"
+            "exact_uniform_cycle_laws(4, cap=None)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['verify', '--scope', 'genfun_vs_oracle', '--max-m', '6']) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"

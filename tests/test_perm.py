@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import commutator_cycle_count, compose, conjugate, orbit_count, sample_uniform
+from _reference import commutator_cycle_count, compose, conjugate, inverse, orbit_count, sample_uniform
 from commcycles import oracle, rmt, verify
 from commcycles.genfun import BernoulliDecomposition, BernoulliTerm, CyclePGF, PgfValidation
 from commcycles.perm import (
@@ -72,8 +72,8 @@ class TestBasics:
         assert compose(c, c) == (2, 0, 1)  # (0 2 1)
 
     def test_inverse_examples(self):
-        assert Permutation(range(4)).inverse() == Permutation(range(4))
-        assert Permutation([1, 2, 0]).inverse() == Permutation([2, 0, 1])
+        assert inverse(range(4)) == (0, 1, 2, 3)
+        assert inverse((1, 2, 0)) == (2, 0, 1)
 
     def test_cycle_count_examples(self):
         assert len(Permutation(range(5)).cycles()) == 5
@@ -118,7 +118,7 @@ class TestCommutator:
     def test_cycle_count_without_products(self, pair):
         # the reference's one-list formula is the orbit count of s∘t∘s⁻¹∘t⁻¹
         s, t = pair
-        product = compose(compose(s.map, t.map), compose(s.inverse().map, t.inverse().map))
+        product = compose(compose(s.map, t.map), compose(inverse(s.map), inverse(t.map)))
         assert commutator_cycle_count(s.map, t.map) == orbit_count(product)
 
 
@@ -126,9 +126,9 @@ class TestAlgebraProperties:
     @given(perms)
     def test_inverse_is_involution(self, p):
         identity = tuple(range(p.size))
-        assert p.inverse().inverse() == p
-        assert compose(p.map, p.inverse().map) == identity
-        assert compose(p.inverse().map, p.map) == identity
+        assert inverse(inverse(p.map)) == p.map
+        assert compose(p.map, inverse(p.map)) == identity
+        assert compose(inverse(p.map), p.map) == identity
 
     @settings(max_examples=40)
     @given(
@@ -147,7 +147,7 @@ class TestAlgebraProperties:
     def test_conjugation_preserves_cycle_count(self, pair):
         s, t = pair
         conj = Permutation(conjugate(s.map, t.map))
-        assert conj.map == compose(compose(s.map, t.map), s.inverse().map)
+        assert conj.map == compose(compose(s.map, t.map), inverse(s.map))
         assert len(conj.cycles()) == len(t.cycles())
         assert conj.cycle_type() == t.cycle_type()
 

@@ -115,15 +115,29 @@ class TestExactTargets:
         assert real_trace_target(1, 1) == 1  # 2 * (1/2)
         assert real_trace_target(2, 1) == 4
         assert real_trace_target(2, 3) == 192  # 8 * 2*3*4
+        # 2^M (N²/2)_M, the rising-product form of (2M-1)!! times the transpositions law at N
+        assert all(
+            real_trace_target(n, m) == 2**m * rising_product(F(n * n, 2), m) for n in range(1, 6) for m in range(1, 41)
+        )
 
     def test_tr_g_squared_targets(self):
         assert tr_g_squared_target(1, 1) == 2  # 4 * 1! * 1/2
         assert tr_g_squared_target(2, 1) == 8  # 4 * 1! * 2
+        # 4^M M! (N²/2)_M, the rising-product form of (2M)! times the transpositions law at N
+        assert all(
+            tr_g_squared_target(n, m) == 4**m * math.factorial(m) * rising_product(F(n * n, 2), m)
+            for n in range(1, 6)
+            for m in range(1, 41)
+        )
 
     def test_tr_g1g2_targets(self):
         assert tr_g1g2_target(1, 1) == 1
         assert tr_g1g2_target(2, 1) == 4
         assert tr_g1g2_target(2, 2) == 40  # 2! * 4*5
+        # M! (N²)_M, the rising-product form of (M!)² times the uniform law at N²
+        assert all(
+            tr_g1g2_target(n, m) == math.factorial(m) * rising_product(n * n, m) for n in range(1, 6) for m in range(1, 41)
+        )
 
     def test_targets_are_exact_rationals(self):
         t = real_trace_target(3, 2)  # half-integer rising product, still exact
