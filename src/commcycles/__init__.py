@@ -5,6 +5,8 @@ enumeration oracle, and a Monte-Carlo random-matrix cross-check harness.
 
 from .genfun import (
     CHARACTER_MAX_M,
+    DEFAULT_ENUMERATION_CAP,
+    HARD_ENUMERATION_CAP,
     BernoulliDecomposition,
     BernoulliTerm,
     CyclePGF,
@@ -16,6 +18,7 @@ from .genfun import (
     character_law,
     commutator_law,
     one_cycle_pgf,
+    resolve_cap,
     transpositions_pgf,
     transpositions_rising_form,
     two_cycles_pgf,
@@ -40,11 +43,10 @@ from .polys import (
 )
 
 # Served on first access (PEP 562), by the module that defines them: only `dist`,
-# `hultman`, `sample` and `verify` need `oracle` compiled, and only `mc` and
-# `verify --scope rmt|all` need `rmt`.
+# `hultman`, `sample` and `verify --scope genfun_vs_oracle|all` need `oracle`
+# compiled, and only `mc` and `verify --scope rmt|all` need `rmt`; both import numpy.
 _SERVED = {
-    "oracle": ("DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "exact_commutator_distribution",
-               "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"),
+    "oracle": ("exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"),
     "rmt": ("MomentReport", "mc_gamma_shortcut_moment", "mc_real_trace_law", "mc_tr_g1g2_law",
             "mc_tr_g_squared_law", "mc_trace_power_moment", "mixed_trace_vanishing"),
 }

@@ -9,10 +9,10 @@ command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
 variable, read on every call.  A flag wins; an unread flag or a bad value
 exits 2; an unread variable is ignored.  An `mc` identity reads the options
 that `_MC` lists for it, refuses any other in the same way, and runs the rmt
-estimator that `_MC` names.  Starting the CLI compiles neither the
-enumeration oracle, the verify suites nor rmt: `dist`, `hultman` and `sample`
-import `oracle`, `verify` imports `verify` (which alone checks --scope), and
-`mc` imports `rmt`, each on first use.  Exit codes: 0 pass, 1 check failure,
+estimator that `_MC` names.  Starting the CLI compiles neither the enumeration
+oracle, the verify suites nor rmt, nor imports numpy: `dist`, `hultman` and
+`sample` import `oracle`, `verify` imports `verify` (which alone checks --scope),
+and `mc` imports `rmt`, each on first use.  Exit codes: 0 pass, 1 check failure,
 2 usage error or a typed failure (enumeration cap or character-sum limit, root
 finding, an exact target beyond the double range), each with a one-line message.
 """
@@ -28,7 +28,6 @@ import random
 import sys
 
 from . import genfun
-from ._lazy import np
 from .perm import CycleType, Permutation, from_cycle_type, parse_cycles
 from .polys import _pretty_strings
 
@@ -295,6 +294,8 @@ def _shuffle_rows(rows: np.ndarray, rng: random.Random) -> None:
     getrandbits(n.bit_length()) redrawn until j < n.  The swap indices of all
     rows are drawn by that rule, word for word, so the rng ends in the same
     state; the swaps then run as numpy column operations over the block."""
+    import numpy as np
+
     count, m = rows.shape
     plan = [(n, n.bit_length()) for n in range(m, 1, -1)]
     getrandbits = rng.getrandbits
@@ -323,6 +324,8 @@ def _cmd_sample(args) -> int:
     fill a block of at most SAMPLE_BLOCK rows whose commutators the oracle's kernel counts at once."""
     if args.draws < 1:
         raise UsageError("draws must be at least 1")
+    import numpy as np
+
     from . import oracle
 
     kind, value = parse_tau_spec(args.tau)

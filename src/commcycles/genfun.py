@@ -18,7 +18,6 @@ import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from ._lazy import np
 from .perm import CycleType, Frozen
 from .polys import (
     RationalPoly,
@@ -45,6 +44,9 @@ __all__ = [
     "transpositions_pgf",
     "transpositions_rising_form",
     "CHARACTER_MAX_M",
+    "DEFAULT_ENUMERATION_CAP",
+    "HARD_ENUMERATION_CAP",
+    "resolve_cap",
     "character_law",
     "commutator_route",
     "commutator_law",
@@ -179,6 +181,32 @@ def transpositions_rising_form(m: int, base: int) -> RationalPoly:
 # over all 5600 types at M = 30 outside the closed forms, the slowest,
 # [2, 1^28], takes 0.40 s (best of 5) and the median type 0.23 s.
 CHARACTER_MAX_M = 30
+
+# Largest ground set the enumeration oracle visits by default, and at most.
+DEFAULT_ENUMERATION_CAP = 8
+HARD_ENUMERATION_CAP = 10
+
+
+def resolve_cap(cap: int | None) -> int:
+    """The enumeration cap in force: the default for None; a cap below 1 or
+    above the hard cap raises ValueError."""
+    effective = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if effective < 1:
+        raise ValueError(f"--cap must be at least 1, got {effective}")
+    if effective > HARD_ENUMERATION_CAP:
+        raise ValueError(f"cap {effective} exceeds hard enumeration cap {HARD_ENUMERATION_CAP}")
+    return effective
+
+
+def _check_cap(m: int, cap: int | None) -> None:
+    effective = resolve_cap(cap)
+    if m > effective:
+        raise_cap = f"raise the cap (hard cap {HARD_ENUMERATION_CAP}); " if effective < HARD_ENUMERATION_CAP else ""
+        raise EnumerationCapError(
+            f"ground set of size {m} exceeds the enumeration cap {effective}; {raise_cap}"
+            f"`commcycles pgf` gives the law of any cycle type up to M = {CHARACTER_MAX_M}, "
+            "and `commcycles sample` draws a Monte-Carlo histogram above that"
+        )
 
 
 def _content_products(m: int) -> Iterator[tuple[int, list[int]]]:
@@ -365,6 +393,8 @@ class BernoulliDecomposition(Frozen):
                 r, q, pad = t.p.numerator, t.p.denominator, [0] * t.multiplier
                 row = [(q - r) * a + r * b for a, b in zip(row + pad, pad + row)]
             return _poly([0] * self.offset + row, math.prod(t.p.denominator for t in self.terms))
+        import numpy as np
+
         coeffs = np.array([0.0] * self.offset + [1.0])
         for t in self.terms:
             p = float(t.p)
@@ -413,6 +443,8 @@ def _phase_roots(m: int) -> np.ndarray:
     A root stops once its Newton step is within 2^-44 of it or no midpoint
     falls strictly inside its bracket; one still moving after _PHASE_STEPS
     steps raises RootFindError naming m."""
+    import numpy as np
+
     k, j = np.arange(1, m + 1, dtype=float), np.arange(1, (m + 1) // 2)
     target = np.pi * (m / 2 - j)
     lo, hi = target / (1 / k).sum(), m * (m + 1) / (2 * np.pi * j)

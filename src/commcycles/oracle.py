@@ -16,6 +16,7 @@ count against the class size: σ is least at a base point of each cycle,
 picked so that the table is pruned as each position joins it.  The uniform
 enumeration visits all M!, and one pass gives all three uniform laws.  Each
 law has one entry point; `sample` counts its draws with the commutator kernel.
+Its caps live in `genfun` with the other limits: refusing one compiles no oracle.
 """
 
 from __future__ import annotations
@@ -24,48 +25,21 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from ._lazy import np
-from .genfun import CHARACTER_MAX_M, CyclePGF, EnumerationCapError, one_cycle_pgf
+import numpy as np
+
+from .genfun import CyclePGF, _check_cap, one_cycle_pgf, resolve_cap
 from .perm import CycleType, Permutation, from_cycle_type
 from .polys import RationalPoly
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "HARD_ENUMERATION_CAP",
-    "EnumerationCapError",
-    "resolve_cap",
     "exact_commutator_distribution",
     "exact_uniform_cycle_laws",
     "hultman_row",
     "hultman_table_rows",
 ]
 
-DEFAULT_ENUMERATION_CAP = 8
-HARD_ENUMERATION_CAP = 10
 _BLOCK_SIZE = 5040
 _TAIL = 8  # positions of the table that follows each prefix: at most 8! rows
-
-
-def resolve_cap(cap: int | None) -> int:
-    """The enumeration cap in force: the default for None; a cap below 1 or
-    above the hard cap raises ValueError."""
-    effective = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if effective < 1:
-        raise ValueError(f"--cap must be at least 1, got {effective}")
-    if effective > HARD_ENUMERATION_CAP:
-        raise ValueError(f"cap {effective} exceeds hard enumeration cap {HARD_ENUMERATION_CAP}")
-    return effective
-
-
-def _check_cap(m: int, cap: int | None) -> None:
-    effective = resolve_cap(cap)
-    if m > effective:
-        raise_cap = f"raise the cap (hard cap {HARD_ENUMERATION_CAP}); " if effective < HARD_ENUMERATION_CAP else ""
-        raise EnumerationCapError(
-            f"ground set of size {m} exceeds the enumeration cap {effective}; {raise_cap}"
-            f"`commcycles pgf` gives the law of any cycle type up to M = {CHARACTER_MAX_M}, "
-            "and `commcycles sample` draws a Monte-Carlo histogram above that"
-        )
 
 
 def _permutation_blocks(m: int, less=()) -> Iterator[np.ndarray]:

@@ -4,9 +4,9 @@ matrices to cycle counts of permutation commutators.
 Every identity is checked by simulating the matrix side and comparing
 against an exact rational target, never floating-point gamma: Kostlan's
 Gamma-moment sum, or a `genfun` law at N that the check thereby witnesses,
-the law of [M]^K for trace_power, the transpositions law for real_trace and
-tr_g_squared, the uniform law for tr_g1_g2.  Every estimate carries its
-target, a standard error and a z-score.
+the law of [M]^K for trace_power and of [2]^M for tr_g_squared, the
+transpositions law for real_trace, the uniform law for tr_g1_g2.  Every
+estimate carries its target, a standard error and a z-score.
 
 Every estimator takes its dimension and orders, then one sampling plan
 (samples=, seed=, partitions=, all required, by keyword), and runs one path,
@@ -40,7 +40,8 @@ import os
 import zlib
 from fractions import Fraction
 
-from ._lazy import np
+import numpy as np
+
 from .genfun import commutator_law, transpositions_pgf, uniform_cycles_pgf
 from .perm import CycleType, Frozen
 
@@ -56,7 +57,6 @@ __all__ = [
     "trace_power_target",
     "gamma_shortcut_target",
     "real_trace_target",
-    "tr_g_squared_target",
     "tr_g1g2_target",
 ]
 
@@ -257,11 +257,6 @@ def real_trace_target(n_dim: int, m: int) -> Fraction:
     return math.prod(range(1, 2 * m, 2)) * transpositions_pgf(m).poly(n_dim)
 
 
-def tr_g_squared_target(n_dim: int, m: int) -> Fraction:
-    """E |tr G²|^(2M) exactly: (2M)! times the transpositions law of [2]^M at t = N."""
-    return math.factorial(2 * m) * transpositions_pgf(m).poly(n_dim)
-
-
 def tr_g1g2_target(n_dim: int, m: int) -> Fraction:
     """E |tr G₁G₂|^(2M) exactly: (M!)² times the uniform cycle-count law of M points at t = N²."""
     return math.factorial(m) ** 2 * uniform_cycles_pgf(m).poly(n_dim * n_dim)
@@ -330,7 +325,7 @@ def mc_tr_g_squared_law(n_dim: int, m: int, *, samples: int, seed: int, partitio
 
     return _estimate(
         "tr_g_squared", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
-        lambda: tr_g_squared_target(n_dim, m), draw,
+        lambda: trace_power_target(n_dim, 2, m), draw,
     )
 
 

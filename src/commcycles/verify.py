@@ -10,7 +10,7 @@ import functools
 import math
 from fractions import Fraction
 
-from . import genfun, oracle
+from . import genfun
 from .perm import CycleType, Frozen, from_cycle_type
 from .polys import (
     RationalPoly,
@@ -71,6 +71,8 @@ def run_factorial_checks(max_n: int) -> list[CheckResult]:
 
 
 def run_genfun_oracle_checks(max_m: int, cap: int | None) -> list[CheckResult]:
+    from . import oracle  # compiled on first use: only this suite enumerates
+
     @functools.cache
     def enumerated(*parts: int) -> RationalPoly:  # one enumeration per cycle type, shared by every check
         return oracle.exact_commutator_distribution(from_cycle_type(CycleType(parts)), cap=cap).poly
@@ -218,10 +220,10 @@ def run_scope(
         raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(SCOPES)}")
     if max_m is not None and max_m < 1:
         raise ValueError(f"--max-m must be at least 1, got {max_m}")
-    oracle.resolve_cap(cap)  # refuse a cap the oracle cannot honour before any check runs
+    genfun.resolve_cap(cap)  # refuse a cap the oracle cannot honour before any check runs
     oracle_max_m = 6 if max_m is None else max_m
     if scope in ("genfun_vs_oracle", "all"):
-        oracle._check_cap(oracle_max_m, cap)  # the oracle suite enumerates up to M = oracle_max_m
+        genfun._check_cap(oracle_max_m, cap)  # the oracle suite enumerates up to M = oracle_max_m
     if scope in ("rmt", "all"):
         from . import rmt
 

@@ -61,10 +61,13 @@ MC_ARGV = {identity: ["--n", "2", *(["--m1", "1", "--m2", "3"] if identity == "m
 MC_UNREAD = [(i, o) for i, reads in MC_READS.items() for o in ("n", "m", "k", "m1", "m2") if o not in reads]
 
 
+# Every command that enforces --cap (`pgf` reads it and ignores it).
+CAP_COMMANDS = [["dist", "type:[3]"], ["hultman", "--max-m", "3"]] + [["verify", "--scope", s] for s in verify.SCOPES]
+
+
 def stub_mc_work(monkeypatch) -> None:
     """Make every exact Monte-Carlo target and every draw fail the test."""
-    for name in ("trace_power_target", "gamma_shortcut_target", "real_trace_target", "tr_g_squared_target",
-                 "tr_g1g2_target", "_collect"):
+    for name in ("trace_power_target", "gamma_shortcut_target", "real_trace_target", "tr_g1g2_target", "_collect"):
         monkeypatch.setattr(rmt, name, lambda *args, name=name, **kwargs: pytest.fail(f"rmt.{name} ran"))
 
 
@@ -399,17 +402,23 @@ class TestHultmanCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --max-m must be at least 1, got {max_m}\n"
 
-    @pytest.mark.parametrize(
-        "command", [["dist", "type:[3]"], ["hultman", "--max-m", "3"]] + [["verify", "--scope", s] for s in verify.SCOPES]
-    )
-    @pytest.mark.parametrize("cap", ["0", "-4"])
-    def test_cap_below_one_refused(self, capsys, monkeypatch, command, cap):
+    def cap_refused(self, capsys, monkeypatch, command, cap) -> str:
+        """stderr of a command refused for its --cap before any check or enumeration runs."""
         for name in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
             monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("checks ran"))
         monkeypatch.setattr(oracle, "_permutation_blocks", lambda *a, **k: pytest.fail("enumerated"))
         code, out, err = run_cli(capsys, *command, "--cap", cap)
         assert (code, out) == (2, "")
-        assert err == f"error: --cap must be at least 1, got {cap}\n"
+        return err
+
+    @pytest.mark.parametrize("command", CAP_COMMANDS)
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    def test_cap_below_one_refused(self, capsys, monkeypatch, command, cap):
+        assert self.cap_refused(capsys, monkeypatch, command, cap) == f"error: --cap must be at least 1, got {cap}\n"
+
+    @pytest.mark.parametrize("command", CAP_COMMANDS)
+    def test_cap_above_the_hard_cap_refused(self, capsys, monkeypatch, command):
+        assert self.cap_refused(capsys, monkeypatch, command, "11") == "error: cap 11 exceeds hard enumeration cap 10\n"
 
     def test_closed_pipe_exits_quietly(self):
         # The full table is about 180 kB, more than a pipe buffers, so the
@@ -673,7 +682,7 @@ class TestVerifyCommand:
         ]
 
     def test_genfun_scope_enforces_cap(self, capsys):
-        with pytest.raises(oracle.EnumerationCapError):
+        with pytest.raises(genfun.EnumerationCapError):
             verify.run_genfun_oracle_checks(max_m=5, cap=4)
         code, _, err = run_cli(capsys, "verify", "--scope", "genfun_vs_oracle", "--max-m", "9")
         assert code == 2 and "enumeration cap 8" in err
@@ -1163,22 +1172,23 @@ class TestGlobalBehavior:
         assert code == 0 and "PGF:" in out
 
 
-# A CLI call in a fresh interpreter; its last line of stderr lists the numpy submodules then loaded.
+# A CLI call in a fresh interpreter; its last line of stderr lists numpy and its submodules if loaded.
 FRESH_CALL = (
     "import sys\n"
     "from commcycles import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr)\n"
+    "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
 class TestLazyNumpy:
-    """numpy is imported on first use: the closed forms never load it, and the
-    commands that do compute with it answer as they do with numpy imported."""
+    """numpy is imported where it is computed with: the closed forms never load
+    it, not even as a module to be loaded later, and the commands that do
+    compute with it answer as they do with numpy imported."""
 
     def fresh_call(self, capsys, *argv) -> str:
-        """The fresh interpreter's numpy submodules, after checking its stdout
+        """The fresh interpreter's numpy modules, after checking its stdout
         byte for byte against the same call here, where numpy is imported."""
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and "numpy" in sys.modules
@@ -1202,7 +1212,7 @@ class TestLazyNumpy:
         assert self.fresh_call(capsys, *argv) == "[]"
 
     def test_import_loads_no_numpy(self):
-        code = "import sys, commcycles; sys.exit(any(m.startswith('numpy.') for m in sys.modules))"
+        code = "import sys, commcycles; sys.exit(any(m.partition('.')[0] == 'numpy' for m in sys.modules))"
         proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -1225,7 +1235,7 @@ BARE_START = (
     "import commcycles.cli\n"
     "commcycles.cli.build_parser()\n"
     "unwanted = {'dataclasses', 'inspect', 'typing', 'csv', 'commcycles.rmt', 'commcycles.oracle', 'commcycles.verify'}\n"
-    "print(sorted(m for m in sys.modules if m in unwanted or m.startswith('numpy.')))\n"
+    "print(sorted(m for m in sys.modules if m in unwanted or m.partition('.')[0] == 'numpy'))\n"
 )
 
 # Runs one command, its output discarded, then prints its exit code and which of
@@ -1259,9 +1269,7 @@ NAMES_SERVED = (
 SERVED = {
     "rmt": ["MomentReport", "mc_trace_power_moment", "mc_gamma_shortcut_moment", "mc_real_trace_law",
             "mc_tr_g_squared_law", "mc_tr_g1g2_law", "mixed_trace_vanishing"],
-    # EnumerationCapError is bound at import, from genfun: it is the oracle's own class too
-    "oracle": ["DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP", "EnumerationCapError",
-               "exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"],
+    "oracle": ["exact_commutator_distribution", "exact_uniform_cycle_laws", "hultman_row", "hultman_table_rows"],
 }
 
 
@@ -1284,19 +1292,31 @@ class TestBareStart:
         assert self.bare_python(BARE_START) == "[]\n"
 
     @pytest.mark.parametrize(
-        "argv, loaded",
+        "argv, code, loaded",
         [
-            (["pgf", "one-cycle:5"], []),
-            (["bernoulli", "uniform:5"], []),
-            (["mc", "trace-power", "--n", "1", "--samples", "2"], []),
-            (["dist", "type:[3]"], ["commcycles.oracle"]),
-            # every scope reads the oracle's cap
-            (["verify", "--scope", "factorials"], ["commcycles.oracle", "commcycles.verify"]),
+            (["pgf", "one-cycle:5"], 0, []),
+            (["bernoulli", "uniform:5"], 0, []),
+            (["mc", "trace-power", "--n", "1", "--samples", "2"], 0, []),
+            (["dist", "type:[3]"], 0, ["commcycles.oracle"]),
+            # only the suite that enumerates compiles the oracle; genfun states the caps
+            (["verify", "--scope", "factorials"], 0, ["commcycles.verify"]),
+            (["verify", "--scope", "bernoulli"], 0, ["commcycles.verify"]),
+            (["verify", "--scope", "factorials", "--cap", "0"], 2, ["commcycles.verify"]),
         ],
-        ids=["pgf", "bernoulli", "mc", "dist", "verify"],
+        ids=["pgf", "bernoulli", "mc", "dist", "verify", "verify_bernoulli", "verify_cap_0"],
     )
-    def test_command_loads_what_it_runs(self, argv, loaded):
-        assert self.bare_python(BARE_COMMAND, *argv) == f"0 {loaded}\n"
+    def test_command_loads_what_it_runs(self, argv, code, loaded):
+        assert self.bare_python(BARE_COMMAND, *argv) == f"{code} {loaded}\n"
+
+    def test_limits_bound_at_import(self):
+        code = (
+            "import sys, commcycles\n"
+            "from commcycles import genfun\n"
+            "names = ('DEFAULT_ENUMERATION_CAP', 'HARD_ENUMERATION_CAP', 'resolve_cap')\n"
+            "assert all(vars(commcycles)[n] is getattr(genfun, n) for n in names)\n"
+            "print(sorted(m for m in sys.modules if m in ('commcycles.oracle', 'numpy')))\n"
+        )
+        assert self.bare_python(code) == "[]\n"
 
     @pytest.mark.parametrize("module", SERVED)
     def test_names_served_on_first_access(self, module):

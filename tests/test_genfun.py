@@ -21,6 +21,7 @@ from commcycles.genfun import (
     BernoulliDecomposition,
     BernoulliTerm,
     CyclePGF,
+    EnumerationCapError,
     bernoulli_decomposition,
     character_law,
     negative_real_roots,
@@ -33,7 +34,6 @@ from commcycles.genfun import (
     uniform_cycles_pgf,
     validate_pgf,
 )
-from commcycles.oracle import EnumerationCapError
 from commcycles.perm import CycleType
 from commcycles.polys import RationalPoly, falling_factorial, rising_factorial, rising_product
 

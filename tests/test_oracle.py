@@ -19,8 +19,8 @@ import numpy as np
 import commcycles
 from _reference import commutator_cycle_count, conjugacy_class, conjugate, mean, probabilities, sample_uniform
 from commcycles import genfun, oracle
+from commcycles.genfun import EnumerationCapError
 from commcycles.oracle import (
-    EnumerationCapError,
     exact_commutator_distribution,
     exact_uniform_cycle_laws,
     hultman_row,
@@ -62,6 +62,9 @@ class TestCommutatorDistribution:
     def test_cap_error_has_one_home(self):
         assert EnumerationCapError is genfun.EnumerationCapError is commcycles.EnumerationCapError
         assert EnumerationCapError.__module__ == "commcycles.genfun"
+        # the caps are genfun's limits: the oracle reads them and defines none
+        assert oracle.resolve_cap is genfun.resolve_cap and oracle._check_cap is genfun._check_cap
+        assert not {"DEFAULT_ENUMERATION_CAP", "HARD_ENUMERATION_CAP"} & set(vars(oracle))
         with pytest.raises(EnumerationCapError):  # the character-sum limit raises the same class
             genfun.character_law(CycleType([16, 15]))
 
@@ -75,7 +78,7 @@ class TestCommutatorDistribution:
     def test_cap_message_at_the_hard_cap(self):
         # the cap cannot be raised further, so the message does not offer it
         with pytest.raises(EnumerationCapError) as info:
-            exact_commutator_distribution(from_cycle_type(CycleType([11])), cap=oracle.HARD_ENUMERATION_CAP)
+            exact_commutator_distribution(from_cycle_type(CycleType([11])), cap=genfun.HARD_ENUMERATION_CAP)
         message = str(info.value)
         assert message.startswith("ground set of size 11 exceeds the enumeration cap 10; `commcycles pgf`")
         assert "raise the cap" not in message
@@ -266,11 +269,11 @@ class TestCosetQuotient:
 
 class TestHardCapWitnesses:
     def test_one_cycle_at_the_hard_cap(self):
-        dist = exact_commutator_distribution(from_cycle_type(CycleType([10])), cap=oracle.HARD_ENUMERATION_CAP)
+        dist = exact_commutator_distribution(from_cycle_type(CycleType([10])), cap=genfun.HARD_ENUMERATION_CAP)
         assert dist.poly == genfun.one_cycle_pgf(10).poly
 
     def test_two_cycles_at_the_hard_cap(self):
-        dist = exact_commutator_distribution(from_cycle_type(CycleType([5, 5])), cap=oracle.HARD_ENUMERATION_CAP)
+        dist = exact_commutator_distribution(from_cycle_type(CycleType([5, 5])), cap=genfun.HARD_ENUMERATION_CAP)
         assert dist.poly == genfun.two_cycles_pgf(5).poly
 
 

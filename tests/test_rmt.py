@@ -16,7 +16,7 @@ import pytest
 
 import _reference as reference
 from commcycles import oracle, rmt
-from commcycles.oracle import EnumerationCapError
+from commcycles.genfun import EnumerationCapError
 from commcycles.polys import rising_product
 from commcycles.rmt import (
     _BATCH,
@@ -36,7 +36,6 @@ from commcycles.rmt import (
     mixed_trace_vanishing,
     real_trace_target,
     tr_g1g2_target,
-    tr_g_squared_target,
     trace_power_target,
 )
 
@@ -121,11 +120,12 @@ class TestExactTargets:
         )
 
     def test_tr_g_squared_targets(self):
-        assert tr_g_squared_target(1, 1) == 2  # 4 * 1! * 1/2
-        assert tr_g_squared_target(2, 1) == 8  # 4 * 1! * 2
+        # E |tr G²|^(2M) is trace_power's target at power 2 and M factors
+        assert trace_power_target(1, 2, 1) == 2  # 4 * 1! * 1/2
+        assert trace_power_target(2, 2, 1) == 8  # 4 * 1! * 2
         # 4^M M! (N²/2)_M, the rising-product form of (2M)! times the transpositions law at N
         assert all(
-            tr_g_squared_target(n, m) == 4**m * math.factorial(m) * rising_product(F(n * n, 2), m)
+            trace_power_target(n, 2, m) == 4**m * math.factorial(m) * rising_product(F(n * n, 2), m)
             for n in range(1, 6)
             for m in range(1, 41)
         )
