@@ -153,6 +153,7 @@ def _law(kind, value):
 
 
 def _cmd_pgf(args) -> int:
+    genfun.resolve_cap(args.cap)  # refused as `dist` refuses it, though `pgf` never enumerates
     pgf, provenance = _law(*parse_tau_spec(args.tau))
     validation = genfun.validate_pgf(pgf)
     payload = {
@@ -218,7 +219,7 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_hultman(args) -> int:
-    max_m = args.max_m if args.max_m is not None else 8
+    max_m = args.max_m if args.max_m is not None else genfun.DEFAULT_ENUMERATION_CAP
     if max_m < 1:
         raise UsageError(f"--max-m must be at least 1, got {max_m}")
     if max_m > HULTMAN_MAX_M:
@@ -449,8 +450,8 @@ _GLOBALS = {
 }
 
 
-# The global options each command reads.  `pgf` also takes --cap, and ignores
-# it: the witness_laws workload of perfbench sends `pgf type:[...] --cap 9`.
+# The global options each command reads.  `pgf` checks --cap and uses it for
+# nothing else: the witness_laws workload of perfbench sends `pgf type:[...] --cap 9`.
 _READS = {
     "pgf": ("cap", "format"), "dist": ("cap", "format"), "bernoulli": ("format",),
     "hultman": ("max_m", "cap", "format"), "sample": ("seed", "format"),

@@ -56,10 +56,20 @@ __all__ = [
     "negative_real_roots",
 ]
 
-# Source tags of the commutator laws; C has the parity of M under each.
-COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity", "characters")
-# The sources whose laws `bernoulli_decomposition` decomposes.
-BERNOULLI_SOURCES = ("uniform", "transpositions", "one_cycle", "identity")
+# Every source of a law: the parity of M - C wherever its laws have mass (None
+# for no parity law), and its Bernoulli decomposer pgf -> (parameters, multiplier,
+# offset) or None.  The decomposable sources come first, in the order a refusal names them.
+_LAW_SOURCES = {
+    "uniform": (None, lambda pgf: ([Fraction(1, k) for k in range(1, pgf.M + 1)], 1, 0)),
+    "transpositions": (0, lambda pgf: ([Fraction(1, 2 * k - 1) for k in range(1, pgf.M // 2 + 1)], 2, 0)),
+    "one_cycle": (0, lambda pgf: ([1.0 / (1.0 - u) for u in negative_real_roots(pgf)], 2, 2 - pgf.M % 2)),
+    "identity": (0, lambda pgf: ([], 1, pgf.M)),
+    "two_cycles": (0, None),
+    "characters": (0, None),
+    "alternating": (0, None),
+    "co_alternating": (1, None),
+    "oracle": (None, None),
+}
 
 
 class EnumerationCapError(ValueError):
@@ -328,15 +338,7 @@ class PgfValidation(Frozen):
         return self.normalized and self.nonnegative and self.zero_constant and self.parity_ok is not False
 
     def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "M": self.M,
-            "normalized": self.normalized,
-            "nonnegative": self.nonnegative,
-            "zero_constant": self.zero_constant,
-            "parity_ok": self.parity_ok,
-            "ok": self.ok,
-        }
+        return {**super().to_json(), "ok": self.ok}
 
 
 def validate_pgf(pgf: CyclePGF) -> PgfValidation:
@@ -347,16 +349,8 @@ def validate_pgf(pgf: CyclePGF) -> PgfValidation:
     normalized = sum(num) == pgf.poly.denominator
     nonnegative = all(c >= 0 for c in num)
     zero_constant = not num or num[0] == 0
-    if pgf.source in COMMUTATOR_SOURCES or pgf.source == "alternating":
-        want = pgf.M % 2
-    elif pgf.source == "co_alternating":
-        want = (pgf.M + 1) % 2
-    else:
-        want = None
-    if want is None:
-        parity_ok: bool | None = None
-    else:
-        parity_ok = all(k % 2 == want for k, c in enumerate(num) if c)
+    parity = _LAW_SOURCES[pgf.source][0]
+    parity_ok = None if parity is None else all((pgf.M - k) % 2 == parity for k, c in enumerate(num) if c)
     return PgfValidation(pgf.source, pgf.M, normalized, nonnegative, zero_constant, parity_ok)
 
 
@@ -500,32 +494,19 @@ def negative_real_roots(pgf: CyclePGF) -> list[float]:
 
 def require_bernoulli_source(source: str) -> None:
     """Raise ValueError unless laws of this source have a Bernoulli decomposition."""
-    if source not in BERNOULLI_SOURCES:
-        raise ValueError(f"no Bernoulli decomposition for source {source!r} (only {', '.join(BERNOULLI_SOURCES)})")
+    if _LAW_SOURCES[source][1] is None:
+        only = ", ".join(name for name, (_, decompose) in _LAW_SOURCES.items() if decompose)
+        raise ValueError(f"no Bernoulli decomposition for source {source!r} (only {only})")
 
 
 def bernoulli_decomposition(pgf: CyclePGF) -> BernoulliDecomposition:
-    """Decompose a cycle-count PGF into independent Bernoulli summands.
-
-    uniform          -> parameters 1/k (k = 1..M), multiplier 1.
-    transpositions   -> parameters 1/(2k-1) (k = 1..M/2), multiplier 2.
-    one_cycle        -> the zeros of the PGF are 0 (offset times) and
-                        ±i*y_j, with sum_{k=1..M} atan(y_j/k) = pi*(M/2 - j)
-                        (see `negative_real_roots`), so the PGF is
-                        t^offset * prod_j (t^2 + y_j^2)/(1 + y_j^2): a
-                        doubled Bernoulli with numeric p_j = 1/(1 + y_j^2)
-                        per root, smallest p_j first.
-    identity         -> no terms, offset M: the point mass t^M.
+    """Decompose a cycle-count PGF into independent Bernoulli summands, by
+    the decomposer `_LAW_SOURCES` holds for its source.  For one_cycle the
+    zeros of the PGF are 0 (offset times) and ±i*y_j, with sum_{k=1..M}
+    atan(y_j/k) = pi*(M/2 - j) (see `negative_real_roots`), so the PGF is
+    t^offset * prod_j (t^2 + y_j^2)/(1 + y_j^2): a doubled Bernoulli with
+    numeric p_j = 1/(1 + y_j^2) per root, smallest p_j first.
     """
     require_bernoulli_source(pgf.source)
-    if pgf.source == "uniform":
-        terms = tuple(BernoulliTerm(Fraction(1, k), 1) for k in range(1, pgf.M + 1))
-        return BernoulliDecomposition(terms, 0)
-    if pgf.source == "identity":
-        return BernoulliDecomposition((), pgf.M)
-    if pgf.source == "transpositions":
-        pairs = pgf.M // 2
-        terms = tuple(BernoulliTerm(Fraction(1, 2 * k - 1), 2) for k in range(1, pairs + 1))
-        return BernoulliDecomposition(terms, 0)
-    terms = tuple(BernoulliTerm(1.0 / (1.0 - u), 2) for u in negative_real_roots(pgf))
-    return BernoulliDecomposition(terms, 2 - pgf.M % 2)
+    ps, multiplier, offset = _LAW_SOURCES[pgf.source][1](pgf)
+    return BernoulliDecomposition(tuple(BernoulliTerm(p, multiplier) for p in ps), offset)

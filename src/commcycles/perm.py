@@ -23,8 +23,8 @@ __all__ = [
 
 
 class Frozen:
-    """Base of the immutable value classes: the `__slots__` are the fields, set once by
-    position, compared (within one class) and hashed as a tuple, shown as `Class(field=value, ...)`."""
+    """Base of the immutable value classes: the `__slots__` are the fields, set once by position,
+    compared (within one class) and hashed as a tuple, shown as `Class(field=value, ...)`, as JSON `{field: value}`."""
 
     __slots__ = ()
 
@@ -52,6 +52,9 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+    def to_json(self) -> dict:
+        return dict(zip(self.__slots__, self._fields()))
 
 
 class Permutation:

@@ -6,7 +6,9 @@ against an exact rational target, never floating-point gamma: Kostlan's
 Gamma-moment sum, or a `genfun` law at N that the check thereby witnesses,
 the law of [M]^K for trace_power and of [2]^M for tr_g_squared, the
 transpositions law for real_trace, the uniform law for tr_g1_g2.  Every
-estimate carries its target, a standard error and a z-score.
+estimate carries its target, a standard error and a z-score.  tr_g_squared
+(`mc tr-g2`) is the trace-power estimator at power 2, the same body as
+trace_power, drawn on its own substream.
 
 Every estimator takes its dimension and orders, then one sampling plan
 (samples=, seed=, partitions=, all required, by keyword), and runs one path,
@@ -272,14 +274,17 @@ def mc_trace_power_moment(
     Gaussian matrix G by direct simulation, from `samples` draws split over
     `partitions` substreams of `seed`, and compare with the exact
     permutation-side target."""
+    params = {"N": n_dim, "M": power, "K": factors}
+    return _trace_power("trace_power", params, power, factors, (samples, seed, partitions))
+
+
+def _trace_power(identity, params, power, factors, plan) -> MomentReport:
+    """E |tr G^power|^(2*factors) at N = params["N"], reported and drawn under `identity`."""
 
     def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_traces(g, power)[0]) ** (2 * factors))
+        _ginibre(rng, params["N"], values, lambda g: np.abs(_power_traces(g, power)[0]) ** (2 * factors))
 
-    return _estimate(
-        "trace_power", {"N": n_dim, "M": power, "K": factors}, (samples, seed, partitions),
-        lambda: trace_power_target(n_dim, power, factors), draw,
-    )
+    return _estimate(identity, params, plan, lambda: trace_power_target(params["N"], power, factors), draw)
 
 
 def mc_gamma_shortcut_moment(
@@ -319,14 +324,9 @@ def mc_real_trace_law(n_dim: int, m: int, *, samples: int, seed: int, partitions
 
 def mc_tr_g_squared_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:
     """Estimate E |tr G²|^(2M) and compare with the exact moments of
-    4·γ₁·γ_{N²/2}, i.e. 4^M M! (N²/2)...(N²/2+M-1)."""
-    def draw(rng, values):
-        _ginibre(rng, n_dim, values, lambda g: np.abs(_power_traces(g, 2)[0]) ** (2 * m))
-
-    return _estimate(
-        "tr_g_squared", {"N": n_dim, "M": m, "K": 1}, (samples, seed, partitions),
-        lambda: trace_power_target(n_dim, 2, m), draw,
-    )
+    4·γ₁·γ_{N²/2}, i.e. 4^M M! (N²/2)...(N²/2+M-1): the trace-power
+    estimator at power 2 and M factors, on its own tr_g_squared substream."""
+    return _trace_power("tr_g_squared", {"N": n_dim, "M": m, "K": 1}, 2, m, (samples, seed, partitions))
 
 
 def mc_tr_g1g2_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:

@@ -33,9 +33,6 @@ class CheckResult(Frozen):
     def __init__(self, name: str, ok: bool, detail: str):
         super().__init__(name, bool(ok), detail)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
 
 def run_factorial_checks(max_n: int) -> list[CheckResult]:
     out = []

@@ -61,8 +61,9 @@ MC_ARGV = {identity: ["--n", "2", *(["--m1", "1", "--m2", "3"] if identity == "m
 MC_UNREAD = [(i, o) for i, reads in MC_READS.items() for o in ("n", "m", "k", "m1", "m2") if o not in reads]
 
 
-# Every command that enforces --cap (`pgf` reads it and ignores it).
+# Every command that enforces --cap (`pgf` checks it and builds no enumeration with it).
 CAP_COMMANDS = [["dist", "type:[3]"], ["hultman", "--max-m", "3"]] + [["verify", "--scope", s] for s in verify.SCOPES]
+CAP_COMMANDS.append(["pgf", "one-cycle:3"])
 
 
 def stub_mc_work(monkeypatch) -> None:
@@ -389,6 +390,18 @@ class TestHultmanCommand:
         assert sum(int(r[2]) for r in top) == math.factorial(cli.HULTMAN_MAX_M)
         assert all(r[3] == "" for r in top)  # above the oracle cap
 
+    @pytest.mark.parametrize("cap", [genfun.DEFAULT_ENUMERATION_CAP, 5])
+    def test_default_max_m_is_the_default_cap(self, capsys, monkeypatch, cap):
+        # without --max-m the table ends at the default cap, so every row has an oracle count
+        monkeypatch.delenv("COMMCYCLES_MAX_M", raising=False)
+        monkeypatch.delenv("COMMCYCLES_CAP", raising=False)
+        monkeypatch.setattr(genfun, "DEFAULT_ENUMERATION_CAP", cap)
+        code, out, err = run_cli(capsys, "hultman", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert max(r["M"] for r in rows) == cap
+        assert all(type(r["oracle_count"]) is int for r in rows)
+
     def test_max_m_capped(self, capsys):
         code, _, err = run_cli(capsys, "hultman", "--max-m", str(cli.HULTMAN_MAX_M + 1))
         assert code == 2
@@ -403,10 +416,11 @@ class TestHultmanCommand:
         assert err == f"error: --max-m must be at least 1, got {max_m}\n"
 
     def cap_refused(self, capsys, monkeypatch, command, cap) -> str:
-        """stderr of a command refused for its --cap before any check or enumeration runs."""
+        """stderr of a command refused for its --cap before any check, enumeration or law runs."""
         for name in ("run_factorial_checks", "run_genfun_oracle_checks", "run_bernoulli_checks", "run_rmt_checks"):
             monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("checks ran"))
         monkeypatch.setattr(oracle, "_permutation_blocks", lambda *a, **k: pytest.fail("enumerated"))
+        monkeypatch.setattr(genfun, "commutator_route", lambda *a, **k: pytest.fail("built a law"))
         code, out, err = run_cli(capsys, *command, "--cap", cap)
         assert (code, out) == (2, "")
         return err

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _reference as reference
-from commcycles import genfun
+from commcycles import genfun, oracle
 from commcycles import polys as polys_module
 from commcycles.genfun import (
     BernoulliDecomposition,
@@ -34,7 +34,7 @@ from commcycles.genfun import (
     uniform_cycles_pgf,
     validate_pgf,
 )
-from commcycles.perm import CycleType
+from commcycles.perm import CycleType, Permutation
 from commcycles.polys import RationalPoly, falling_factorial, rising_factorial, rising_product
 
 F = Fraction
@@ -225,6 +225,19 @@ class TestPgfInvariants:
         bad = CyclePGF(poly(0, F(1, 2), F(1, 2)), 2, "one_cycle")
         assert validate_pgf(bad).parity_ok is False
 
+    def test_every_emitted_source_has_a_table_row(self):
+        # A source missing from genfun's source table would skip its parity
+        # check, and a row no builder emits is dead: every route of
+        # commutator_route, the baselines, the character sum and the oracle.
+        routes = [genfun.commutator_route(CycleType(t)) for t in ([4], [1, 1, 1], [2, 2, 2], [3, 3], [3, 2])]
+        laws = [build() for _, build in routes]
+        assert [law.source for law in laws] == [source for source, _ in routes]
+        laws += [uniform_cycles_pgf(4), alternating_pgf(1, complement=False), alternating_pgf(4, complement=True)]
+        laws += [character_law(CycleType([2, 1])), oracle.exact_commutator_distribution(Permutation([1, 2, 0]))]
+        laws += oracle.exact_uniform_cycle_laws(4, cap=None).values()
+        assert {law.source for law in laws} == genfun._LAW_SOURCES.keys()
+        assert all(validate_pgf(law).ok for law in laws)
+
     def test_json_round_trip(self):
         pgf = transpositions_pgf(3)
         data = pgf.to_json()
@@ -294,7 +307,10 @@ coefficients = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=1000),
 )
 polys = st.lists(coefficients, max_size=8).map(RationalPoly)
-sources = st.sampled_from(["uniform", "oracle", "alternating", "co_alternating", *genfun.COMMUTATOR_SOURCES])
+# The commutator sources, written out here rather than read from genfun's
+# source table, so that the parity reference below does not read what it checks.
+COMMUTATOR_SOURCES = ("one_cycle", "two_cycles", "transpositions", "identity", "characters")
+sources = st.sampled_from(["uniform", "oracle", "alternating", "co_alternating", *COMMUTATOR_SOURCES])
 bernoulli_terms = st.lists(
     st.tuples(st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool), st.integers(1, 3)),
     max_size=6,
@@ -303,7 +319,7 @@ bernoulli_terms = st.lists(
 
 def parity_law(pgf):
     """The parity every cycle count with mass must have, or None."""
-    if pgf.source in genfun.COMMUTATOR_SOURCES or pgf.source == "alternating":
+    if pgf.source in COMMUTATOR_SOURCES or pgf.source == "alternating":
         return pgf.M % 2
     return (pgf.M + 1) % 2 if pgf.source == "co_alternating" else None
 
@@ -521,8 +537,8 @@ def _sturm_real_roots(coeffs):
 
 class TestTwoCyclesNotRealRooted:
     # Why the phase-equation root routine is one-cycle only and two-cycles
-    # stays out of BERNOULLI_SOURCES: its even part in u = t^2 has complex
-    # roots from m = 4 on.
+    # has no Bernoulli decomposer in genfun's source table: its even part in
+    # u = t^2 has complex roots from m = 4 on.
     @staticmethod
     def reduced_even_part(m):
         coeffs = [F(c) for c in two_cycles_pgf(m).poly.coeffs[::2]]
