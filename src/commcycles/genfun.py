@@ -208,6 +208,12 @@ def resolve_cap(cap: int | None) -> int:
     return effective
 
 
+def _check_max_m(max_m: int | None) -> None:
+    """Refuse a --max-m below 1; None leaves the command's own default."""
+    if max_m is not None and max_m < 1:
+        raise ValueError(f"--max-m must be at least 1, got {max_m}")
+
+
 def _check_cap(m: int, cap: int | None) -> None:
     effective = resolve_cap(cap)
     if m > effective:

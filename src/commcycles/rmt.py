@@ -303,10 +303,13 @@ def mc_gamma_shortcut_moment(
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(values), n_dim))
         values[:] = np.abs((radii * np.exp(1j * phases)).sum(axis=1)) ** (2 * factors)
 
-    return _estimate(
-        "gamma_shortcut", {"N": n_dim, "M": m, "K": factors}, (samples, seed, partitions),
-        lambda: gamma_shortcut_target(n_dim, m, factors), draw,
-    )
+    def target():  # the k_N = K term, (N)_(mK) = Γ(N+mK)/Γ(N), bounds the sum below: refuse a huge one unsummed
+        bits = math.floor((math.lgamma(n_dim + m * factors) - math.lgamma(n_dim)) / math.log(2))
+        if bits >= 1024:
+            raise ValueError(f"the exact gamma_shortcut target, about 2^{bits}, does not fit a double")
+        return gamma_shortcut_target(n_dim, m, factors)
+
+    return _estimate("gamma_shortcut", {"N": n_dim, "M": m, "K": factors}, (samples, seed, partitions), target, draw)
 
 
 def mc_real_trace_law(n_dim: int, m: int, *, samples: int, seed: int, partitions: int) -> MomentReport:

@@ -190,9 +190,8 @@ def run_rmt_checks(samples: int, seed: int, partitions: int) -> list[CheckResult
         rep = rmt.mc_real_trace_law(n_dim, m, **plan)
         out.append(_z_check(f"real_trace[N={n_dim},M={m}]", rep))
 
-    for n_dim, m in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        rep = rmt.mc_tr_g_squared_law(n_dim, m, **plan)
-        out.append(_z_check(f"tr_g_squared[N={n_dim},M={m}]", rep))
+    # tr_g_squared[N,M] is trace_power[N,m=2,K=M]: drawn only where no trace_power check above draws it
+    out.append(_z_check("tr_g_squared[N=1,M=1]", rmt.mc_tr_g_squared_law(1, 1, **plan)))
 
     for n_dim, m1, m2 in [(2, 1, 2), (1, 1, 3), (3, 2, 4)]:
         rep = rmt.mixed_trace_vanishing(n_dim, m1, m2, **plan)
@@ -215,8 +214,7 @@ def run_scope(
 ) -> list[CheckResult]:
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(SCOPES)}")
-    if max_m is not None and max_m < 1:
-        raise ValueError(f"--max-m must be at least 1, got {max_m}")
+    genfun._check_max_m(max_m)
     genfun.resolve_cap(cap)  # refuse a cap the oracle cannot honour before any check runs
     oracle_max_m = 6 if max_m is None else max_m
     if scope in ("genfun_vs_oracle", "all"):

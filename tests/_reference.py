@@ -85,7 +85,7 @@ def commutator_cycle_count(s, t):
 
 def sample_uniform(size, rng):
     """Uniformly random permutation of range(size) by rng.shuffle (Fisher-Yates).
-    `cli._shuffle_rows` must give the same permutations from the same rng."""
+    `sampling._shuffle_rows` must give the same permutations from the same rng."""
     if size < 1:
         raise ValueError("size must be positive")
     vals = list(range(size))
