@@ -3,7 +3,8 @@
 Subcommands: pgf, dist, bernoulli, hultman, sample, verify, mc.  Output is
 JSON by default (`--format human` for aligned text; dist and hultman also
 speak CSV), and `_emit` writes every format.  One `parse_args` call reads the
-command line.  Every parser declares all the global flags, so a flag may come
+command line.  The top-level parser declares all the global flags, and so does
+a subcommand's parser, which is built on its first parse: a flag may come
 before or after the command's name, and `_refuse_unread` refuses one that the
 command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
 variable, read on every call.  A flag wins; an unread flag or a bad value
@@ -314,14 +315,15 @@ _READS = {
 }
 
 
-# Every parser, the top-level one and each subcommand's, declares all the global
-# options with default SUPPRESS.  So argparse reads a flag, or a prefix of one,
-# the same way before and after the subcommand; a flag after it beats one before
-# it; and an option that no flag set is absent from the parsed namespace.  The
-# flags a command reads come first, typed and in its --help.  The others are
-# hidden and take any value or none: `_refuse_unread` refuses them whatever
-# follows.  `main` fills the absent options from the environment on every call,
-# so the parser holds no per-call input and one parser serves the process.
+# Every parser, the top-level one and each subcommand's once it is built,
+# declares all the global options with default SUPPRESS.  So argparse reads a
+# flag, or a prefix of one, the same way before and after the subcommand; a flag
+# after it beats one before it; and an option that no flag set is absent from
+# the parsed namespace.  The flags a command reads come first, typed and in its
+# --help.  The others are hidden and take any value or none: `_refuse_unread`
+# refuses them whatever follows.  `main` fills the absent options from the
+# environment on every call, so the parsers hold no per-call input and each is
+# built once per process.
 def _add_global_options(parser: argparse.ArgumentParser, reads=tuple(_GLOBALS)) -> None:
     for dest in (*reads, *(d for d in _GLOBALS if d not in reads)):
         if dest not in reads:
@@ -359,41 +361,60 @@ def _fill_globals(args: argparse.Namespace) -> None:
             raise UsageError(f"bad value for {env}: {raw!r}") from None
 
 
+# Each command and its help line, in the order top-level --help lists them.
+_COMMANDS = {
+    "pgf": "closed-form or character-sum PGF for a tau selector",
+    "dist": "exact enumerated distribution for a tau selector",
+    "bernoulli": "Bernoulli decomposition of a solved family",
+    "hultman": "table of one-cycle commutator counts",
+    "sample": "Monte-Carlo histogram of the commutator cycle count",
+    "verify": "run consistency suites",
+    "mc": "one Monte-Carlo identity check",
+}
+
+
+class _CommandParser:
+    """Stands in for a subcommand's parser, as `add_subparsers(parser_class=...)`
+    allows: argparse only calls its `parse_known_args`, and the first call
+    builds the command's parser, which later calls reuse."""
+
+    def __init__(self, **kwargs):
+        self._kwargs = kwargs  # prog, as `add_parser` passes it
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(**self._kwargs)
+        command = p.prog.rpartition(" ")[2]
+        if command in ("pgf", "dist", "bernoulli", "sample"):
+            p.add_argument("tau")
+        if command == "sample":
+            p.add_argument("--draws", type=int, default=10_000)
+        elif command == "verify":
+            p.add_argument("--scope", default="all")
+        elif command == "mc":
+            p.add_argument("identity", choices=tuple(_MC))
+            for opt in _MC_OPTIONS:  # absent unless given, so that `_refuse_unread` sees what was given
+                p.add_argument("--" + opt, type=int, default=argparse.SUPPRESS)
+        _add_global_options(p, _READS[command])
+        return p
+
+    def parse_known_args(self, args, namespace):
+        return self._parser.parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one argument parser, built on first use."""
+    """The process's one argument parser, built on first use.  It declares
+    the global options and names the commands; a command's own parser is
+    built when a call first names it."""
     parser = argparse.ArgumentParser(
         prog="commcycles",
         description="Cycle statistics of commutators of random permutations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pgf", help="closed-form or character-sum PGF for a tau selector")
-    p.add_argument("tau")
-
-    p = sub.add_parser("dist", help="exact enumerated distribution for a tau selector")
-    p.add_argument("tau")
-
-    p = sub.add_parser("bernoulli", help="Bernoulli decomposition of a solved family")
-    p.add_argument("tau")
-
-    sub.add_parser("hultman", help="table of one-cycle commutator counts")
-
-    p = sub.add_parser("sample", help="Monte-Carlo histogram of the commutator cycle count")
-    p.add_argument("tau")
-    p.add_argument("--draws", type=int, default=10_000)
-
-    p = sub.add_parser("verify", help="run consistency suites")
-    p.add_argument("--scope", default="all")
-
-    p = sub.add_parser("mc", help="one Monte-Carlo identity check")
-    p.add_argument("identity", choices=tuple(_MC))
-    for opt in _MC_OPTIONS:  # absent unless given, so that `_refuse_unread` sees what was given
-        p.add_argument("--" + opt, type=int, default=argparse.SUPPRESS)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, help_line in _COMMANDS.items():
+        sub.add_parser(command, help=help_line)
     _add_global_options(parser)
-    for command, p in sub.choices.items():
-        _add_global_options(p, _READS[command])
     return parser
 
 

@@ -165,7 +165,8 @@ def from_cycle_type(ct: CycleType) -> Permutation:
     return _perm_from_cycles0(cycles, ct.size)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# One cycle "(...)"; `re` compiles it on the first parse and caches it, so start-up does not.
+_CYCLE = r"\(([^()]*)\)"
 
 
 def parse_cycles(text: str) -> Permutation:
@@ -178,11 +179,11 @@ def parse_cycles(text: str) -> Permutation:
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty cycle expression")
-    if _CYCLE_RE.sub("", stripped).strip():
+    if re.sub(_CYCLE, "", stripped).strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
     cycles0 = []
     labels_seen = set()
-    for body in _CYCLE_RE.findall(stripped):
+    for body in re.findall(_CYCLE, stripped):
         labels = [tok for tok in re.split(r"[\s,]+", body.strip()) if tok]
         if not labels:
             raise ValueError(f"empty cycle '()' in {text!r}: write a fixed point as a 1-cycle, e.g. (3)")

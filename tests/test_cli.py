@@ -1154,15 +1154,67 @@ class TestGlobalBehavior:
         listed = sorted((out.index(flag), dest) for dest, flag in flags.items() if flag in out)
         assert [dest for _, dest in listed] == list(cli._READS[command])  # in usage order
 
-    def test_parser_built_once_per_process(self, capsys, monkeypatch, request):
+    @pytest.fixture
+    def built(self, monkeypatch, request):
+        """The prog of each parser given the global options, from a fresh `build_parser` on."""
         built, add = [], cli._add_global_options
         monkeypatch.setattr(cli, "_add_global_options", lambda parser, *dests: built.append(parser.prog) or add(parser, *dests))
         cli.build_parser.cache_clear()
         request.addfinalizer(cli.build_parser.cache_clear)
+        return built
+
+    def test_parser_built_once_per_process(self, capsys, built):
         run_cli(capsys, "pgf", "one-cycle:3")
         run_cli(capsys, "sample", "one-cycle:3", "--draws", "10")
         assert built.count("commcycles") == 1
         assert cli.build_parser() is cli.build_parser()
+
+    def test_subcommand_parser_built_on_first_use(self, capsys, built):
+        cli.build_parser()
+        assert built == ["commcycles"]  # the top-level parser alone
+        assert run_cli(capsys, "pgf", "one-cycle:3")[0] == 0
+        assert built == ["commcycles", "commcycles pgf"]
+        assert run_cli(capsys, "pgf", "one-cycle:4")[0] == 0
+        assert built == ["commcycles", "commcycles pgf"]  # reused by later calls
+
+    # The usage line of each command's --help, at a width that keeps it on one line.
+    USAGE = {
+        "pgf": "commcycles pgf [-h] [--cap CAP] [--format {json,human,csv}] tau",
+        "dist": "commcycles dist [-h] [--cap CAP] [--format {json,human,csv}] tau",
+        "bernoulli": "commcycles bernoulli [-h] [--format {json,human,csv}] tau",
+        "hultman": "commcycles hultman [-h] [--max-m MAX_M] [--cap CAP] [--format {json,human,csv}]",
+        "sample": "commcycles sample [-h] [--draws DRAWS] [--seed SEED] [--format {json,human,csv}] tau",
+        "verify": "commcycles verify [-h] [--scope SCOPE] [--seed SEED] [--samples SAMPLES] [--max-m MAX_M]"
+        " [--cap CAP] [--threads THREADS] [--format {json,human,csv}]",
+        "mc": "commcycles mc [-h] [--n N] [--m M] [--k K] [--m1 M1] [--m2 M2] [--samples SAMPLES] [--seed SEED]"
+        " [--threads THREADS] [--format {json,human,csv}] {trace-power,gamma,real-trace,tr-g2,tr-g1g2,mixed}",
+    }
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_command_help_usage_line(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "300")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out.splitlines()[0], err) == (0, "usage: " + self.USAGE[command], "")
+
+    def test_top_level_help_lists_the_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "300")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        listing = out[out.index("positional arguments:") :].split("\n\n")[0].splitlines()
+        assert exc.value.code == 0 and listing == [
+            "positional arguments:",
+            "  {pgf,dist,bernoulli,hultman,sample,verify,mc}",
+            "    pgf                 closed-form or character-sum PGF for a tau selector",
+            "    dist                exact enumerated distribution for a tau selector",
+            "    bernoulli           Bernoulli decomposition of a solved family",
+            "    hultman             table of one-cycle commutator counts",
+            "    sample              Monte-Carlo histogram of the commutator cycle count",
+            "    verify              run consistency suites",
+            "    mc                  one Monte-Carlo identity check",
+        ]
 
     def test_command_looked_up_per_call(self, capsys, monkeypatch):
         assert run_cli(capsys, "pgf", "one-cycle:3")[0] == 0
