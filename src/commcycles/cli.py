@@ -4,19 +4,20 @@ Subcommands: pgf, dist, bernoulli, hultman, sample, verify, mc.  Output is
 JSON by default (`--format human` for aligned text; dist and hultman also
 speak CSV), and `_emit` writes every format.  One `parse_args` call reads the
 command line.  The top-level parser declares all the global flags, and so does
-a subcommand's parser, which is built on its first parse: a flag may come
-before or after the command's name, and `_refuse_unread` refuses one that the
-command does not read (`_READS`).  A read flag falls back to its COMMCYCLES_*
-variable, read on every call.  A flag wins; an unread flag or a bad value
-exits 2; an unread variable is ignored.  An `mc` identity reads the options
-that `_MC` lists for it, refuses any other in the same way, and runs the rmt
-estimator that `_MC` names.  Starting the CLI compiles neither the enumeration
-oracle, the verify suites, rmt nor the sampler, nor imports numpy: `dist` and
-`hultman` import `oracle`, `sample` imports `sampling` (which imports `oracle`),
-`verify` imports `verify` (which alone checks --scope), and `mc` imports `rmt`,
-each on first use.  Exit codes: 0 pass, 1 check failure, 2 usage error or a
-typed failure (enumeration cap or character-sum limit, root finding, an exact
-target beyond the double range), each with a one-line message.
+a subcommand's parser, whose arguments are declared on its first parse: a flag
+may come before or after the command's name, and `_refuse_unread` refuses one
+that the command does not read (`_READS`).  A read flag falls back to its
+COMMCYCLES_* variable, read on every call.  A flag wins; an unread flag or a
+bad value exits 2; an unread variable is ignored.  An `mc` identity reads the
+options that `_MC` lists for it, refuses any other in the same way, and runs
+the rmt estimator that `_MC` names.  Starting the CLI compiles neither the
+enumeration oracle, the verify suites, rmt nor the sampler, nor imports numpy:
+`dist` and `hultman` import `oracle`, `sample` imports `sampling` (which
+imports `oracle`), `verify` imports `verify` (which alone checks --scope), and
+`mc` imports `rmt`, each on first use.  Exit codes: 0 pass, 1 check failure, 2
+usage error or a typed failure (enumeration cap or character-sum limit, root
+finding, an exact target beyond the double range), each with a one-line
+message.
 """
 
 from __future__ import annotations
@@ -315,7 +316,7 @@ _READS = {
 }
 
 
-# Every parser, the top-level one and each subcommand's once it is built,
+# Every parser, the top-level one and each subcommand's once it first parses,
 # declares all the global options with default SUPPRESS.  So argparse reads a
 # flag, or a prefix of one, the same way before and after the subcommand; a flag
 # after it beats one before it; and an option that no flag set is absent from
@@ -361,59 +362,65 @@ def _fill_globals(args: argparse.Namespace) -> None:
             raise UsageError(f"bad value for {env}: {raw!r}") from None
 
 
-# Each command and its help line, in the order top-level --help lists them.
+def _tau(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("tau")
+
+
+def _sample_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("tau")
+    parser.add_argument("--draws", type=int, default=10_000)
+
+
+def _mc_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("identity", choices=tuple(_MC))
+    for opt in _MC_OPTIONS:  # absent unless given, so that `_refuse_unread` sees what was given
+        parser.add_argument("--" + opt, type=int, default=argparse.SUPPRESS)
+
+
+# Each command, in the order top-level --help lists them: its help line, and
+# what declares the command's own arguments, ahead of the global options.
 _COMMANDS = {
-    "pgf": "closed-form or character-sum PGF for a tau selector",
-    "dist": "exact enumerated distribution for a tau selector",
-    "bernoulli": "Bernoulli decomposition of a solved family",
-    "hultman": "table of one-cycle commutator counts",
-    "sample": "Monte-Carlo histogram of the commutator cycle count",
-    "verify": "run consistency suites",
-    "mc": "one Monte-Carlo identity check",
+    "pgf": ("closed-form or character-sum PGF for a tau selector", _tau),
+    "dist": ("exact enumerated distribution for a tau selector", _tau),
+    "bernoulli": ("Bernoulli decomposition of a solved family", _tau),
+    "hultman": ("table of one-cycle commutator counts", lambda parser: None),
+    "sample": ("Monte-Carlo histogram of the commutator cycle count", _sample_arguments),
+    "verify": ("run consistency suites", lambda parser: parser.add_argument("--scope", default="all")),
+    "mc": ("one Monte-Carlo identity check", _mc_arguments),
 }
 
 
-class _CommandParser:
-    """Stands in for a subcommand's parser, as `add_subparsers(parser_class=...)`
-    allows: argparse only calls its `parse_known_args`, and the first call
-    builds the command's parser, which later calls reuse."""
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, as `add_subparsers(parser_class=...)` makes it.
+    Start-up makes it empty.  Its first parse declares -h, the command's own
+    arguments and the global options, in that order; later parses reuse them."""
 
-    def __init__(self, **kwargs):
-        self._kwargs = kwargs  # prog, as `add_parser` passes it
-
-    @functools.cached_property
-    def _parser(self) -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(**self._kwargs)
-        command = p.prog.rpartition(" ")[2]
-        if command in ("pgf", "dist", "bernoulli", "sample"):
-            p.add_argument("tau")
-        if command == "sample":
-            p.add_argument("--draws", type=int, default=10_000)
-        elif command == "verify":
-            p.add_argument("--scope", default="all")
-        elif command == "mc":
-            p.add_argument("identity", choices=tuple(_MC))
-            for opt in _MC_OPTIONS:  # absent unless given, so that `_refuse_unread` sees what was given
-                p.add_argument("--" + opt, type=int, default=argparse.SUPPRESS)
-        _add_global_options(p, _READS[command])
-        return p
+    def __init__(self, *, command: str, **kwargs):
+        super().__init__(add_help=False, **kwargs)  # -h too waits for the first parse
+        self._undeclared = command
 
     def parse_known_args(self, args, namespace):
-        return self._parser.parse_known_args(args, namespace)
+        if self._undeclared is not None:
+            command, self._undeclared = self._undeclared, None
+            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                              help="show this help message and exit")  # as add_help=True declares it
+            _COMMANDS[command][1](self)
+            _add_global_options(self, _READS[command])
+        return super().parse_known_args(args, namespace)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on first use.  It declares
-    the global options and names the commands; a command's own parser is
-    built when a call first names it."""
+    the global options and names the commands; a command's own arguments are
+    declared when a call first names it."""
     parser = argparse.ArgumentParser(
         prog="commcycles",
         description="Cycle statistics of commutators of random permutations.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command, help_line in _COMMANDS.items():
-        sub.add_parser(command, help=help_line)
+    for command, (help_line, _) in _COMMANDS.items():
+        sub.add_parser(command, help=help_line, command=command)
     _add_global_options(parser)
     return parser
 

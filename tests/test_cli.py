@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, byte-determinism, env-var mirroring, exit
 codes, and the verify suite's sensitivity to injected coefficient errors."""
 
+import argparse
 import json
 import math
 import os
@@ -1215,6 +1216,15 @@ class TestGlobalBehavior:
             "    verify              run consistency suites",
             "    mc                  one Monte-Carlo identity check",
         ]
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_command_help_option_is_argparses_own(self, capsys, command):
+        """A command's -h is declared with its arguments, and reads as argparse's own -h."""
+        own = next(" ".join(line.split()) for line in argparse.ArgumentParser().format_help().splitlines() if "--help" in line)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert exc.value.code == 0 and own in lines
 
     def test_command_looked_up_per_call(self, capsys, monkeypatch):
         assert run_cli(capsys, "pgf", "one-cycle:3")[0] == 0
