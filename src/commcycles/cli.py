@@ -34,9 +34,11 @@ from .polys import _pretty_strings
 
 FORMATS = ("json", "human", "csv")
 
-# Largest `hultman --max-m`.  The formula path builds one PGF per M; the
-# whole table up to M = 100 (2550 rows, 180 kB of CSV) takes about 0.15 s on
-# a 2-vCPU machine, half of it the oracle column up to the default cap.
+# Largest `hultman --max-m`.  The formula path builds one PGF per M, each
+# from the row of Stirling numbers one step past the last; the whole table up
+# to M = 100 (2550 rows, 180 kB of CSV) takes about 25 ms in-process on a
+# 2-vCPU machine, 5 ms of it the oracle column up to the default cap, after
+# about 0.15 s to import the oracle and numpy on first use.
 HULTMAN_MAX_M = 100
 
 # The named families of τ, as the cycle types they stand for.

@@ -24,6 +24,7 @@ from .polys import (
     _poly,
     _reduced,
     _rising_falling,
+    _rising_row,
     _rising_square_sweep,
     _times_x_plus,
     rising_factorial,
@@ -141,7 +142,8 @@ def two_cycles_pgf(m: int) -> CyclePGF:
         - 2/(2m)! * (S(t) + S(-t))
 
     with S = rising_square_sum(m); only even powers of t survive.  One sweep
-    of 2m + 1 multiplications by (t + i) gives R_{m+1}, R_{2m+1} and S.
+    gives R_{m+1}, R_{2m+1} and S: R_{m+1} from the table of Stirling rows
+    (m + 1 multiplications by (t + i) when it is cold), then m more.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -159,15 +161,14 @@ def transpositions_pgf(m: int) -> CyclePGF:
     transpositions on 2m points: prod_{k=1..m} (t^2 + 2k - 2) / (2k - 1).
 
     Equivalently 2 * (sum of independent Bernoulli(1/(2k-1)) variables).
+    The product in u = t^2 is 2^m R_m(u/2), so u^j has the coefficient
+    c(m, j) 2^(m-j), read off row m of the Stirling numbers.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    row = [1]  # prod (u + 2k - 2) in u = t^2
-    for k in range(1, m + 1):
-        row = _times_x_plus(row, 2 * k - 2)
     num = [0] * (2 * m + 1)
-    num[::2] = row
-    return CyclePGF(RationalPoly(num) / math.prod(range(1, 2 * m, 2)), 2 * m, "transpositions")
+    num[::2] = [c << m - j for j, c in enumerate(_rising_row(m))]
+    return CyclePGF(_poly(num, math.prod(range(1, 2 * m, 2))), 2 * m, "transpositions")
 
 
 def transpositions_rising_form(m: int, base: int) -> RationalPoly:

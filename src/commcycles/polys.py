@@ -10,6 +10,13 @@ representations.  Ring operations, composition, exact evaluation and
 rendering work on these integers and reduce once per result; `numerators`
 and `denominator` hand them out, `coeffs` and `coefficient` one
 `fractions.Fraction` per coefficient.
+
+Every factorial polynomial is read off a row of unsigned Stirling numbers
+c(n, k), and `_rising_row` is the one place such a row is built.  The
+process keeps one table of rows: a request extends the largest stored row
+below it and stores the result, so a process that builds several laws pays
+once for each multiplication by (X + i) they share.  The table holds at most
+_ROW_BITS coefficient bits and evicts its oldest rows first.
 """
 
 from __future__ import annotations
@@ -237,13 +244,43 @@ def _times_x_plus(row: list[int], i: int) -> list[int]:
     return [a + i * b for a, b in zip([0, *row], [*row, 0])]
 
 
+# The table of Stirling rows: n -> (coefficient bits, row of c(n, k)), oldest
+# first.  A stored row is never changed in place.  Threads share the table
+# without a lock: each scans a snapshot of its keys, a row another thread
+# evicts meanwhile reads as absent, and each store sums the size afresh, so a
+# race can evict a row early, and once the stores end the table is in budget.
+_ROWS: dict[int, tuple[int, list[int]]] = {}
+
+# Most coefficient bits the table keeps: 2^22, 512 KiB of digits.  Rows 2..101,
+# all that `hultman --max-m 100` stores, take 0.9 Mbit; row 801 alone 3.2 Mbit.
+_ROW_BITS = 1 << 22
+
+
 def _rising_row(n: int) -> list[int]:
     """Coefficients of X(X+1)...(X+n-1): the unsigned Stirling numbers of
-    the first kind c(n, k), k = 0..n."""
-    row = [1]
-    for i in range(n):
+    the first kind c(n, k), k = 0..n, in a new list.
+
+    Reads the process's table of rows: extends the largest stored row n' <= n
+    by the n - n' multiplications by (X + i), n' <= i < n, and stores row n."""
+    start = max((k for k in list(_ROWS) if k <= n), default=0)
+    stored = _ROWS.get(start)  # None for n' = 0, or when another thread evicted it meanwhile
+    start, row = (start, stored[1]) if stored else (0, [1])
+    for i in range(start, n):
         row = _times_x_plus(row, i)
-    return row
+    if start < n:
+        _store(n, row)
+    return list(row)
+
+
+def _store(n: int, row: list[int]) -> None:
+    """Keep row n of c(n, k) in the table, then evict the oldest rows until it
+    holds at most _ROW_BITS coefficient bits."""
+    _ROWS[n] = (sum(c.bit_length() for c in row), row)
+    excess = sum(bits for bits, _ in list(_ROWS.values())) - _ROW_BITS
+    for k in list(_ROWS):
+        if excess <= 0:
+            break
+        excess -= _ROWS.pop(k, (0,))[0]
 
 
 def rising_factorial(n: int) -> RationalPoly:
@@ -312,14 +349,16 @@ def rising_square_sum(m: int) -> RationalPoly:
         S(X) = sum_{k=0..m} (-1)^k * k!/(2m-k+1) * C(m,k)^2 * R_{2m-k+1}(X)
 
     with R_n the degree-n rising factorial.  The rows R_{m+1}..R_{2m+1} are
-    built in one sweep and summed over the denominator lcm(m+1..2m+1).
+    summed over the denominator lcm(m+1..2m+1) in one sweep: R_{m+1} comes from
+    the table of Stirling rows, and m multiplications by (X + i) follow.
     """
     return _rising_square_sweep(m)[2]
 
 
 def _rising_square_sweep(m: int) -> tuple[list[int], list[int], RationalPoly]:
-    """(row of R_{m+1}, row of R_{2m+1}, rising_square_sum(m)) from the one
-    sweep of 2m + 1 multiplications by (X + i)."""
+    """(row of R_{m+1}, row of R_{2m+1}, rising_square_sum(m)) from one sweep:
+    R_{m+1} from the table (m + 1 multiplications by (X + i) when it is cold),
+    then the m multiplications to R_{2m+1}, which goes into the table."""
     if m < 1:
         raise ValueError("m must be positive")
     top = 2 * m + 1
@@ -333,6 +372,7 @@ def _rising_square_sweep(m: int) -> tuple[list[int], list[int], RationalPoly]:
         weight = (-1) ** k * math.factorial(k) * math.comb(m, k) ** 2 * (den // n)
         for j, c in enumerate(row):
             total[j] += weight * c
+    _store(top, row)
     return first, row, _poly(total, den)
 
 

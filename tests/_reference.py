@@ -11,10 +11,11 @@ degree), one Fraction per coefficient, as `RationalPoly.coeffs` gives them:
 the references for the integer-numerator rendering, composition, PGF
 validation and Bernoulli reconstruction in `polys` and `genfun`.
 
-Earlier forms of three closed-form routines, each doing its work the long
+Earlier forms of four closed-form routines, each doing its work the long
 way: the phase equation of the one-cycle roots by plain bisection, the
-two-cycles law from three separately built rows of rising factorials, and
-an exact Bernoulli reconstruction by one `RationalPoly` product per term.
+two-cycles law from three separately built rows of rising factorials, the
+transpositions law as its product of factors in t^2, and an exact Bernoulli
+reconstruction by one `RationalPoly` product per term.
 
 The complex samples of tr(G²) on the substreams of the "tr_g_squared"
 identity, from the package's own draw driver and Ginibre kernel: the
@@ -210,6 +211,17 @@ def two_cycles_law(m):
     s = rising_square_sum(m)
     diag = (s + s.reflect()) * Fraction(2, math.factorial(two_m))
     return head + cross - diag
+
+
+def transpositions_law(m):
+    """The transpositions PGF of `genfun.transpositions_pgf`,
+    prod_{k=1..m} (t^2 + 2k - 2) / (2k - 1), one factor at a time in u = t^2."""
+    row = [1]
+    for k in range(1, m + 1):
+        row = [a + (2 * k - 2) * b for a, b in zip([0, *row], [*row, 0])]
+    num = [0] * (2 * m + 1)
+    num[::2] = row
+    return RationalPoly(num) / math.prod(range(1, 2 * m, 2))
 
 
 def bernoulli_reconstruct(terms, offset):

@@ -20,7 +20,7 @@ import pytest
 
 import commcycles
 from _reference import commutator_cycle_count, sample_uniform
-from commcycles import cli, genfun, oracle, rmt, sampling, verify
+from commcycles import cli, genfun, oracle, polys, rmt, sampling, verify
 from commcycles.perm import CycleType, from_cycle_type
 from commcycles.polys import RationalPoly, _pretty_strings
 
@@ -390,6 +390,15 @@ class TestHultmanCommand:
         top = [r for r in rows if int(r[0]) == cli.HULTMAN_MAX_M]
         assert sum(int(r[2]) for r in top) == math.factorial(cli.HULTMAN_MAX_M)
         assert all(r[3] == "" for r in top)  # above the oracle cap
+
+    def test_each_row_extends_the_last(self, capsys, monkeypatch, cold_rows):
+        # from a cold table, row M + 1 of the Stirling numbers is one step past row M
+        real = polys._times_x_plus
+        calls = []
+        monkeypatch.setattr(polys, "_times_x_plus", lambda row, i: calls.append(i) or real(row, i))
+        code, _, _ = run_cli(capsys, "hultman", "--max-m", "100", "--cap", "1")
+        assert code == 0
+        assert calls == list(range(101))
 
     @pytest.mark.parametrize("cap", [genfun.DEFAULT_ENUMERATION_CAP, 5])
     def test_default_max_m_is_the_default_cap(self, capsys, monkeypatch, cap):

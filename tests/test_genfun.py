@@ -130,13 +130,24 @@ class TestTwoCycles:
         assert two_cycles_pgf(m).poly == reference.two_cycles_law(m)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 17, 40])
-    def test_one_sweep_of_rising_rows(self, monkeypatch, m):
+    def test_one_sweep_of_rising_rows(self, monkeypatch, cold_rows, m):
         # R_{m+1} and R_{2m+1} come from the sweep that sums S
         real = polys_module._times_x_plus
         calls = []
         monkeypatch.setattr(polys_module, "_times_x_plus", lambda row, i: calls.append(i) or real(row, i))
         two_cycles_pgf(m)
         assert calls == list(range(2 * m + 1))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 40])
+    def test_warm_sweep_starts_at_the_stored_row(self, monkeypatch, cold_rows, m):
+        # a second build reads R_{m+1} from the table and sweeps only from it to R_{2m+1}
+        expected = two_cycles_pgf(m)
+        assert list(cold_rows) == [m + 1, 2 * m + 1]
+        real = polys_module._times_x_plus
+        calls = []
+        monkeypatch.setattr(polys_module, "_times_x_plus", lambda row, i: calls.append(i) or real(row, i))
+        assert two_cycles_pgf(m).poly == expected.poly
+        assert calls == list(range(m + 1, 2 * m + 1))
 
 
 class TestTranspositions:
@@ -153,6 +164,11 @@ class TestTranspositions:
         # the product in u = t^2 against the rising factorial composed with t^2/2
         for m in range(1, 121):
             assert transpositions_pgf(m).poly == transpositions_rising_form(m, base=4)
+
+    def test_matches_product_of_factors_up_to_200(self):
+        # row m of the Stirling numbers against the product of (t^2 + 2k - 2) / (2k - 1) it replaced
+        for m in range(1, 201):
+            assert transpositions_pgf(m).poly == reference.transpositions_law(m)
 
     def test_halved_prefactor_fails_normalization(self):
         # documented failing witness: the 2^M prefactor gives mass 2^-M

@@ -1,7 +1,11 @@
 """Exact checks of the polynomial toolkit: frozen hand-expanded values,
-the factorial-polynomial identities, and ring-structure properties."""
+the factorial-polynomial identities, ring-structure properties, and the
+table of Stirling rows every factorial builder reads."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _reference as reference
+from commcycles import polys
+from commcycles.genfun import (
+    alternating_pgf,
+    one_cycle_pgf,
+    transpositions_pgf,
+    two_cycles_pgf,
+    uniform_cycles_pgf,
+)
 from commcycles.polys import (
     RationalPoly,
     ZERO,
@@ -277,3 +289,99 @@ class TestConnectionExpansion:
     def test_rejects_m_above_n(self):
         with pytest.raises(ValueError):
             connection_expand(3, 2)
+
+
+def stirling_rows(top):
+    """Rows 0..top of c(n, k) by the recurrence c(n+1, k) = c(n, k-1) + n c(n, k)."""
+    rows = [[1]]
+    for n in range(top):
+        rows.append([a + n * b for a, b in zip([0, *rows[-1]], [*rows[-1], 0])])
+    return rows
+
+
+# Every builder that reads the table, and the largest size it is asked for: a
+# sweep builder at m reads rows up to 2m + 1, so it stops at m = 100.
+TABLE_READERS = {
+    "rising_factorial": (rising_factorial, 200),
+    "falling_factorial": (falling_factorial, 200),
+    "rising_falling_sum+": (lambda n: rising_falling_sum(n, 1), 200),
+    "rising_falling_sum-": (lambda n: rising_falling_sum(n, -1), 200),
+    "rising_square_sum": (rising_square_sum, 100),
+    "uniform_cycles_pgf": (lambda m: uniform_cycles_pgf(m).poly, 200),
+    "alternating_pgf": (lambda m: alternating_pgf(m, False).poly, 200),
+    "alternating_pgf complement": (lambda m: alternating_pgf(m, True).poly, 200),
+    "one_cycle_pgf": (lambda m: one_cycle_pgf(m).poly, 200),
+    "two_cycles_pgf": (lambda m: two_cycles_pgf(m).poly, 100),
+    "transpositions_pgf": (lambda m: transpositions_pgf(m).poly, 200),
+}
+
+
+class TestStirlingRowTable:
+    def test_cold_and_warm_tables_agree(self, cold_rows):
+        requests = [(name, n) for name, (_, top) in TABLE_READERS.items() for n in range(2, top + 1)]
+        random.Random(1).shuffle(requests)
+        cold = {}
+        for name, n in requests:
+            cold_rows.clear()
+            cold[name, n] = TABLE_READERS[name][0](n)
+        cold_rows.clear()
+        random.Random(2).shuffle(requests)
+        for name, n in requests:
+            assert TABLE_READERS[name][0](n) == cold[name, n], (name, n)
+
+    def test_mutating_a_returned_row_changes_no_later_answer(self, cold_rows):
+        rows = stirling_rows(12)
+        row = polys._rising_row(10)
+        row[3] += 1
+        row.append(7)
+        assert polys._rising_row(10) == rows[10]
+        assert rising_factorial(10) == RationalPoly(rows[10])
+        assert polys._rising_row(12) == rows[12]
+
+    def test_retained_bits_stay_within_the_budget(self, cold_rows):
+        rows = stirling_rows(1000)
+        for n in [*range(100, 801, 100), 1000]:
+            assert polys._rising_row(n) == rows[n]
+            assert sum(bits for bits, _ in cold_rows.values()) <= polys._ROW_BITS
+        for n in range(100, 801, 100):
+            assert rising_factorial(n) == RationalPoly(rows[n])
+        # the oldest rows went first, and row 1000 alone is past the budget
+        assert sum(sum(c.bit_length() for c in rows[n]) for n in range(100, 801, 100)) > polys._ROW_BITS
+        assert sum(c.bit_length() for c in rows[1000]) > polys._ROW_BITS
+        assert 100 not in cold_rows and 1000 not in cold_rows
+        assert all(entry == (sum(c.bit_length() for c in rows[n]), rows[n]) for n, entry in cold_rows.items())
+
+    def test_threads_build_laws_while_the_table_evicts(self, cold_rows, monkeypatch):
+        # a budget of a few rows near 40: most stores evict rows that other threads are reading
+        monkeypatch.setattr(polys, "_ROW_BITS", 1 << 15)
+        laws = [one_cycle_pgf, transpositions_pgf, two_cycles_pgf, uniform_cycles_pgf]
+        requests = [(law, m) for law in laws for m in range(1, 41)]
+        cold = {}
+        for law, m in requests:
+            cold_rows.clear()
+            cold[law, m] = law(m).poly
+        cold_rows.clear()
+        built, errors = [{} for _ in range(4)], []
+
+        def build(k):
+            order = random.Random(k).sample(requests * 5, 5 * len(requests))
+            try:
+                for law, m in order:
+                    built[k][law, m] = law(m).poly
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(answers == cold for answers in built)
+        assert sum(bits for bits, _ in cold_rows.values()) <= polys._ROW_BITS
