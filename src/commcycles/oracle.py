@@ -118,6 +118,11 @@ def _commutator_counts(sigmas: np.ndarray, tau_arr: np.ndarray) -> np.ndarray:
     return _orbit_counts(succ, m)
 
 
+def _histogram(m: int, counts) -> np.ndarray:
+    """Histogram over 0..m of the cycle counts in each array of `counts`, one block of rows at a time."""
+    return sum((np.bincount(c, minlength=m + 1) for c in counts), np.zeros(m + 1, dtype=np.int64))
+
+
 def _law_from_hist(m: int, hist: np.ndarray, total: int) -> CyclePGF:
     """The enumerated law: cycle-count histogram over the number enumerated."""
     counts = [int(c) for c in hist]
@@ -142,9 +147,7 @@ def exact_commutator_distribution(tau: Permutation, cap: int | None = None) -> C
         same = [base for base, cycle in zip(bases, cycles) if len(cycle) == length]
         less += zip(same, same[1:])
     tau_arr = np.array(tau.map, dtype=np.int64)
-    hist = np.zeros(m + 1, dtype=np.int64)
-    for block in _permutation_blocks(m, less):
-        hist += np.bincount(_commutator_counts(block, tau_arr), minlength=m + 1)
+    hist = _histogram(m, (_commutator_counts(block, tau_arr) for block in _permutation_blocks(m, less)))
     return _law_from_hist(m, hist, tau.cycle_type().class_size())  # one σ per coset
 
 
@@ -153,9 +156,7 @@ def exact_uniform_cycle_laws(m: int, cap: int | None) -> dict[str, CyclePGF]:
     uniform even one ("alternating") and, for m >= 2, a uniform odd one
     ("co_alternating"), from one enumeration: a permutation is odd iff m - C is."""
     _check_cap(m, cap)
-    hist = np.zeros(m + 1, dtype=np.int64)
-    for block in _permutation_blocks(m):
-        hist += np.bincount(_cycle_counts_rows(block), minlength=m + 1)
+    hist = _histogram(m, map(_cycle_counts_rows, _permutation_blocks(m)))
     n = math.factorial(m)
     odd = hist * ((m - np.arange(m + 1)) % 2)
     laws = {"all": _law_from_hist(m, hist, n), "alternating": _law_from_hist(m, hist - odd, n - n // 2)}

@@ -17,16 +17,17 @@ only then draw through one batch driver, `_collect`.  So a target with no
 exact law raises EnumerationCapError, and one beyond the double range, or
 whose square is, a ValueError, before any draw; an estimate or standard
 error that overflows after the draws does too.  Draws are split across
-`partitions` independent substreams spawned from numpy SeedSequence; a fixed
-(seed, partitions) pair reproduces estimates bit for bit, and each identity
-derives its own substream from its name so that different identities do not
-share variates.  Partitions run side by side on min(partitions, cpu count)
-threads, each writing its own slice of one array in batches of up to
-`_BATCH` draws.  Side by side, every partition's working set counts, so each
-stays bounded: a complex batch holds its real parts (drawn first, as one
-(2, b, n, n) draw would) and streams the rest through `_normal_chunks` in
-chunks of `_CHUNK` entries, reducing each complex chunk at once; no whole
-complex batch is formed.
+`partitions` independent substreams spawned from numpy SeedSequence, one set
+per identity, derived from its name, so that identities share no variates.
+Partitions run side by side on min(partitions, cpu count) threads, each
+writing its own slice of one array in batches sized from the N×N block a draw
+holds: min(`_BATCH`, `_ENTRIES` // N²) draws, at least one, so 2^15 up to N = 4
+and at most 2^19 entries above.  So at each N a (seed, partitions) pair fixes
+the variates, and the estimates bit for bit; and as every partition's working
+set counts side by side, each stays bounded whatever N is: a complex batch
+holds its real parts (drawn first, as one (2, b, n, n) draw would) and streams
+the rest through `_normal_chunks` in chunks of `_CHUNK` entries, reducing each
+complex chunk at once; no whole complex batch is formed.
 
 Traces of matrix powers are contracted, never formed: tr G^p sums G^ceil(p/2)
 against the transpose of G^floor(p/2), both built batch-last, as (n, n, k)
@@ -62,7 +63,8 @@ __all__ = [
     "tr_g1g2_target",
 ]
 
-_BATCH = 1 << 15
+_BATCH = 1 << 15  # draws per batch at most
+_ENTRIES = 1 << 19  # matrix entries per batch at most: _BATCH draws of 4×4 matrices
 _MAX_PARTITIONS = 1024  # each partition has its own Generator and its own draw calls
 _CHUNK = 1 << 15  # matrix entries per streamed chunk (0.5 MB as complex)
 _SCALE = math.sqrt(0.5)  # complex entries are (x+iy)/sqrt(2)
@@ -154,28 +156,25 @@ def _power_traces(g: np.ndarray, *powers: int) -> list[np.ndarray]:
     ]
 
 
-def _collect(identity, seed, partitions, total, draw, dtype) -> np.ndarray:
-    """One array of `total` values, each slice filled by `draw(rng, values)`.
-    Each partition substream fills its own slice in batches of at most
-    `_BATCH`, so the array depends on (seed, partitions) only.  Partitions
-    run on min(partitions, cpu count) threads, the caller's included; a
-    thread takes every workers-th partition in turn."""
+def _collect(identity, seed, partitions, total, n, draw, dtype) -> np.ndarray:
+    """One array of `total` values, each slice filled by `draw(rng, values)`.  Each partition substream
+    fills its own slice in batches of min(_BATCH, _ENTRIES // n²) draws, at least one, for draws that
+    hold an n×n block each, so at each n the array depends on (seed, partitions) only.  Partitions run
+    on min(partitions, cpu count) threads, the caller's included; a thread takes every workers-th in turn."""
     out = np.empty(total, dtype=dtype)
     streams = _streams(seed, partitions, identity)
     bounds = list(itertools.accumulate(_partition_sizes(total, partitions), initial=0))
     workers = min(partitions, os.cpu_count() or 1)
+    batch = max(1, min(_BATCH, _ENTRIES // (n * n)))
 
     def fill(first):
         for i in range(first, partitions, workers):
-            for lo in range(bounds[i], bounds[i + 1], _BATCH):
-                draw(streams[i], out[lo : min(lo + _BATCH, bounds[i + 1])])
+            for lo in range(bounds[i], bounds[i + 1], batch):
+                draw(streams[i], out[lo : min(lo + batch, bounds[i + 1])])
 
-    if workers == 1:
-        fill(0)
-        return out
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers - 1) as pool:  # leaving waits for every helper
+    with ThreadPoolExecutor(workers) as pool:  # a thread per task submitted, none for one worker; leaving waits for all
         helpers = [pool.submit(fill, w) for w in range(1, workers)]
         fill(0)
         for helper in helpers:
@@ -200,7 +199,7 @@ def _estimate(identity, params, plan, target, draw, dtype=float) -> MomentReport
         raise ValueError(f"the exact {identity} target, about 2^{bits}, does not fit a double") from None
     if math.isinf(exact * exact):  # samples of the target's size square beyond a double, as would their spread
         raise ValueError(f"the square of the exact {identity} target, about 2^{2 * bits}, does not fit a double")
-    values, extra = _collect(identity, seed, partitions, samples, draw, dtype), {}
+    values, extra = _collect(identity, seed, partitions, samples, params["N"], draw, dtype), {}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
         if np.iscomplexobj(values):
             mean = complex(values.mean())

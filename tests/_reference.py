@@ -245,4 +245,4 @@ def tr_g_squared_samples(n_dim, samples, seed, partitions):
     def draw(rng, values):
         rmt._ginibre(rng, n_dim, values, lambda g: rmt._power_traces(g, 2)[0])
 
-    return rmt._collect("tr_g_squared", seed, partitions, samples, draw, complex)
+    return rmt._collect("tr_g_squared", seed, partitions, samples, n_dim, draw, complex)

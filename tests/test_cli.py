@@ -108,6 +108,20 @@ class TestTauSpecParsing:
         with pytest.raises(cli.UsageError):
             cli.parse_tau_spec(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("type:[1,", "expected type:[c1,c2,...], got 'type:[1,'"),
+            ("type:[2 3]", "expected type:[c1,c2,...], got 'type:[2 3]'"),
+            ("cycles:3", "unknown tau selector 'cycles'"),
+            ("Foo:[3]", "unknown tau selector 'foo'"),
+        ],
+    )
+    def test_refusals_name_the_fault(self, bad, message):
+        with pytest.raises(cli.UsageError) as refused:
+            cli.parse_tau_spec(bad)
+        assert str(refused.value) == message
+
 
 # Each named family and the cycle type it is shorthand for.
 FAMILY_TYPES = {
@@ -236,6 +250,59 @@ class TestPgfCommand:
         code, out, _ = run_cli(capsys, "pgf", "transpositions:2")
         data = json.loads(out)
         assert data["pgf"]["coeffs"] == ["0/1", "0/1", "2/3", "0/1", "1/3"]
+
+
+# Each command's `--format human` lines on one small input.
+HUMAN_LINES = {
+    "dist": (["dist", "one-cycle:3"], ["tau: one-cycle:3   M = 3", "  P(C = 1) = 1/2 = 0.500000", "  P(C = 3) = 1/2 = 0.500000"]),
+    "bernoulli": (
+        ["bernoulli", "uniform:3"],
+        [
+            "tau: uniform:3   (exact parameters)", "offset: 0", "  + 1 * Bernoulli(1/1)", "  + 1 * Bernoulli(1/2)",
+            "  + 1 * Bernoulli(1/3)", "reconstruction residual: 0",
+        ],
+    ),
+    "hultman": (  # above the cap the oracle column is blank
+        ["hultman", "--max-m", "3", "--cap", "2"],
+        [
+            "  M   k        count       oracle", "  1   1            1            1", "  2   2            2            2",
+            "  3   1            3             ", "  3   3            3             ",
+        ],
+    ),
+    "verify": (
+        ["verify", "--scope", "factorials", "--max-m", "3"],
+        [
+            "[PASS] difference_of_rising  n <= 3", "[PASS] reflection  n <= 3",
+            "[PASS] connection_coefficients  m <= n <= 8", "[PASS] squared_rising_partial_sums  m <= 8, evaluations n <= 12",
+            "[PASS] rising_values_as_gamma_sums  n, k <= 3", "5 passed, 0 failed",
+        ],
+    ),
+    "sample": (
+        ["sample", "one-cycle:3", "--draws", "100", "--seed", "0"],
+        [
+            "tau: one-cycle:3   M = 3   draws = 100  seed = 0", "  C = 1: 44  (0.4400)  expected 0.5000",
+            "  C = 3: 56  (0.5600)  expected 0.5000", "chi-square: 1.440 on 1 df, p = 0.2301",
+        ],
+    ),
+    "sample_no_reference": (
+        ["sample", "type:[3,3,3,3,3,3,3,3,3,3,3]", "--draws", "2", "--seed", "0"],
+        ["tau: type:[3,3,3,3,3,3,3,3,3,3,3]   M = 33   draws = 2  seed = 0", "  C = 5: 2  (1.0000)", sampling.NO_REFERENCE],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", HUMAN_LINES)
+def test_human_lines(capsys, command):
+    argv, lines = HUMAN_LINES[command]
+    assert run_cli(capsys, *argv, "--format", "human") == (0, "".join(f"{line}\n" for line in lines), "")
+
+
+def test_human_root_found_bernoulli(capsys):
+    # a root-found p prints as a float of 12 significant digits, not as "n/d"
+    code, out, _ = run_cli(capsys, "bernoulli", "one-cycle:4", "--format", "human")
+    head, residual = out.splitlines()[:3], out.splitlines()[3]
+    assert code == 0 and head == ["tau: one-cycle:4   (root-found parameters)", "offset: 2", "  + 2 * Bernoulli(0.166666666667)"]
+    assert re.fullmatch(r"reconstruction residual: \S+", residual) and float(residual.split()[-1]) < 1e-12
 
 
 class TestDistCommand:

@@ -75,6 +75,24 @@ class TestAlternating:
             alternating_pgf(1, complement=True)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: uniform_cycles_pgf(0), "m must be positive"),
+        (lambda: alternating_pgf(0, complement=False), "m must be positive"),
+        (lambda: alternating_pgf(1, complement=True), "no odd permutations on a single point"),
+        (lambda: one_cycle_pgf(0), "m must be positive"),
+        (lambda: two_cycles_pgf(0), "m must be positive"),
+        (lambda: transpositions_pgf(0), "m must be positive"),
+        (lambda: transpositions_rising_form(0, 4), "m must be positive"),
+    ],
+    ids=["uniform", "alternating", "co_alternating", "one_cycle", "two_cycles", "transpositions", "rising_form"],
+)
+def test_size_guards_refuse_by_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestOneCycle:
     def test_m2(self):
         assert one_cycle_pgf(2).poly == poly(0, 0, 1)

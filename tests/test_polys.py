@@ -291,6 +291,26 @@ class TestConnectionExpansion:
             connection_expand(3, 2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: rising_factorial(-1), "n must be nonnegative"),
+        (lambda: falling_factorial(-1), "n must be nonnegative"),
+        (lambda: rising_falling_sum(-1, 1), "need n >= 0 and sign 1 or -1, got n=-1, sign=1"),
+        (lambda: rising_falling_sum(3, 0), "need n >= 0 and sign 1 or -1, got n=3, sign=0"),
+        (lambda: rising_product(Fraction(1, 2), -1), "n must be nonnegative"),
+        (lambda: rising_square_sum(0), "m must be positive"),
+        (lambda: connection_expand(3, 2), "m must not exceed n \\(got m=3, n=2\\)"),
+        (lambda: connection_expand(-1, 2), "m must be nonnegative"),
+    ],
+    ids=["rising", "falling", "rising_falling_n", "rising_falling_sign", "rising_product", "square_sum",
+         "connection_m_above_n", "connection_negative_m"],
+)
+def test_size_guards_refuse_by_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def stirling_rows(top):
     """Rows 0..top of c(n, k) by the recurrence c(n+1, k) = c(n, k-1) + n c(n, k)."""
     rows = [[1]]

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -278,13 +279,13 @@ class TestEstimates:
         values = np.abs(reference.tr_g_squared_samples(n_dim, samples, 5, partitions)) ** (2 * m)
         collect, draws = rmt._collect, []
 
-        def recorded(identity, seed, partitions, total, draw, dtype):
-            draws.append((identity, seed, partitions, total, dtype))
-            return collect(identity, seed, partitions, total, draw, dtype)
+        def recorded(identity, seed, partitions, total, n, draw, dtype):
+            draws.append((identity, seed, partitions, total, n, dtype))
+            return collect(identity, seed, partitions, total, n, draw, dtype)
 
         monkeypatch.setattr(rmt, "_collect", recorded)
         rep = mc_tr_g_squared_law(n_dim, m, samples=samples, seed=5, partitions=partitions)
-        assert draws == [("tr_g_squared", 5, partitions, samples, float)]
+        assert draws == [("tr_g_squared", 5, partitions, samples, n_dim, float)]
         assert rep.estimate == float(values.mean())
         assert rep.std_error == float(values.std(ddof=1)) / math.sqrt(samples)
 
@@ -456,13 +457,13 @@ class TestKernels:
         assert rep.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
-def _serial(identity, seed, partitions, total):
+def _serial(identity, seed, partitions, total, batch):
     """What _collect must return for _batch_draw: one partition after another,
-    in batches of at most _BATCH, all on this thread."""
+    in batches of at most `batch`, all on this thread."""
     values = []
     for rng, size in zip(_streams(seed, partitions, identity), _partition_sizes(total, partitions)):
-        for lo in range(0, size, _BATCH):
-            b = min(_BATCH, size - lo)
+        for lo in range(0, size, batch):
+            b = min(batch, size - lo)
             values.append(rng.standard_normal(b) + b)
     return np.concatenate(values)
 
@@ -492,8 +493,17 @@ class TestPartitions:
     @pytest.mark.parametrize("partitions", [1, 2, 3, 4, 5])
     def test_collect_equals_serial_loop(self, monkeypatch, cpus, total, partitions):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        got = _collect("probe", 11, partitions, total, _batch_draw, float)
-        assert np.array_equal(got, _serial("probe", 11, partitions, total))
+        got = _collect("probe", 11, partitions, total, 4, _batch_draw, float)
+        assert np.array_equal(got, _serial("probe", 11, partitions, total, _BATCH))
+
+    # above N = 4 a batch holds 2^19 // N² draws of N×N entries, at least one, not _BATCH
+    @pytest.mark.parametrize("n, batch, total", [(5, 20_971, 50_001), (8, 1 << 13, 50_001), (1024, 1, 7)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("partitions", [1, 2, 3])
+    def test_collect_shrinks_batches_for_large_blocks(self, monkeypatch, cpus, partitions, n, batch, total):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = _collect("probe", 11, partitions, total, n, _batch_draw, float)
+        assert np.array_equal(got, _serial("probe", 11, partitions, total, batch))
 
     # at most one thread per CPU, the caller's included; one partition, or
     # an unknown CPU count, stays on the caller
@@ -506,9 +516,9 @@ class TestPartitions:
             idents.add(threading.get_ident())
             _batch_draw(rng, values)
 
-        got = _collect("probe", 11, partitions, 5_001, draw, float)
+        got = _collect("probe", 11, partitions, 5_001, 1, draw, float)
         assert threading.get_ident() in idents and len(idents) <= threads
-        assert np.array_equal(got, _serial("probe", 11, partitions, 5_001))
+        assert np.array_equal(got, _serial("probe", 11, partitions, 5_001, _BATCH))
 
     def test_error_in_other_partition_reraises(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -522,7 +532,7 @@ class TestPartitions:
 
         def run():
             caller.append(threading.get_ident())
-            return _collect("probe", 11, 4, 5_001, draw, float)
+            return _collect("probe", 11, 4, 5_001, 2, draw, float)
 
         with ThreadPoolExecutor(1) as pool:
             with pytest.raises(ValueError, match="off the calling thread"):
@@ -552,6 +562,33 @@ class TestPartitions:
         threaded = run()
         assert (threaded.estimate, threaded.std_error) == (serial.estimate, serial.std_error)
         assert threaded.extra == serial.extra
+
+
+class TestWorkingSet:
+    """A batch holds at most 2^19 matrix entries, so memory does not grow with N²."""
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            lambda n: mc_trace_power_moment(n, 1, 1, samples=SAMPLES, seed=1, partitions=1),
+            lambda n: mc_real_trace_law(n, 1, samples=SAMPLES, seed=1, partitions=1),
+            lambda n: mc_tr_g1g2_law(n, 1, samples=SAMPLES, seed=1, partitions=1),
+        ],
+        ids=["trace_power", "real_trace", "tr_g1_g2"],
+    )
+    def test_peak_at_n16_within_twice_n4(self, estimator):
+        # numpy reports its buffers to tracemalloc; at N = 4 a batch holds
+        # 2^15 draws of 16 entries, at N = 16 it holds 2^11 draws of 256
+        peaks = []
+        for n in (4, 16):
+            estimator(n)  # targets and imports built before the trace
+            tracemalloc.start()
+            try:
+                estimator(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestGaussianConvention:
